@@ -6,7 +6,7 @@ serialized as an exact "p/q" string, never a float.  A fixed --seed yields
 byte-identical reports; wall times only appear with --timing.
 
 Exit codes: 0 success, 1 usage or parse error, 2 computation fault,
-3 audit or selftest failure.
+3 audit or selftest failure, 4 input beyond a capacity cap.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from fractions import Fraction
 
 from .errors import (
     ArityError,
+    CapacityError,
     DimensionError,
     ExprSyntaxError,
     InternalFaultError,
     LatfreeError,
-    UnboundedRegionError,
     UnsupportedSpaceError,
 )
 from .expr import parse, print_expr
@@ -51,7 +51,7 @@ _USAGE_ERRORS = (
     ValueError,
     ZeroDivisionError,
 )
-_FAULT_ERRORS = (InternalFaultError, UnboundedRegionError, LatfreeError)
+_FAULT_ERRORS = (InternalFaultError, LatfreeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -449,6 +449,9 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"latfree: error: {exc}", file=sys.stderr)
         return 1
+    except CapacityError as exc:
+        print(f"latfree: capacity: {exc}", file=sys.stderr)
+        return 4
     except _FAULT_ERRORS as exc:
         print(f"latfree: fault: {exc}", file=sys.stderr)
         return 2

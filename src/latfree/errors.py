@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: input/validation problems exit 1,
-internal faults exit 2, audit failures exit 3.
+internal faults exit 2, audit failures exit 3, capacity caps exit 4.
 """
 
 
@@ -25,12 +25,19 @@ class DimensionError(LatfreeError):
     """Vector or matrix dimensions do not match the declared ambient space."""
 
 
-class UnboundedRegionError(LatfreeError):
-    """A region that must be bounded admits an unbounded direction."""
-
-
 class UnsupportedSpaceError(LatfreeError):
     """The requested operation needs a polyhedral space kind."""
+
+
+class CapacityError(LatfreeError):
+    """An input needs more work than a fixed cap admits; not a bug."""
+
+    def __init__(self, what, cap, measured):
+        super().__init__(
+            f"{what}: {measured} exceeds the cap of {cap}; input is beyond desk scale"
+        )
+        self.cap = cap
+        self.measured = measured
 
 
 class InternalFaultError(LatfreeError):

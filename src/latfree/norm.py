@@ -3,9 +3,11 @@
 The norm of a piecewise-linear element is the supremum of Sum_i |f(x_i)|
 over finite tuples of dual points whose admissibility value
 (constraint_norm) is at most 1.  For the polyhedral spaces the supremum
-is an exact rational, computed by one LP over the vertices of a box
-subdivision of f's kink geometry; the LP duals certify optimality.  For
-the remaining spaces certified lower/upper bounds are produced instead.
+is an exact rational, computed by one LP whose columns are the extreme
+rays (pwl.rays) of f's kink and budget arrangement; the LP duals certify
+optimality.  For the remaining spaces certified lower/upper bounds are
+produced instead; the exact unit factor behind the upper bound is a
+maximum over rays too.
 """
 
 from __future__ import annotations
@@ -20,22 +22,19 @@ from typing import Callable
 from .errors import (
     DimensionError,
     InternalFaultError,
-    LatfreeError,
     UnsupportedSpaceError,
 )
 from .expr import Add, Expr, Inf, Scale, Sup, Var
 from .lp import simplex_standard
 from .pwl import (
     PwlFunction,
-    Region,
     active_piece,
     arrangement_for,
-    canonical_normals,
     difference_normals,
     equivalent,
     is_zero,
     linear_pieces,
-    sup_abs_over,
+    rays,
     zero_pwl,
 )
 from .qmath import (
@@ -51,13 +50,12 @@ from .qmath import (
     to_fraction,
     transpose,
     vec,
+    vec_add,
     vec_scale,
     zero_vec,
 )
 
 INF_P = "inf"
-
-_MAX_VERTEX_SUBSETS = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -273,44 +271,6 @@ def budget_directions(space: SpaceSpec) -> tuple[Vec, ...]:
     )
 
 
-def _subdivision_vertices(f: PwlFunction, budget: tuple[Vec, ...]) -> list[Vec]:
-    """Vertices of the box subdivision induced by kink and budget hyperplanes.
-
-    The hyperplane set contains every plane where |f| or any |<., b>| can
-    kink: piece differences, the pieces themselves (zero set of f), and the
-    budget planes; the box facets close the subdivision.  Every vertex of
-    every subdivision polytope solves d independent tight equations from
-    this list, so enumerating d-subsets is a superset of what is needed,
-    and extra box points are harmless LP columns.
-    """
-    d = f.dim
-    pieces = linear_pieces(f)
-    homs = canonical_normals(
-        difference_normals(pieces) + [p.coeffs for p in pieces] + list(budget)
-    )
-    planes: list[tuple[Vec, Fraction]] = [(h, Fraction(0)) for h in homs]
-    for i in range(d):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(d))
-        planes.append((e, Fraction(1)))
-        planes.append((e, Fraction(-1)))
-
-    from math import comb
-
-    if comb(len(planes), d) > _MAX_VERTEX_SUBSETS:
-        raise LatfreeError(
-            f"{len(planes)} kink planes in dimension {d} exceed desk scale"
-        )
-
-    from .qmath import solve_square_system
-
-    seen: set[Vec] = set()
-    for subset in itertools.combinations(planes, d):
-        x = solve_square_system([p[0] for p in subset], [p[1] for p in subset])
-        if x is not None and linf_norm(x) <= 1:
-            seen.add(x)
-    return sorted(seen)
-
-
 def _zero_certificate(space: SpaceSpec, method: str) -> NormCertificate:
     return NormCertificate(
         lower=Fraction(0),
@@ -325,15 +285,18 @@ def _zero_certificate(space: SpaceSpec, method: str) -> NormCertificate:
 def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     """Exact norm for fvl / seq:1 / seq:inf, with an LP-dual optimality proof.
 
-    Scaling any admissible tuple point into the box and splitting it over
-    the vertices of its subdivision polytope preserves both the objective
-    and every budget row (all are linear there), so the supremum equals
+    The arrangement of kinks (piece differences), pieces (zero sets of f)
+    and budget directions b makes |f| and every |<., b>| linear on each
+    closed cell.  Splitting any admissible tuple point over the extreme
+    rays of its cell therefore preserves the objective and every budget
+    row, so the supremum equals
 
         max { Sum_v lam_v |f(v)| : Sum_v lam_v |<v,b>| <= 1 for all b }
 
-    over the finite vertex set.  The optimal basis gives the witness tuple
-    {lam_v * v}; the exact dual y gives Sum_b y_b |<x,b>| >= |f(x)| on the
-    whole space, hence value = Sum_b y_b is also an upper bound.
+    over the finite set of rays v.  The optimal basis gives the witness
+    tuple {lam_v * v}; the exact dual y gives Sum_b y_b |<v,b>| >= |f(v)| on
+    every ray, hence by homogeneity on the whole space, so value = Sum_b y_b
+    is also an upper bound.
     """
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
@@ -345,9 +308,13 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         return _zero_certificate(space, "exact_match")
 
     budget = budget_directions(space)
-    vertices = _subdivision_vertices(f, budget)
-    objective = [abs(f.eval(v)) for v in vertices]
-    matrix = [[abs(dot(v, b)) for v in vertices] for b in budget]
+    pieces = linear_pieces(f)
+    columns = rays(
+        f.dim,
+        difference_normals(pieces) + [p.coeffs for p in pieces] + list(budget),
+    )
+    objective = [abs(f.eval(v)) for v in columns]
+    matrix = [[abs(dot(v, b)) for v in columns] for b in budget]
     rows = [(tuple(row), "<=", Fraction(1)) for row in matrix]
     res = simplex_standard(objective, rows)
     if res.status != "optimal":
@@ -368,11 +335,11 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
             (y * matrix[i][j] for i, y in enumerate(duals)), Fraction(0)
         )
         if covered < c:
-            raise InternalFaultError("LP dual fails to dominate a vertex column")
+            raise InternalFaultError("LP dual fails to dominate a ray column")
 
     points = sorted(
         vec_scale(lam, v)
-        for lam, v in zip(res.point, vertices)
+        for lam, v in zip(res.point, columns)
         if lam > 0
     )
     witness = functional_tuple(space, points)
@@ -483,18 +450,21 @@ def strong_unit_factor(f: PwlFunction):
     restricted to the image subspace of the composition matrix and the
     l1 ball Sum_j |y_j| <= 1; f depends on its argument only through y,
     and a vanishing budget forces a vanishing value, so the bound is tight
-    and always finite.
+    and always finite.  On each cell of the kink arrangement (which holds
+    the coordinate normals) f and ||y||_1 are linear, so splitting y over
+    the cell's extreme rays r gives |f(y)| <= Sum_r mu_r |f(r)|: the ratio
+    |f(y)| / ||y||_1 peaks on a ray inside the image subspace.
     """
     n = len(f.comp)
     shadow = PwlFunction.from_expr(f.expr, n)
-    identity = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
+    generators = rays(
+        n,
+        difference_normals(linear_pieces(shadow)),
+        subspace=null_space_basis(transpose(f.comp)),
     )
-    image_rows = tuple(
-        (c, "=", Fraction(0)) for c in null_space_basis(transpose(f.comp))
+    lam = max(
+        (abs(shadow.eval(r)) / l1_norm(r) for r in generators), default=Fraction(0)
     )
-    region = Region(linear=image_rows, abs_groups=((identity, Fraction(1)),))
-    lam, _ = sup_abs_over(shadow, region)
     return lam, tuple(f.comp)
 
 
@@ -543,40 +513,30 @@ def _constraint_float(points, space: SpaceSpec) -> float:
     return best
 
 
-def _dual_ball_region(space: SpaceSpec) -> Region | None:
-    """Admissible single points {x : constraint_norm({x}) <= 1}, if polyhedral."""
-    d = space.dim
-    if space.kind == "fvl" or space.p == Fraction(1):
-        rows = []
-        for i in range(d):
-            e = tuple(Fraction(1 if j == i else 0) for j in range(d))
-            rows.append((e, "<=", Fraction(1)))
-            rows.append((tuple(-v for v in e), "<=", Fraction(1)))
-        return Region(linear=tuple(rows))
-    if space.p == INF_P:
-        identity = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)
-        )
-        return Region(abs_groups=((identity, Fraction(1)),))
-    return None
-
-
 def _sweep_candidates(
     f: PwlFunction, space: SpaceSpec, extra_points: tuple[Vec, ...] = ()
 ) -> list[FunctionalTuple]:
     d = space.dim
     out: list[tuple[Vec, ...]] = [(p,) for p in extra_points]
 
-    region = _dual_ball_region(space)
-    if region is not None:
-        _, wit = sup_abs_over(f, region)
-        if wit is not None:
-            out.append((wit,))
+    # On polyhedral spaces the single-point budget max_b |<x, b>| is linear
+    # wherever the signs of <x, b> and of |<x, b_i>| - |<x, b_j>| are fixed,
+    # so these normals make |f(x)| / budget peak on a ray.
+    normals = difference_normals(linear_pieces(f))
+    if space.is_polyhedral:
+        budget = budget_directions(space)
+        normals += list(budget)
+        for bi, bj in itertools.combinations(budget, 2):
+            normals.append(vec_add(bi, bj))
+            normals.append(tuple(x - y for x, y in zip(bi, bj)))
+    out.extend((r,) for r in rays(d, normals))
     if space.p == Fraction(2):
+        # |piece| peaks on the l2 ball at +-piece / ||piece||_2
         for piece in sorted(linear_pieces(f), key=lambda p: p.coeffs):
             sq = l2_norm_sq(piece.coeffs)
             if sq > 0:
-                out.append((vec_scale(1 / sqrt_upper(sq), piece.coeffs),))
+                for c in (1, -1):
+                    out.append((vec_scale(c / sqrt_upper(sq), piece.coeffs),))
 
     for s in _sign_patterns(d):
         out.append((vec(s),))
@@ -590,10 +550,6 @@ def _sweep_candidates(
         signed.append(e if abs(f.eval(e)) >= abs(f.eval(neg)) else neg)
     out.append(tuple(signed))
     out.append(tuple(basis))
-
-    arr = arrangement_for(f)
-    for cell in arr.cells[:16]:
-        out.append((cell.interior,))
 
     tuples = []
     seen = set()

@@ -4,25 +4,36 @@ A PwlFunction pairs a lattice-linear expression with a rational matrix of
 composition rows; its value at x is the expression evaluated at the row
 products.  Such functions are positively homogeneous and piecewise linear,
 with linear candidate pieces obtained structurally from the expression.
-All questions about them (equality, domination, extrema over regions)
-reduce to exact LPs over the cells of a central hyperplane arrangement.
+Add the coordinate normals to the hyperplanes where two pieces meet, and
+every closed cell of the arrangement is a pointed cone on which f is
+linear, generated by its extreme rays.  So equality, and every extremum
+that is linear or linear-fractional per cell, is decided on the finite
+ray set `rays` returns.  The cell enumeration (`build_arrangement`) stays
+for the max-min normal form and the independent norm oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .errors import (
-    DimensionError,
-    InternalFaultError,
-    LatfreeError,
-    UnboundedRegionError,
-)
+from .errors import CapacityError, DimensionError, InternalFaultError
 from .expr import Expr, Add, Inf, Scale, Sup, Var, eval_expr, max_var_index, substitute
 from .lp import solve_lp
-from .qmath import Vec, dot, is_zero_vec, primitive_normal, to_fraction, vec, zero_vec
+from .qmath import (
+    Vec,
+    dot,
+    is_zero_vec,
+    matrix_rank,
+    null_space_basis,
+    primitive_normal,
+    to_fraction,
+    vec,
+    zero_vec,
+)
 
 _MAX_PIECES = 256
 _MAX_CELLS = 8192
@@ -53,10 +64,6 @@ class LinFunc:
 
     def is_zero(self) -> bool:
         return is_zero_vec(self.coeffs)
-
-
-def lin_func(values) -> LinFunc:
-    return LinFunc(vec(values))
 
 
 @dataclass(frozen=True)
@@ -171,10 +178,7 @@ def linear_pieces(f: PwlFunction) -> frozenset[LinFunc]:
                     for tb in right
                 )
                 if len(out) > _MAX_PIECES:
-                    raise LatfreeError(
-                        f"candidate piece count exceeded {_MAX_PIECES}; "
-                        "expression is beyond desk scale"
-                    )
+                    raise CapacityError("candidate pieces", _MAX_PIECES, len(out))
                 return out
             case Sup(left=l, right=r) | Inf(left=l, right=r):
                 return rec(l) | rec(r)
@@ -223,6 +227,49 @@ def difference_normals(pieces) -> list[Vec]:
     return diffs
 
 
+# (k-1)-subsets `rays` may solve.  Measured on a 2-core x86 box with
+# Python 3.11: a whole equivalence check costs about 280 us per subset in
+# dimension 4 at 300k subsets, and solving a subset alone about 400 us in
+# dimension 5, so the cap admits about a minute of either.  The exact
+# norm's vertex LP grows faster than the ray count; this cap does not
+# bound it.
+_MAX_RAY_SUBSETS = 150_000
+
+
+def rays(dim: int, normals, subspace=()) -> tuple[Vec, ...]:
+    """Extreme rays of the cells of a central arrangement, inside a subspace.
+
+    The hyperplanes are the canonical `normals` plus the coordinate
+    normals; the subspace is {x : c.x = 0 for every row c of `subspace`},
+    of dimension k.  Every closed cell, cut down to the subspace, is then a
+    pointed cone, the conic hull of its extreme rays, and the extreme rays
+    of all cells are the rays on the lines where k - 1 independent
+    hyperplanes meet inside the subspace.  So each (k - 1)-subset whose
+    null space (with the subspace rows) is a line gives two of them.
+    Returns the primitive integer rays, closed under sign, sorted.
+    """
+    axes = [
+        tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
+    ]
+    planes = canonical_normals(list(normals) + axes)
+    fixed = canonical_normals(subspace)
+    if any(len(n) != dim for n in planes + fixed):
+        raise DimensionError("hyperplane normal has wrong length")
+    k = dim - matrix_rank(fixed) if fixed else dim
+    if k == 0:
+        return ()
+    subsets = comb(len(planes), k - 1)
+    if subsets > _MAX_RAY_SUBSETS:
+        raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, subsets)
+    lines = set()
+    for subset in itertools.combinations(planes, k - 1):
+        rows = fixed + list(subset)
+        basis = null_space_basis(rows) if rows else axes
+        if len(basis) == 1:
+            lines.add(primitive_normal(basis[0]))
+    return tuple(sorted(lines | {tuple(-v for v in r) for r in lines}))
+
+
 def _strict_cell_point(normals: list[Vec], signs, dim: int):
     """Rational x with signs[i]*normals[i](x) >= 1, or None when empty.
 
@@ -267,9 +314,7 @@ def build_arrangement(dim: int, normals, extra_normals=()) -> Arrangement:
                     next_states.append((signs + (s,), found))
         states = next_states
         if len(states) > _MAX_CELLS:
-            raise LatfreeError(
-                f"cell count exceeded {_MAX_CELLS}; arrangement is beyond desk scale"
-            )
+            raise CapacityError("arrangement cells", _MAX_CELLS, len(states))
     states.sort(key=lambda sp: sp[0])
     cells = tuple(Cell(signs=s, interior=p) for s, p in states)
     return Arrangement(
@@ -337,16 +382,6 @@ def active_piece(
     return matches[0]
 
 
-def active_pieces_by_cell(
-    f: PwlFunction, arr: Arrangement, candidates=None
-) -> dict[tuple[int, ...], LinFunc]:
-    """Deterministic map cell signs -> active piece (cells are independent)."""
-    cands = linear_pieces(f) if candidates is None else frozenset(candidates)
-    return {
-        cell.signs: active_piece(f, arr, cell, cands) for cell in arr.cells
-    }
-
-
 # ---------------------------------------------------------------------------
 # equivalence
 # ---------------------------------------------------------------------------
@@ -363,33 +398,31 @@ def _sample_points(dim: int) -> list[tuple[int, ...]]:
     return pts
 
 
+def _ray_witness(f: PwlFunction, g: PwlFunction) -> Vec | None:
+    """First ray of the joint arrangement where f and g differ, or None.
+
+    On every closed cell of the arrangement of all piece differences both
+    functions are linear, so they agree on the cell exactly when they agree
+    on its extreme rays.
+    """
+    normals = difference_normals(linear_pieces(f) | linear_pieces(g))
+    return next((r for r in rays(f.dim, normals) if f.eval(r) != g.eval(r)), None)
+
+
 def equivalent(f: PwlFunction, g: PwlFunction):
     """Decide pointwise equality; returns (True, None) or (False, witness).
 
     A fixed integer sample is tried first purely as a shortcut for the
-    unequal branch (any hit is re-checked exactly); the equal verdict always
-    comes from comparing active pieces on every cell of the joint
-    arrangement of piece differences.
+    unequal branch; the equal verdict always comes from comparing the two
+    functions on every ray of the joint arrangement of piece differences.
     """
     if f.dim != g.dim:
         raise DimensionError("cannot compare functions over different dimensions")
     for p in _sample_points(f.dim):
         if f.eval(p) != g.eval(p):
             return False, vec(p)
-    pieces_f = linear_pieces(f)
-    pieces_g = linear_pieces(g)
-    arr = build_arrangement(f.dim, difference_normals(pieces_f | pieces_g))
-    for cell in arr.cells:
-        af = active_piece(f, arr, cell, pieces_f)
-        ag = active_piece(g, arr, cell, pieces_g)
-        if af != ag:
-            w = cell.interior
-            if f.eval(w) == g.eval(w):
-                raise InternalFaultError(
-                    "active pieces differ but values agree at the interior point"
-                )
-            return False, w
-    return True, None
+    witness = _ray_witness(f, g)
+    return witness is None, witness
 
 
 def is_zero(f: PwlFunction) -> bool:
@@ -483,90 +516,3 @@ def max_min_form(f: PwlFunction) -> MaxMinForm:
             f"max-min form failed verification at witness {witness}"
         )
     return form
-
-
-# ---------------------------------------------------------------------------
-# suprema over polyhedral regions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Region:
-    """Conjunction of linear constraints and absolute-sum budget constraints.
-
-    linear entries are (coeffs, rel, rhs) with rel in {"<=", ">=", "="};
-    abs_groups entries are (rows, rhs) meaning sum_j |rows[j].x| <= rhs.
-    """
-
-    linear: tuple = ()
-    abs_groups: tuple = ()
-
-
-def sup_abs_over(f: PwlFunction, region: Region):
-    """Exact sup of |f| over the region, with a witness point.
-
-    The region must be bounded; per cell, boundedness of every +-coordinate
-    direction is established by LP before the extremal LPs run.  Returns
-    (value, witness); an empty region yields (0, None).
-    """
-    d = f.dim
-    abs_rows: list[tuple[Vec, Fraction]] = []
-    for rows, rhs in region.abs_groups:
-        abs_rows.extend((vec(r), to_fraction(rhs)) for r in rows)
-    arr = arrangement_for(f, extra_normals=[r for r, _ in abs_rows])
-    pieces = linear_pieces(f)
-
-    best_value = None
-    best_point = None
-    for cell in arr.cells:
-        act = active_piece(f, arr, cell, pieces)
-        rows = [
-            (tuple(-s * c for c in h.coeffs), "<=", Fraction(0))
-            for h, s in zip(arr.hyperplanes, cell.signs)
-        ]
-        for coeffs, rel, rhs in region.linear:
-            rows.append((vec(coeffs), rel, to_fraction(rhs)))
-        for group_rows, rhs in region.abs_groups:
-            combined = zero_vec(d)
-            for r in group_rows:
-                rv = vec(r)
-                if is_zero_vec(rv):
-                    continue
-                v = dot(rv, cell.interior)
-                eps = 1 if v > 0 else -1
-                if v == 0:
-                    raise InternalFaultError(
-                        "abs-group row vanishes at a cell interior point"
-                    )
-                combined = tuple(c + eps * rc for c, rc in zip(combined, rv))
-            rows.append((combined, "<=", to_fraction(rhs)))
-
-        feasible = True
-        for i in range(d):
-            e = [Fraction(0)] * d
-            e[i] = Fraction(1)
-            for direction in (tuple(e), tuple(-v for v in e)):
-                probe = solve_lp(direction, rows, goal="max")
-                if probe.status == "unbounded":
-                    raise UnboundedRegionError(
-                        "region admits an unbounded coordinate direction"
-                    )
-                if probe.status == "infeasible":
-                    feasible = False
-                    break
-            if not feasible:
-                break
-        if not feasible:
-            continue
-
-        for objective in (act.coeffs, tuple(-v for v in act.coeffs)):
-            res = solve_lp(objective, rows, goal="max")
-            if res.status != "optimal":
-                raise InternalFaultError("bounded cell LP must reach an optimum")
-            if best_value is None or res.value > best_value:
-                best_value = res.value
-                best_point = res.point
-
-    if best_value is None:
-        return Fraction(0), None
-    return best_value, best_point

@@ -37,10 +37,6 @@ def vec_scale(c: Fraction, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-def vec_neg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
@@ -116,17 +112,6 @@ def sqrt_upper(q: Fraction, tol: Fraction = Fraction(1, 10**15)) -> Fraction:
     return r
 
 
-def sqrt_lower(q: Fraction, tol: Fraction = Fraction(1, 10**15)) -> Fraction:
-    """Rational r with sqrt(q) - tol < r <= sqrt(q)."""
-    q = Fraction(q)
-    if q == 0:
-        return Fraction(0)
-    exact = sqrt_exact(q)
-    if exact is not None:
-        return exact
-    return q / sqrt_upper(q, tol)
-
-
 def rationalize(x: float, max_den: int = 10**6) -> Fraction:
     """Nearest rational with bounded denominator (continued fractions)."""
     if not math.isfinite(x):
@@ -152,26 +137,6 @@ def transpose(rows) -> tuple[Vec, ...]:
     if not rows:
         return ()
     return tuple(tuple(r[j] for r in rows) for j in range(len(rows[0])))
-
-
-def solve_square_system(rows, rhs) -> Vec | None:
-    """Unique solution of a square system, or None when singular."""
-    a = [list(vec(r)) + [to_fraction(b)] for r, b in zip(rows, rhs, strict=True)]
-    n = len(a)
-    if any(len(r) != n + 1 for r in a):
-        raise ValueError("system is not square")
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:

@@ -158,6 +158,15 @@ class TestExitCodes:
         code, _, _ = run_main(["norm", "--space", "fvl:1", "--expr", "t2"], capsys)
         assert code == 1
 
+    def test_capacity_cap_exits_four(self, capsys):
+        # six 3-way joins with distinct weights have 3^6 = 729 pieces
+        joins = " + ".join(
+            rf"({2**i}*t1 \/ {2**i}*t2 \/ {2**i}*t3)" for i in range(6)
+        )
+        code, _, err = run_main(["norm", "--space", "fvl:3", "--expr", joins], capsys)
+        assert code == 4
+        assert "candidate pieces: 729 exceeds the cap of 256" in err
+
     def test_missing_subcommand_is_usage(self, capsys):
         assert cli.main([]) == 1
         capsys.readouterr()

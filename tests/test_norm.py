@@ -6,6 +6,7 @@ import pytest
 from latfree.errors import DimensionError, UnsupportedSpaceError
 from latfree.expr import parse
 from latfree.norm import (
+    _sweep_candidates,
     budget_directions,
     constraint_norm,
     evaluation_seminorm,
@@ -177,6 +178,11 @@ class TestStrongUnitFactor:
         lam, _ = strong_unit_factor(pw("3*t1", 1))
         assert lam == 3
 
+    def test_cross_polytope_max_of_coordinate(self):
+        # sup of |t1| over the l1 ball of R^2, reached at +-e1
+        lam, _ = strong_unit_factor(pw("|t1|", 2))
+        assert lam == 1
+
 
 class TestNormBounds:
     def test_exact_on_polyhedral_space(self):
@@ -197,6 +203,20 @@ class TestNormBounds:
         assert cert.lower <= cert.upper
         assert abs(float(cert.lower) - math.sqrt(2)) < 1e-9
         assert float(cert.upper - cert.lower) < 1e-9
+
+    def test_box_region_single_point_sweep(self):
+        # single fvl:2 points are budgeted by the box max_j |x_j| <= 1, on
+        # which |t1 - t2| peaks at 2 on the corners (1, -1) and (-1, 1)
+        f = pw("t1 - t2", 2)
+        best = max(
+            (tup for tup in _sweep_candidates(f, fvl_space(2)) if len(tup.points) == 1),
+            key=lambda tup: tuple_seminorm_value(f, tup),
+        )
+        assert tuple_seminorm_value(f, best) == 2
+        (x,) = best.points
+        assert abs(x[0] - x[1]) == 2 and constraint_norm(best) == 1
+        cert = norm_bounds(f, fvl_space(2), restarts=0)
+        assert cert.lower == 2
 
     def test_zero_function(self):
         cert = norm_bounds(pw("0*t1", 2), fvl_space(2))

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latfree.errors import DimensionError, UnboundedRegionError
+from latfree.errors import DimensionError
 from latfree.expr import parse
 from latfree.pwl import (
     PwlFunction,
-    Region,
     active_piece,
     arrangement_for,
     build_arrangement,
@@ -25,7 +24,6 @@ from latfree.pwl import (
     pwl_scale,
     pwl_sup,
     signs_at,
-    sup_abs_over,
     zero_pwl,
 )
 
@@ -239,42 +237,3 @@ class TestMaxMinForm:
         mm = max_min_form(pw("3*t1 - t2", 2))
         assert len(mm.groups) == 1
         assert len(mm.groups[0]) == 1
-
-
-class TestSupAbsOver:
-    def test_cross_polytope_max_of_coordinate(self):
-        t1 = pw("t1", 2)
-        region = Region(abs_groups=((((1, 0), (0, 1)), F(1)),))
-        value, witness = sup_abs_over(t1, region)
-        assert value == 1
-        assert abs(witness[0]) == 1 and witness[1] == 0
-
-    def test_box_region(self):
-        d12 = pw("t1 - t2", 2)
-        rows = []
-        for i in range(2):
-            e = [F(0)] * 2
-            e[i] = F(1)
-            rows.append((tuple(e), "<=", F(1)))
-            rows.append((tuple(-v for v in e), "<=", F(1)))
-        value, witness = sup_abs_over(d12, Region(linear=tuple(rows)))
-        assert value == 2
-        assert abs(witness[0] - witness[1]) == 2
-
-    def test_unbounded_region_raises(self):
-        d12 = pw("t1 - t2", 2)
-        with pytest.raises(UnboundedRegionError):
-            sup_abs_over(d12, Region(linear=(((F(1), F(0)), "<=", F(1)),)))
-
-    def test_empty_region(self):
-        d12 = pw("t1 - t2", 2)
-        value, witness = sup_abs_over(
-            d12,
-            Region(
-                linear=(
-                    ((F(1), F(0)), "<=", F(-1)),
-                    ((F(1), F(0)), ">=", F(1)),
-                )
-            ),
-        )
-        assert value == 0 and witness is None

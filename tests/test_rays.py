@@ -1,0 +1,188 @@
+import math
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from latfree import pwl
+from latfree.errors import CapacityError, DimensionError
+from latfree.expr import parse
+from latfree.qmath import matrix_rank
+from latfree.norm import (
+    fvl_space,
+    norm_by_cell_assignment,
+    norm_exact_polyhedral,
+    seq_space,
+    tuple_admissible,
+    tuple_seminorm_value,
+)
+from latfree.pwl import (
+    PwlFunction,
+    _ray_witness,
+    active_piece,
+    build_arrangement,
+    difference_normals,
+    equivalent,
+    linear_pieces,
+    rays,
+)
+from latfree.sampling import random_expr, random_pair
+
+F = Fraction
+
+
+def pw(text: str, n: int) -> PwlFunction:
+    return PwlFunction.from_expr(parse(text, n), n)
+
+
+def ints(vectors):
+    return [tuple(int(c) for c in v) for v in vectors]
+
+
+class TestRays:
+    def test_dimension_one(self):
+        assert ints(rays(1, [])) == [(-1,), (1,)]
+        assert ints(rays(1, [(3,), (-2,)])) == [(-1,), (1,)]
+
+    def test_coordinate_quadrants_in_the_plane(self):
+        assert ints(rays(2, [])) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+
+    def test_kink_adds_its_line(self):
+        assert ints(rays(2, [(2, -2)])) == [
+            (-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)
+        ]
+
+    def test_plane_subspace(self):
+        # inside x1 + x2 + x3 = 0 each coordinate plane cuts out one line
+        got = ints(rays(3, [], subspace=[(1, 1, 1)]))
+        assert got == sorted(
+            [(0, 1, -1), (0, -1, 1), (1, 0, -1), (-1, 0, 1), (1, -1, 0), (-1, 1, 0)]
+        )
+
+    def test_line_and_point_subspaces(self):
+        assert ints(rays(3, [(1, 2, 3)], subspace=[(1, 0, 0), (0, 2, 0)])) == [
+            (0, 0, -1), (0, 0, 1)
+        ]
+        assert rays(2, [(1, 1)], subspace=[(1, 0), (0, 1)]) == ()
+
+    def test_fractional_subspace_rows(self):
+        assert rays(2, [], subspace=[(F(1, 2), F(-1, 3))]) == rays(
+            2, [], subspace=[(3, -2)]
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sorted_primitive_sign_closed_with_axes(self, seed):
+        rng = random.Random(seed)
+        dim = rng.randint(1, 4)
+        normals = [
+            tuple(rng.randint(-3, 3) for _ in range(dim))
+            for _ in range(rng.randint(0, 6))
+        ]
+        out = rays(dim, normals)
+        assert list(out) == sorted(set(out))
+        members = set(out)
+        for r in out:
+            assert all(isinstance(c, Fraction) and c.denominator == 1 for c in r)
+            assert math.gcd(*(int(c) for c in r)) == 1
+            assert tuple(-c for c in r) in members
+        for i in range(dim):
+            axis = tuple(F(1 if i == j else 0) for j in range(dim))
+            assert axis in members and tuple(-c for c in axis) in members
+
+    def test_every_ray_lies_on_a_line_of_the_arrangement(self):
+        normals = [(1, -1, 0), (1, 0, -2), (0, 1, 1)]
+        planes = normals + [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        for r in rays(3, normals):
+            on = [n for n in planes if sum(a * b for a, b in zip(n, r)) == 0]
+            assert matrix_rank(on) == 2
+
+    def test_wrong_length_normal(self):
+        with pytest.raises(DimensionError):
+            rays(2, [(1, 2, 3)])
+
+    def test_subset_cap_is_a_capacity_error(self, monkeypatch):
+        monkeypatch.setattr(pwl, "_MAX_RAY_SUBSETS", 10)
+        with pytest.raises(CapacityError) as info:
+            rays(3, [(1, 1, 0), (1, 0, 1), (0, 1, 1)])
+        assert info.value.cap == 10 and info.value.measured == math.comb(6, 2)
+
+
+def _cell_verdict(f: PwlFunction, g: PwlFunction) -> bool:
+    """Reference: compare active pieces on every cell of the joint arrangement."""
+    pieces_f, pieces_g = linear_pieces(f), linear_pieces(g)
+    arr = build_arrangement(f.dim, difference_normals(pieces_f | pieces_g))
+    return all(
+        active_piece(f, arr, cell, pieces_f) == active_piece(g, arr, cell, pieces_g)
+        for cell in arr.cells
+    )
+
+
+class TestDifferential:
+    def test_ray_verdicts_match_the_cell_reference(self):
+        # the cell reference costs seconds per pair in dimension 3, so the
+        # batch stays in the plane
+        rng = random.Random(20261018)
+        unequal = 0
+        for _ in range(100):
+            fe, ge, surely_equal = random_pair(rng, 2)
+            f, g = PwlFunction.from_expr(fe, 2), PwlFunction.from_expr(ge, 2)
+            witness = _ray_witness(f, g)
+            assert (witness is None) == _cell_verdict(f, g)
+            if surely_equal:
+                assert witness is None
+            if witness is not None:
+                unequal += 1
+                assert f.eval(witness) != g.eval(witness)
+        assert 20 <= unequal <= 80
+
+    def test_exact_norms_match_the_cell_assignment_oracle(self):
+        rng = random.Random(60)
+        for i in range(60):
+            n = rng.randint(1, 3)
+            space = fvl_space(n) if i % 2 == 0 else seq_space(1, n)
+            f = PwlFunction.from_expr(random_expr(rng, n), n)
+            cert = norm_exact_polyhedral(f, space)
+            assert cert.lower == norm_by_cell_assignment(f, space)
+            assert tuple_admissible(cert.witness)
+            assert tuple_seminorm_value(f, cert.witness) == cert.lower
+
+    def test_thin_cone_is_found_past_the_sample(self):
+        # the bump lives on 6*t2 < t1 < 7*t2, which holds no sample point
+        f = pw(r"2*t1 \/ 3*t2", 2)
+        g = pw(r"2*t1 \/ 3*t2 + ((t1 - 6*t2) /\ (7*t2 - t1))^+", 2)
+        eq, witness = equivalent(f, g)
+        assert not eq
+        assert f.eval(witness) != g.eval(witness)
+
+
+ABS_SUM_4 = "|t1| + |t2| + |t3| + |t4|"
+
+
+def timed(fn, budget_s):
+    t0 = time.perf_counter()
+    result = fn()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < budget_s, f"{elapsed:.1f}s exceeded the {budget_s}s budget"
+    return result
+
+
+class TestDimensionFour:
+    def test_abs_sum_norm(self):
+        f = pw(ABS_SUM_4, 4)
+        cert = timed(lambda: norm_exact_polyhedral(f, fvl_space(4)), 30)
+        assert cert.exact and cert.lower == 4 == cert.upper
+        assert tuple_admissible(cert.witness)
+        assert tuple_seminorm_value(f, cert.witness) == 4
+
+    def test_abs_sum_equals_a_rewrite(self):
+        f = pw(ABS_SUM_4, 4)
+        g = pw(r"-1*((-1*t4) /\ t4) + |t3| + (t2 \/ -1*t2) + |t1|", 4)
+        assert timed(lambda: equivalent(f, g), 30) == (True, None)
+
+    def test_rewrite_with_one_piece_changed_is_caught(self):
+        f = pw(ABS_SUM_4, 4)
+        g = pw(r"|t1| + |t2| + |t3| + (t4 \/ -1*t4 \/ 2*t1)", 4)
+        eq, witness = equivalent(f, g)
+        assert not eq and f.eval(witness) != g.eval(witness)
+
