@@ -191,7 +191,6 @@ def _cmd_norm(args):
         opts = {
             "restarts": args.restarts,
             "seed": args.seed,
-            "threads": args.threads,
             "max_denominator": args.max_denominator,
         }
     cert = norm_certificate(f, space, **opts)
@@ -268,7 +267,6 @@ def _cmd_audit(args):
         opts = {
             "restarts": args.restarts,
             "seed": args.seed,
-            "threads": args.threads,
             "max_denominator": args.max_denominator,
         }
     cert = norm_certificate(f, space, **opts)
@@ -318,14 +316,13 @@ def _selftest_payload(rep: SelftestReport, timing: bool) -> dict:
     return {
         "command": "selftest",
         "seed": rep.seed,
-        "threads": rep.threads,
         "criteria": criteria,
         "passed": rep.passed,
     }
 
 
 def _cmd_selftest(args):
-    rep = run_selftest(seed=args.seed, threads=args.threads)
+    rep = run_selftest(seed=args.seed)
     lines = []
     for r in rep.results:
         mark = "PASS" if r.passed else "FAIL"
@@ -366,9 +363,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="write the report to FILE")
         p.add_argument(
             "--seed", type=int, default=None, help="default: $LATFREE_SEED or 0"
-        )
-        p.add_argument(
-            "--threads", type=int, default=None, help="default: machine parallelism"
         )
         p.add_argument("--restarts", type=int, default=16)
         p.add_argument(
@@ -435,8 +429,6 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        if args.threads is None:
-            args.threads = os.cpu_count() or 1
         if args.format is None:
             args.format = "table" if args.command == "selftest" else "json"
         t0 = time.perf_counter()

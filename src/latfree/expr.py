@@ -1,9 +1,12 @@
-"""Lattice-linear expressions: AST, parser, printer, evaluation.
+"""Lattice-linear expressions: AST, parser, printer, compiled form.
 
 An expression is built from positional variables t1..tn with rational
 scaling, addition, and the binary lattice joins/meets.  Absolute value,
 positive/negative part, and subtraction are surface syntax only; the
-parser expands them, so the core AST has exactly five node kinds.
+parser expands them, so the core AST has exactly five node kinds.  |e|,
+e^+ and e^- use e twice, so an AST is a DAG.  Every walk over it is a
+`fold` over the `Program` that `compile_expr` interns from it, one slot
+per distinct subterm, so no walk recurses or repeats a shared subterm.
 
 Grammar (whitespace-insensitive)::
 
@@ -17,11 +20,14 @@ Grammar (whitespace-insensitive)::
 
 "/\\" binds tighter than "\\/"; both bind tighter than "+"/"-"; all are
 left-associative.  The leading "-" on a rational is accepted so that
-printed negative coefficients round-trip.
+printed negative coefficients round-trip.  "(", "|" and "c*" may nest at
+most 100 deep; deeper input is an ExprSyntaxError.  The printer writes a
+join back as |x|, (x)^+ or (x)^- when it is that expansion.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,121 +97,117 @@ def sub_expr(left: Expr, right: Expr) -> Expr:
     return Add(left, Scale(Fraction(-1), right))
 
 
+# ---------------------------------------------------------------------------
+# compiled form: one interned program, one fold
+# ---------------------------------------------------------------------------
+
+_NODE_TYPES = (Var, Scale, Add, Sup, Inf)
+
+
+@dataclass(frozen=True)
+class Program:
+    """Interned slots (kind, a, b) in topological order, the root last:
+    (Var, i, None) reads t_i, (Scale, c, s) is c times slot s, and
+    (Add | Sup | Inf, s, u) combines slots s and u.  No two slots are
+    equal, so equal expressions compile to equal programs."""
+
+    slots: tuple[tuple, ...]
+    max_var: int
+
+
+def compile_expr(e: Expr) -> Program:
+    """Intern e bottom-up, visiting each node object once, without recursion."""
+    interned: dict[tuple, int] = {}  # slot -> its index, in slot order
+    slot_of: dict[int, int] = {}  # id(node) -> index of its slot
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        kind = type(node)
+        if kind not in _NODE_TYPES:
+            raise TypeError(f"not an expression node: {node!r}")
+        if kind is Var:
+            key = (Var, node.index, None)
+        else:
+            kids = (node.child,) if kind is Scale else (node.left, node.right)
+            todo = [k for k in kids if id(k) not in slot_of]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            a, b = slot_of[id(kids[0])], slot_of[id(kids[-1])]
+            key = (Scale, to_fraction(node.coeff), a) if kind is Scale else (kind, a, b)
+        stack.pop()
+        slot_of[id(node)] = interned.setdefault(key, len(interned))
+    slots = tuple(interned)
+    return Program(slots, max(a for kind, a, _ in slots if kind is Var))
+
+
+def fold(prog: Program, var, scale, add, sup, inf):
+    """The root's value, computing each slot once from its operands' values:
+    var(i) is the value of t_i, scale(c, v) that of c times v, and
+    add/sup/inf combine two values."""
+    combine = {Add: add, Sup: sup, Inf: inf}
+    vals: list = []
+    for kind, a, b in prog.slots:
+        if kind is Var:
+            vals.append(var(a))
+        elif kind is Scale:
+            vals.append(scale(a, vals[b]))
+        else:
+            vals.append(combine[kind](vals[a], vals[b]))
+    return vals[-1]
+
+
 def max_var_index(e: Expr) -> int:
-    match e:
-        case Var(index=i):
-            return i
-        case Scale(child=c):
-            return max_var_index(c)
-        case Add(left=l, right=r) | Sup(left=l, right=r) | Inf(left=l, right=r):
-            return max(max_var_index(l), max_var_index(r))
-    raise TypeError(f"not an expression node: {e!r}")
+    """Highest variable index in e."""
+    return compile_expr(e).max_var
 
 
-def var_indices(e: Expr) -> frozenset[int]:
-    """Set of variable indices that occur syntactically in e."""
-    match e:
-        case Var(index=i):
-            return frozenset((i,))
-        case Scale(child=c):
-            return var_indices(c)
-        case Add(left=l, right=r) | Sup(left=l, right=r) | Inf(left=l, right=r):
-            return var_indices(l) | var_indices(r)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def node_count(e: Expr) -> int:
-    match e:
-        case Var():
-            return 1
-        case Scale(child=c):
-            return 1 + node_count(c)
-        case Add(left=l, right=r) | Sup(left=l, right=r) | Inf(left=l, right=r):
-            return 1 + node_count(l) + node_count(r)
-    raise TypeError(f"not an expression node: {e!r}")
+def eval_program(prog: Program, xs: tuple[Fraction, ...]) -> Fraction:
+    """Exact value of a compiled expression at the rational vector xs."""
+    if prog.max_var > len(xs):
+        raise DimensionError(
+            f"variable t{prog.max_var} needs a vector of length >= {prog.max_var}, "
+            f"got {len(xs)}"
+        )
+    return fold(prog, lambda i: xs[i - 1], operator.mul, operator.add, max, min)
 
 
 def eval_expr(e: Expr, x) -> Fraction:
     """Evaluate at a rational vector; length must cover every variable."""
-    xs = tuple(to_fraction(v) for v in x)
-
-    def rec(node: Expr) -> Fraction:
-        match node:
-            case Var(index=i):
-                if i > len(xs):
-                    raise DimensionError(
-                        f"variable t{i} needs a vector of length >= {i}, got {len(xs)}"
-                    )
-                return xs[i - 1]
-            case Scale(coeff=c, child=ch):
-                return to_fraction(c) * rec(ch)
-            case Add(left=l, right=r):
-                return rec(l) + rec(r)
-            case Sup(left=l, right=r):
-                return max(rec(l), rec(r))
-            case Inf(left=l, right=r):
-                return min(rec(l), rec(r))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return rec(e)
+    return eval_program(compile_expr(e), tuple(to_fraction(v) for v in x))
 
 
 def eval_coordinatewise(e: Expr, vectors, dim: int) -> tuple[Fraction, ...]:
     """Evaluate with vector-valued variables, lattice ops acting per coordinate.
 
     This is evaluation inside the coordinate lattice R^dim: Add is vector
-    addition, Sup/Inf are coordinatewise max/min.
+    addition, Sup/Inf are coordinatewise max/min, so coordinate k is the
+    value at the k-th coordinates of the vectors.
     """
     vecs = [tuple(to_fraction(v) for v in w) for w in vectors]
     for w in vecs:
         if len(w) != dim:
             raise DimensionError(f"expected vectors of length {dim}, got {len(w)}")
-
-    def rec(node: Expr) -> tuple[Fraction, ...]:
-        match node:
-            case Var(index=i):
-                if i > len(vecs):
-                    raise ArityError(
-                        f"variable t{i} has no image among {len(vecs)} vectors"
-                    )
-                return vecs[i - 1]
-            case Scale(coeff=c, child=ch):
-                cc = to_fraction(c)
-                return tuple(cc * v for v in rec(ch))
-            case Add(left=l, right=r):
-                return tuple(a + b for a, b in zip(rec(l), rec(r)))
-            case Sup(left=l, right=r):
-                return tuple(max(a, b) for a, b in zip(rec(l), rec(r)))
-            case Inf(left=l, right=r):
-                return tuple(min(a, b) for a, b in zip(rec(l), rec(r)))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return rec(e)
+    prog = compile_expr(e)
+    if prog.max_var > len(vecs):
+        raise ArityError(
+            f"variable t{prog.max_var} has no image among {len(vecs)} vectors"
+        )
+    return tuple(eval_program(prog, column) for column in zip(*vecs))
 
 
 def substitute(e: Expr, images) -> Expr:
-    """Replace t_i by images[i-1]; the result ranges over the images' arity."""
+    """Replace t_i by images[i-1]; the result ranges over the images' arity.
+
+    Equal subterms of e become one shared node of the result.
+    """
     imgs = tuple(images)
-
-    def rec(node: Expr) -> Expr:
-        match node:
-            case Var(index=i):
-                if i > len(imgs):
-                    raise ArityError(
-                        f"variable t{i} has no image among {len(imgs)} expressions"
-                    )
-                return imgs[i - 1]
-            case Scale(coeff=c, child=ch):
-                return Scale(c, rec(ch))
-            case Add(left=l, right=r):
-                return Add(rec(l), rec(r))
-            case Sup(left=l, right=r):
-                return Sup(rec(l), rec(r))
-            case Inf(left=l, right=r):
-                return Inf(rec(l), rec(r))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return rec(e)
+    prog = compile_expr(e)
+    if prog.max_var > len(imgs):
+        raise ArityError(
+            f"variable t{prog.max_var} has no image among {len(imgs)} expressions"
+        )
+    return fold(prog, lambda i: imgs[i - 1], Scale, Add, Sup, Inf)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +278,15 @@ def _tokenize(text: str):
     return tokens
 
 
+# Each "(", "|" or "c*" prefix costs a few Python frames of the descent.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -335,6 +342,15 @@ class _Parser:
             return Fraction(num, den_tok[1])
         return Fraction(num)
 
+    def nested(self, parse, at: int) -> Expr:
+        """parse() one nesting level deeper; past _MAX_NESTING levels, fail at `at`."""
+        if self.depth == _MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING} levels", at)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def parse_primary(self) -> Expr:
         kind, value, at = self.peek()
         if kind == "VAR":
@@ -346,15 +362,15 @@ class _Parser:
                 self.next()
             coeff = self.parse_rational(negative)
             self.expect("STAR", "'*' after a coefficient")
-            return Scale(coeff, self.parse_factor())
+            return Scale(coeff, self.nested(self.parse_factor, at))
         if kind == "PIPE":
             self.next()
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr, at)
             self.expect("PIPE", "a closing '|'")
             return abs_expr(inner)
         if kind == "LPAREN":
             self.next()
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr, at)
             self.expect("RPAREN", "a closing ')'")
             return inner
         raise ExprSyntaxError("expected a variable, coefficient, '|', or '('", at)
@@ -364,12 +380,13 @@ def parse(text: str, arity: int) -> Expr:
     """Parse expression text; every variable index must be <= arity."""
     if arity < 1:
         raise ArityError("arity must be at least 1")
-    parser = _Parser(_tokenize(text))
+    tokens = _tokenize(text)
+    parser = _Parser(tokens)
     node = parser.parse_expr()
     kind, _, at = parser.peek()
     if kind != "EOF":
         raise ExprSyntaxError("unexpected trailing input", at)
-    highest = max_var_index(node)
+    highest = max(tok[1] for tok in tokens if tok[0] == "VAR")
     if highest > arity:
         raise ArityError(
             f"variable t{highest} exceeds declared arity {arity}"
@@ -382,50 +399,49 @@ def parse(text: str, arity: int) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _format_coeff(c: Fraction) -> str:
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
-def _left_spine(node: Expr, kind) -> list[Expr]:
-    parts: list[Expr] = []
-    while isinstance(node, kind):
-        parts.append(node.right)
-        node = node.left
-    parts.append(node)
-    parts.reverse()
-    return parts
+def _flatten(rope) -> str:
+    """Join a text rope: a str, or a tuple of ropes, possibly shared."""
+    out, stack = [], [rope]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, str):
+            out.append(part)
+        else:
+            stack.extend(reversed(part))
+    return "".join(out)
 
 
 def print_expr(e: Expr) -> str:
-    """Canonical text form; parse(print_expr(e)) reproduces e exactly."""
+    """Canonical text form; parse(print_expr(e)) == e.
 
-    def wrap(node: Expr) -> str:
-        if isinstance(node, Var):
-            return render(node)
-        return f"({render(node)})"
+    The parser's expansions of |x|, (x)^+ and (x)^- print as that sugar,
+    so the text stays linear in the program.  A folded value is
+    (form, rope[, coeff, operand]); the form says how the text binds.
+    """
 
-    def render(node: Expr) -> str:
-        match node:
-            case Var(index=i):
-                return f"t{i}"
-            case Scale(coeff=c, child=ch):
-                return f"{_format_coeff(c)}*{wrap(ch)}"
-            case Add():
-                terms = _left_spine(node, Add)
-                out = [wrap(terms[0])]
-                for term in terms[1:]:
-                    if isinstance(term, Scale) and Fraction(term.coeff) == -1:
-                        out.append(f" - {wrap(term.child)}")
-                    else:
-                        out.append(f" + {wrap(term)}")
-                return "".join(out)
-            case Sup():
-                return " \\/ ".join(wrap(p) for p in _left_spine(node, Sup))
-            case Inf():
-                return " /\\ ".join(wrap(p) for p in _left_spine(node, Inf))
-        raise TypeError(f"not an expression node: {node!r}")
+    def wrap(v):
+        return v[1] if v[0] in ("var", "atom") else ("(", v[1], ")")
 
-    return render(e)
+    def spine(v, form):
+        return v[1] if v[0] == form else wrap(v)
+
+    def scale(c, v):
+        return ("scale", (str(c), "*", wrap(v)), c, v)
+
+    def add(u, v):
+        if v[0] == "scale" and v[2] == -1:
+            return ("add", (spine(u, "add"), " - ", wrap(v[3])))
+        return ("add", (spine(u, "add"), " + ", wrap(v)))
+
+    def sup(u, v):
+        if v[0] == "scale" and v[3] is u and v[2] in (-1, 0):
+            return ("atom", ("|", u[1], "|") if v[2] else ("(", u[1], ")^+"))
+        if u[0] == v[0] == "scale" and u[3] is v[3] and (u[2], v[2]) == (-1, 0):
+            return ("atom", ("(", u[3][1], ")^-"))
+        return ("sup", (spine(u, "sup"), " \\/ ", wrap(v)))
+
+    def inf(u, v):
+        return ("inf", (spine(u, "inf"), " /\\ ", wrap(v)))
+
+    text = fold(compile_expr(e), lambda i: ("var", f"t{i}"), scale, add, sup, inf)
+    return _flatten(text[1])

@@ -13,8 +13,8 @@ maximum over rays too.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -24,7 +24,7 @@ from .errors import (
     InternalFaultError,
     UnsupportedSpaceError,
 )
-from .expr import Add, Expr, Inf, Scale, Sup, Var
+from .expr import fold
 from .lp import simplex_standard
 from .pwl import (
     PwlFunction,
@@ -468,24 +468,22 @@ def strong_unit_factor(f: PwlFunction):
     return lam, tuple(f.comp)
 
 
-def _eval_float(e: Expr, vals) -> float:
-    match e:
-        case Var(index=i):
-            return vals[i - 1]
-        case Scale(coeff=c, child=ch):
-            return float(c) * _eval_float(ch, vals)
-        case Add(left=l, right=r):
-            return _eval_float(l, vals) + _eval_float(r, vals)
-        case Sup(left=l, right=r):
-            return max(_eval_float(l, vals), _eval_float(r, vals))
-        case Inf(left=l, right=r):
-            return min(_eval_float(l, vals), _eval_float(r, vals))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _pwl_float(f: PwlFunction, x) -> float:
+def _float_evaluator(f: PwlFunction) -> Callable[[list[float]], float]:
+    """x -> f(x) in floats, with the float composition matrix built once."""
     comp = [[float(v) for v in row] for row in f.comp]
-    return _eval_float(f.expr, [sum(c * xi for c, xi in zip(row, x)) for row in comp])
+
+    def value(x) -> float:
+        ys = [sum(c * xi for c, xi in zip(row, x)) for row in comp]
+        return fold(
+            f.program,
+            lambda i: ys[i - 1],
+            lambda c, v: float(c) * v,
+            operator.add,
+            max,
+            min,
+        )
+
+    return value
 
 
 def _constraint_float(points, space: SpaceSpec) -> float:
@@ -574,12 +572,13 @@ def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
     rng = random.Random((seed * 1_000_003 + r) & 0xFFFFFFFF)
     d = space.dim
     k = 1 + r % 3
+    value = _float_evaluator(f)
 
     def score(ps) -> float:
         cn = _constraint_float(ps, space)
         if cn < 1e-12:
             return 0.0
-        return sum(abs(_pwl_float(f, x)) for x in ps) / max(1.0, cn)
+        return sum(abs(value(x)) for x in ps) / max(1.0, cn)
 
     pts = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(k)]
     best = score(pts)
@@ -606,16 +605,16 @@ def norm_bounds(
     *,
     restarts: int = 16,
     seed: int = 0,
-    threads: int = 1,
     max_denominator: int = 10**6,
 ) -> NormCertificate:
     """Certified sandwich for any space: sweep + ascent lower, strong-unit upper.
 
     The lower bound is the best exact re-score over deterministic candidate
-    tuples and rationalized hill-climbing results (identical for any thread
-    count: restarts are independent, keyed by (seed, index), and merged by
-    value then lexicographic witness).  The upper bound is lam * Sum_j ||x_j||
-    over the composition rows, with lam exact from strong_unit_factor.
+    tuples and rationalized hill-climbing results (restarts are keyed by
+    (seed, index) and merged by value then lexicographic witness, so a
+    fixed seed gives the same certificate).  The upper bound is
+    lam * Sum_j ||x_j|| over the composition rows, with lam exact from
+    strong_unit_factor.
     """
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
@@ -636,24 +635,16 @@ def norm_bounds(
         ):
             best_value, best_witness = value, tup
 
-    if restarts > 0:
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            runs = list(
-                pool.map(
-                    lambda r: _ascent_restart(f, space, seed, r), range(restarts)
-                )
-            )
-        for float_pts in runs:
-            points = tuple(
-                rationalize_vec(x, max_denominator) for x in float_pts
-            )
-            if all(len(x) == space.dim for x in points):
-                tup = FunctionalTuple(space=space, points=points)
-                value = tuple_seminorm_value(f, tup)
-                if value > best_value or (
-                    value == best_value and points < best_witness.points
-                ):
-                    best_value, best_witness = value, tup
+    for r in range(restarts):
+        float_pts = _ascent_restart(f, space, seed, r)
+        points = tuple(rationalize_vec(x, max_denominator) for x in float_pts)
+        if all(len(x) == space.dim for x in points):
+            tup = FunctionalTuple(space=space, points=points)
+            value = tuple_seminorm_value(f, tup)
+            if value > best_value or (
+                value == best_value and points < best_witness.points
+            ):
+                best_value, best_witness = value, tup
 
     exact_capable = space.exact_capable
     if best_value > upper:

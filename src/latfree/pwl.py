@@ -15,13 +15,28 @@ for the max-min normal form and the independent norm oracle.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
 from .errors import CapacityError, DimensionError, InternalFaultError
-from .expr import Expr, Add, Inf, Scale, Sup, Var, eval_expr, max_var_index, substitute
+from .expr import (
+    Add,
+    Expr,
+    Inf,
+    Program,
+    Scale,
+    Sup,
+    Var,
+    abs_expr,
+    compile_expr,
+    eval_program,
+    fold,
+    substitute,
+)
 from .lp import solve_lp
 from .qmath import (
     Vec,
@@ -84,11 +99,15 @@ class PwlFunction:
                 raise DimensionError(
                     f"composition row of length {len(row)} in ambient dimension {self.dim}"
                 )
-        if max_var_index(self.expr) > len(self.comp):
+        if self.program.max_var > len(self.comp):
             raise DimensionError(
-                f"expression uses t{max_var_index(self.expr)} but only "
+                f"expression uses t{self.program.max_var} but only "
                 f"{len(self.comp)} composition rows are given"
             )
+
+    @cached_property
+    def program(self) -> Program:
+        return compile_expr(self.expr)
 
     @property
     def arity(self) -> int:
@@ -98,7 +117,7 @@ class PwlFunction:
         xs = vec(x)
         if len(xs) != self.dim:
             raise DimensionError(f"expected a point of length {self.dim}, got {len(xs)}")
-        return eval_expr(self.expr, tuple(dot(row, xs) for row in self.comp))
+        return eval_program(self.program, tuple(dot(row, xs) for row in self.comp))
 
     @classmethod
     def from_expr(cls, expr: Expr, n: int) -> "PwlFunction":
@@ -148,11 +167,7 @@ def pwl_scale(c, f: PwlFunction) -> PwlFunction:
 
 
 def pwl_abs(f: PwlFunction) -> PwlFunction:
-    return PwlFunction(
-        dim=f.dim,
-        expr=Sup(f.expr, Scale(Fraction(-1), f.expr)),
-        comp=f.comp,
-    )
+    return PwlFunction(dim=f.dim, expr=abs_expr(f.expr), comp=f.comp)
 
 
 # ---------------------------------------------------------------------------
@@ -163,28 +178,23 @@ def pwl_abs(f: PwlFunction) -> PwlFunction:
 def linear_pieces(f: PwlFunction) -> frozenset[LinFunc]:
     """Closure of candidate linear pieces; f agrees with one on every cell."""
 
-    def rec(node: Expr) -> frozenset[tuple[Fraction, ...]]:
-        match node:
-            case Var(index=i):
-                return frozenset((tuple(f.comp[i - 1]),))
-            case Scale(coeff=c, child=ch):
-                cc = to_fraction(c)
-                return frozenset(tuple(cc * v for v in t) for t in rec(ch))
-            case Add(left=l, right=r):
-                left, right = rec(l), rec(r)
-                out = frozenset(
-                    tuple(a + b for a, b in zip(ta, tb))
-                    for ta in left
-                    for tb in right
-                )
-                if len(out) > _MAX_PIECES:
-                    raise CapacityError("candidate pieces", _MAX_PIECES, len(out))
-                return out
-            case Sup(left=l, right=r) | Inf(left=l, right=r):
-                return rec(l) | rec(r)
-        raise TypeError(f"not an expression node: {node!r}")
+    def add(left, right):
+        out = frozenset(
+            tuple(a + b for a, b in zip(ta, tb)) for ta in left for tb in right
+        )
+        if len(out) > _MAX_PIECES:
+            raise CapacityError("candidate pieces", _MAX_PIECES, len(out))
+        return out
 
-    return frozenset(LinFunc(t) for t in rec(f.expr))
+    pieces = fold(
+        f.program,
+        lambda i: frozenset((tuple(f.comp[i - 1]),)),
+        lambda c, s: frozenset(tuple(c * v for v in t) for t in s),
+        add,
+        operator.or_,
+        operator.or_,
+    )
+    return frozenset(LinFunc(t) for t in pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import Add, Expr, Inf, Scale, Sup, Var, parse, print_expr
+from .expr import fold, parse
 from .free import (
     LatticeMap,
     contractivity_audit,
@@ -71,7 +71,6 @@ class CriterionResult:
 @dataclass(frozen=True)
 class SelftestReport:
     seed: int
-    threads: int
     results: tuple[CriterionResult, ...]
 
     @property
@@ -83,22 +82,14 @@ def _mc_eval(f: PwlFunction, pts: np.ndarray) -> np.ndarray:
     """Vectorized float evaluation; exact for integer data below 2**53."""
     comp = np.array([[float(v) for v in row] for row in f.comp])
     y = pts @ comp.T
-
-    def rec(e: Expr) -> np.ndarray:
-        match e:
-            case Var(index=i):
-                return y[:, i - 1]
-            case Scale(coeff=c, child=ch):
-                return float(c) * rec(ch)
-            case Add(left=l, right=r):
-                return rec(l) + rec(r)
-            case Sup(left=l, right=r):
-                return np.maximum(rec(l), rec(r))
-            case Inf(left=l, right=r):
-                return np.minimum(rec(l), rec(r))
-        raise TypeError(f"not an expression node: {e!r}")
-
-    return rec(f.expr)
+    return fold(
+        f.program,
+        lambda i: y[:, i - 1],
+        lambda c, v: float(c) * v,
+        np.add,
+        np.maximum,
+        np.minimum,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +97,7 @@ def _mc_eval(f: PwlFunction, pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _c1_generator_norms(seed: int, threads: int):
+def _c1_generator_norms(seed: int):
     values = []
     ok = True
     for n in range(1, 5):
@@ -118,7 +109,7 @@ def _c1_generator_norms(seed: int, threads: int):
     return ok, f"norm(generator) in fvl:1..4 = {','.join(values)}"
 
 
-def _c2_equivalence(seed: int, threads: int):
+def _c2_equivalence(seed: int):
     a = PwlFunction.from_expr(parse(r"t1 + (t2 \/ t3)", 3), 3)
     b = PwlFunction.from_expr(parse(r"(t1 + t2) \/ (t1 + t3)", 3), 3)
     eq, _ = equivalent(a, b)
@@ -169,7 +160,7 @@ def _exact_suite_certs():
     return out
 
 
-def _c3_exact_norms(seed: int, threads: int):
+def _c3_exact_norms(seed: int):
     ok = True
     shown = []
     for text, n, expected, f, cert in _exact_suite_certs():
@@ -181,7 +172,7 @@ def _c3_exact_norms(seed: int, threads: int):
     return ok, "; ".join(shown)
 
 
-def _c4_l1_agreement(seed: int, threads: int):
+def _c4_l1_agreement(seed: int):
     rng = random.Random(seed * 7919 + 4)
     mismatches = 0
     for _ in range(50):
@@ -194,7 +185,7 @@ def _c4_l1_agreement(seed: int, threads: int):
     return mismatches == 0, f"50 expressions, {mismatches} fvl/seq:1 mismatches"
 
 
-def _c5_norm_extension(seed: int, threads: int):
+def _c5_norm_extension(seed: int):
     rng = random.Random(seed * 7919 + 5)
     ok = True
     checked = {"1": 0, "2": 0, "inf": 0}
@@ -213,7 +204,7 @@ def _c5_norm_extension(seed: int, threads: int):
             cert = norm_exact_polyhedral(xhat, space)
             ok &= cert.exact and cert.lower == linf_norm(x) == cert.upper
         else:
-            cert = norm_bounds(xhat, space, restarts=4, seed=seed, threads=threads)
+            cert = norm_bounds(xhat, space, restarts=4, seed=seed)
             true = math.sqrt(float(l2_norm_sq(x)))
             ok &= cert.lower <= cert.upper
             ok &= abs(float(cert.lower) - true) < 1e-9
@@ -225,7 +216,7 @@ def _c5_norm_extension(seed: int, threads: int):
     )
 
 
-def _c6_norm_axioms(seed: int, threads: int):
+def _c6_norm_axioms(seed: int):
     rng = random.Random(seed * 7919 + 6)
     ok = True
     abs_sum = PwlFunction.from_expr(parse("|t1| + |t2|", 2), 2)
@@ -256,7 +247,7 @@ def _c6_norm_axioms(seed: int, threads: int):
     return ok, "50 pairs: triangle, homogeneity, monotonicity, nondegeneracy"
 
 
-def _c7_sandwich(seed: int, threads: int):
+def _c7_sandwich(seed: int):
     rng = random.Random(seed * 7919 + 7)
     spaces = [
         fvl_space(2),
@@ -272,7 +263,7 @@ def _c7_sandwich(seed: int, threads: int):
     for i in range(100):
         space = spaces[i % len(spaces)]
         f = PwlFunction.from_expr(random_expr(rng, space.dim, max_pieces=3), space.dim)
-        cert = norm_bounds(f, space, restarts=4, seed=seed + i, threads=threads)
+        cert = norm_bounds(f, space, restarts=4, seed=seed + i)
         ok &= cert.lower <= cert.upper
         ok &= tuple_seminorm_value(f, cert.witness) == cert.lower
         if cert.lam is not None:
@@ -288,7 +279,7 @@ def _c7_sandwich(seed: int, threads: int):
     return ok, f"100 sandwiches valid; {lower_bound_checks} random tuples below upper"
 
 
-def _c8_extension_audit(seed: int, threads: int):
+def _c8_extension_audit(seed: int):
     rng = random.Random(seed * 7919 + 8)
     suite = _exact_suite_certs()
     ok = True
@@ -329,7 +320,7 @@ def _c8_extension_audit(seed: int, threads: int):
     return ok, f"{audits} contractivity audits passed; 25 well-definedness checks"
 
 
-def _c9_slot_sufficiency(seed: int, threads: int):
+def _c9_slot_sufficiency(seed: int):
     ok = True
     checked = 0
     for text, n, expected, f, cert in _exact_suite_certs():
@@ -343,23 +334,21 @@ def _c9_slot_sufficiency(seed: int, threads: int):
     return ok, f"{checked} duplicate-slot probes, none improved the optimum"
 
 
-def _c10_determinism(seed: int, threads: int):
+def _c10_determinism(seed: int):
     f = PwlFunction.from_expr(parse(r"t1 /\ t2 + t1 \/ (2*t3)", 3), 3)
     space = fvl_space(3)
-    b1 = norm_bounds(f, space, restarts=8, seed=seed, threads=1)
-    bn = norm_bounds(f, space, restarts=8, seed=seed, threads=max(2, threads))
+    b1 = norm_bounds(f, space, restarts=8, seed=seed)
+    b2 = norm_bounds(f, space, restarts=8, seed=seed)
     same_bounds = (
-        b1.lower == bn.lower
-        and b1.upper == bn.upper
-        and b1.witness.points == bn.witness.points
+        b1.lower == b2.lower
+        and b1.upper == b2.upper
+        and b1.witness.points == b2.witness.points
     )
-    r1 = _c3_exact_norms(seed, threads)
-    r2 = _c3_exact_norms(seed, threads)
-    same_rerun = r1 == r2
+    same_rerun = _c3_exact_norms(seed) == _c3_exact_norms(seed)
     ok = same_bounds and same_rerun
     return ok, (
-        f"threads 1 vs N certificates identical: {same_bounds}; "
-        f"seeded rerun identical: {same_rerun}"
+        f"seeded sandwich rerun identical: {same_bounds}; "
+        f"seeded exact-norm rerun identical: {same_rerun}"
     )
 
 
@@ -377,12 +366,12 @@ _CRITERIA = [
 ]
 
 
-def run_selftest(seed: int = 0, threads: int = 1) -> SelftestReport:
+def run_selftest(seed: int = 0) -> SelftestReport:
     results = []
     for idx, (name, fn) in enumerate(_CRITERIA, start=1):
         t0 = time.perf_counter()
         try:
-            passed, details = fn(seed, threads)
+            passed, details = fn(seed)
         except Exception as exc:  # a crash is a failure, not an abort
             passed, details = False, f"raised {type(exc).__name__}: {exc}"
         results.append(
@@ -394,4 +383,4 @@ def run_selftest(seed: int = 0, threads: int = 1) -> SelftestReport:
                 elapsed=time.perf_counter() - t0,
             )
         )
-    return SelftestReport(seed=seed, threads=threads, results=tuple(results))
+    return SelftestReport(seed=seed, results=tuple(results))

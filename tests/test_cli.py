@@ -176,14 +176,13 @@ class TestExitCodes:
 
         fake = SelftestReport(
             seed=0,
-            threads=1,
             results=(
                 CriterionResult(
                     index=1, name="probe", passed=False, details="boom", elapsed=0.0
                 ),
             ),
         )
-        monkeypatch.setattr(cli, "run_selftest", lambda seed, threads: fake)
+        monkeypatch.setattr(cli, "run_selftest", lambda seed: fake)
         code, out, _ = run_main(["selftest", "--format", "json"], capsys)
         assert code == 3
         assert json.loads(out)["passed"] is False
@@ -193,17 +192,44 @@ class TestExitCodes:
 
         fake = SelftestReport(
             seed=0,
-            threads=1,
             results=(
                 CriterionResult(
                     index=1, name="probe", passed=True, details="ok", elapsed=0.0
                 ),
             ),
         )
-        monkeypatch.setattr(cli, "run_selftest", lambda seed, threads: fake)
+        monkeypatch.setattr(cli, "run_selftest", lambda seed: fake)
         code, out, _ = run_main(["selftest"], capsys)
         assert code == 0
         assert "PASS" in out
+
+
+class TestDeepInput:
+    LONG_SUM = " + ".join(["t1"] * 3000)
+
+    def test_eval_of_a_3000_term_sum(self, capsys):
+        code, out, _ = run_main(
+            ["eval", "--arity", "1", "--expr", self.LONG_SUM, "--at", "1/3"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == "1000"
+
+    def test_equiv_of_a_3000_term_sum(self, capsys):
+        code, out, _ = run_main(
+            ["equiv", "--arity", "1", "--expr", self.LONG_SUM, "--expr", "3000*t1"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["equal"] is True
+
+    def test_600_nested_parentheses_are_a_usage_error(self, capsys):
+        text = "(" * 600 + "t1" + ")" * 600
+        code, _, err = run_main(
+            ["eval", "--arity", "1", "--expr", text, "--at", "1"], capsys
+        )
+        assert code == 1
+        assert err.startswith("latfree: error: nesting deeper than 100 levels")
+        assert "Traceback" not in err
 
 
 class TestSeedHandling:
@@ -255,7 +281,7 @@ class TestSubprocess:
 
     def test_byte_identical_reports(self):
         args = ["norm", "--space", "seq:2:2", "--expr", r"t1 \/ 2*t2",
-                "--restarts", "4", "--seed", "11", "--threads", "2"]
+                "--restarts", "4", "--seed", "11"]
         first = self._run(args)
         second = self._run(args)
         assert first.returncode == 0 and second.returncode == 0

@@ -1,5 +1,8 @@
+import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +14,18 @@ from latfree.expr import (
     Scale,
     Sup,
     Var,
+    compile_expr,
     eval_coordinatewise,
     eval_expr,
     max_var_index,
-    node_count,
     parse,
     print_expr,
     substitute,
-    var_indices,
 )
+from latfree.norm import _float_evaluator
+from latfree.pwl import PwlFunction, linear_pieces
+from latfree.sampling import equivalent_variant, random_expr
+from latfree.selftest import _mc_eval
 
 F = Fraction
 
@@ -94,6 +100,15 @@ class TestParse:
         with pytest.raises(ArityError):
             parse("t1", 0)
 
+    def test_nesting_cap(self):
+        assert parse("(" * 100 + "t1" + ")" * 100, 1) == Var(1)
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse("(" * 101 + "t1" + ")" * 101, 1)
+        assert exc.value.position == 100
+        for deep in ("|" * 101 + "t1" + "|" * 101, "2*" * 101 + "t1"):
+            with pytest.raises(ExprSyntaxError):
+                parse(deep, 1)
+
     def test_numeric_literal_requires_star(self):
         with pytest.raises(ExprSyntaxError):
             parse("2", 1)
@@ -125,14 +140,9 @@ class TestEval:
 
 
 class TestStructure:
-    def test_max_var_index_and_var_indices(self):
+    def test_max_var_index(self):
         e = parse(r"t2 + t5 /\ t1", 5)
         assert max_var_index(e) == 5
-        assert var_indices(e) == frozenset({1, 2, 5})
-
-    def test_node_count(self):
-        assert node_count(parse("t1", 1)) == 1
-        assert node_count(parse("t1 + 2*t2", 2)) == 4
 
     def test_substitute(self):
         e = parse(r"t1 \/ t2", 2)
@@ -140,6 +150,141 @@ class TestStructure:
         assert out == Sup(Var(3), Scale(F(2), Var(1)))
         with pytest.raises(ArityError):
             substitute(e, [Var(1)])
+
+
+class TestPrint:
+    def test_sugar_prints_as_sugar(self):
+        assert print_expr(parse("|t1|", 1)) == "|t1|"
+        assert print_expr(parse("t1^+", 1)) == "(t1)^+"
+        assert print_expr(parse("t1^-", 1)) == "(t1)^-"
+        assert print_expr(parse("||t1| - t2| + 2*|t2|", 2)) == "||t1| - t2| + (2*|t2|)"
+
+    def test_core_forms_print_as_before(self):
+        assert print_expr(parse(r"t1 - t2 + -2*t1", 2)) == "t1 - t2 + (-2*t1)"
+        text = r"(t1 \/ t2) /\ t1 \/ t2"
+        assert print_expr(parse(text, 2)) == r"((t1 \/ t2) /\ t1) \/ t2"
+
+    def test_deep_abs_stays_linear(self):
+        text = "|" * 40 + "t1" + "|" * 40
+        e = parse(text, 1)
+        prog = compile_expr(e)
+        assert len(prog.slots) == 81
+        printed = print_expr(e)
+        assert len(printed) < 10 * len(text)
+        # compare programs: == on the shared 40-deep tree walks 2**40 paths
+        assert compile_expr(parse(printed, 1)) == prog
+
+
+class TestCompile:
+    def test_equal_subterms_share_a_slot(self):
+        e = Add(Sup(Var(1), Var(2)), Sup(Var(1), Var(2)))
+        prog = compile_expr(e)
+        assert len(prog.slots) == 4
+        assert prog.max_var == 2
+        assert prog == compile_expr(Add(*[Sup(Var(1), Var(2))] * 2))
+
+    def test_coefficients_are_normalised(self):
+        assert compile_expr(Scale(2, Var(1))) == compile_expr(Scale(F(2), Var(1)))
+
+
+# The recursive walkers that compile_expr and fold replaced, kept as the
+# independent reference for the differential tests below.
+
+
+def ref_eval(node, xs):
+    match node:
+        case Var(index=i):
+            return xs[i - 1]
+        case Scale(coeff=c, child=ch):
+            return F(c) * ref_eval(ch, xs)
+        case Add(left=l, right=r):
+            return ref_eval(l, xs) + ref_eval(r, xs)
+        case Sup(left=l, right=r):
+            return max(ref_eval(l, xs), ref_eval(r, xs))
+        case Inf(left=l, right=r):
+            return min(ref_eval(l, xs), ref_eval(r, xs))
+    raise TypeError(node)
+
+
+def ref_pieces(node, rows):
+    match node:
+        case Var(index=i):
+            return {tuple(rows[i - 1])}
+        case Scale(coeff=c, child=ch):
+            return {tuple(F(c) * v for v in t) for t in ref_pieces(ch, rows)}
+        case Add(left=l, right=r):
+            return {
+                tuple(a + b for a, b in zip(ta, tb))
+                for ta in ref_pieces(l, rows)
+                for tb in ref_pieces(r, rows)
+            }
+        case Sup(left=l, right=r) | Inf(left=l, right=r):
+            return ref_pieces(l, rows) | ref_pieces(r, rows)
+    raise TypeError(node)
+
+
+def _differential_inputs():
+    rng = random.Random(2024)
+    for i in range(100):
+        n = 2 + i % 2
+        e = random_expr(rng, n, lattice_ops=3, max_pieces=8)
+        yield n, e
+        yield n, equivalent_variant(rng, e)
+
+
+def test_fold_matches_recursive_reference():
+    rng = random.Random(7)
+    checked = 0
+    for n, e in _differential_inputs():
+        f = PwlFunction.from_expr(e, n)
+        points = [tuple(F(rng.randint(-6, 6)) for _ in range(n)) for _ in range(4)]
+        floats = _float_evaluator(f)
+        mc = _mc_eval(f, np.array([[float(v) for v in x] for x in points]))
+        for x, mc_value in zip(points, mc):
+            expected = ref_eval(e, x)
+            assert eval_expr(e, x) == expected
+            assert f.eval(x) == expected
+            assert floats([float(v) for v in x]) == float(expected)
+            assert mc_value == float(expected)
+        vectors = [tuple(x[j] for x in points) for j in range(n)]
+        assert eval_coordinatewise(e, vectors, len(points)) == tuple(
+            ref_eval(e, x) for x in points
+        )
+        images = [random_expr(rng, 2, lattice_ops=1) for _ in range(n)]
+        out = substitute(e, images)
+        y = (F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
+        assert ref_eval(out, y) == ref_eval(e, [ref_eval(img, y) for img in images])
+        assert substitute(e, [Var(i + 1) for i in range(n)]) == e
+        rows = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+        assert {p.coeffs for p in linear_pieces(f)} == ref_pieces(e, rows)
+        checked += 1
+    assert checked == 200
+
+
+def test_substitute_keeps_sharing():
+    out = substitute(parse("|t1 - t2|", 2), [Var(2), Var(1)])
+    assert out.right.child is out.left
+
+
+@pytest.mark.parametrize(
+    "text, arity",
+    [
+        (" + ".join(f"{i % 7 - 3 or 1}*t{i % 3 + 1}" for i in range(10_000)), 3),
+        ("|" * 40 + "t1" + "|" * 40, 1),
+    ],
+    ids=["10k-term sum", "40-deep abs"],
+)
+def test_large_inputs_run_in_linear_time(text, arity):
+    t0 = time.perf_counter()
+    e = parse(text, arity)
+    x = tuple(F(j + 2, 3) for j in range(arity))
+    value = eval_expr(e, x)
+    printed = print_expr(e)
+    pieces = linear_pieces(PwlFunction.from_expr(e, arity))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
+    assert eval_expr(parse(printed, arity), x) == value
+    assert 1 <= len(pieces) <= 3
 
 
 def _exprs(arity: int):

@@ -237,13 +237,6 @@ class TestNormBounds:
         cert = norm_bounds(f, seq_space(2, 2), restarts=4, seed=5)
         assert tuple_seminorm_value(f, cert.witness) == cert.lower
 
-    def test_threads_do_not_change_the_result(self):
-        f = pw(r"t1 \/ t2", 2)
-        b1 = norm_bounds(f, fvl_space(2), restarts=8, seed=5, threads=1)
-        b4 = norm_bounds(f, fvl_space(2), restarts=8, seed=5, threads=4)
-        assert (b1.lower, b1.upper) == (b4.lower, b4.upper)
-        assert b1.witness.points == b4.witness.points
-
 
 class TestNormCertificateDispatch:
     def test_polyhedral_goes_exact(self):
