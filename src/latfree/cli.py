@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .expr import parse, print_expr
-from .free import LatticeMap, extend_hom, make_element, target_lattice
+from .free import LatticeMap, extend_hom, make_element
 from .norm import (
     NormCertificate,
     SpaceSpec,
@@ -221,10 +221,7 @@ def _parse_images(args, target_dim: int):
 
 def _cmd_extend(args):
     space = parse_space(args.space)
-    target_space = parse_space(args.target)
-    if target_space.kind != "seq":
-        raise UnsupportedSpaceError("extension targets must be seq:p:m spaces")
-    target = target_lattice(target_space.p, target_space.dim)
+    target = parse_space(args.target)
     images = _parse_images(args, target.dim)
     if len(images) != space.dim:
         raise DimensionError(
@@ -242,7 +239,7 @@ def _cmd_extend(args):
     report = {
         "command": "extend",
         "space": str(space),
-        "target": str(target_space),
+        "target": str(target),
         "inputs": {
             "expr": [print_expr(expr)],
             "images": [_json_vec(v) for v in images],

@@ -30,44 +30,65 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ArityError, DimensionError, ExprSyntaxError
 from .qmath import to_fraction
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """Equality, hash and repr of a node through its compiled program, so
+    that none of them walks the shared DAG path by path or recurses."""
+
+    @cached_property
+    def program(self) -> "Program":
+        return compile_expr(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return self.program == other.program
+
+    def __hash__(self):
+        return hash(self.program)
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {print_expr(self)}>"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     """Positional variable t<index>, 1-based."""
 
     index: int
 
 
-@dataclass(frozen=True)
-class Scale:
+@dataclass(frozen=True, eq=False, repr=False)
+class Scale(_Node):
     """Rational multiple of a subexpression."""
 
     coeff: Fraction
     child: "Expr"
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False, repr=False)
+class Add(_Node):
     """Sum of two subexpressions."""
 
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Sup:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sup(_Node):
     """Pointwise maximum (lattice join)."""
 
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Inf:
+@dataclass(frozen=True, eq=False, repr=False)
+class Inf(_Node):
     """Pointwise minimum (lattice meet)."""
 
     left: "Expr"

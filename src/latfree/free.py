@@ -31,25 +31,19 @@ from .expr import (
 from .norm import (
     AuditEntry,
     AuditReport,
-    INF_P,
     NormCertificate,
     SeminormHandle,
-    SpaceSpec,
     norm_certificate,
 )
+from .pnorm import SpaceSpec, norm_leq, norm_upper, operator_upper
 from .pwl import PwlFunction, equivalent
 from .qmath import (
     Vec,
     dot,
     format_fraction,
     is_zero_vec,
-    l1_norm,
-    l2_norm_sq,
-    linf_norm,
     matrix_rank,
     rref,
-    sqrt_upper,
-    to_fraction,
     transpose,
     vec,
 )
@@ -206,56 +200,8 @@ def element_norm(f: FreeElement, **opts) -> NormCertificate:
 
 
 # ---------------------------------------------------------------------------
-# targets and maps
+# maps
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TargetLattice:
-    """R^dim with coordinatewise order and the l_p norm."""
-
-    dim: int
-    p: Fraction | str
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError("target dimension must be at least 1")
-        if self.p != INF_P and (
-            not isinstance(self.p, Fraction) or self.p < 1
-        ):
-            raise UnsupportedSpaceError(
-                "target exponent must be a rational >= 1 or inf"
-            )
-
-    def norm_upper(self, v: Vec) -> Fraction:
-        """Certified rational upper bound on ||v||_p (exact for p in {1, inf})."""
-        if self.p == Fraction(1):
-            return l1_norm(v)
-        if self.p == INF_P:
-            return linf_norm(v)
-        if self.p == Fraction(2):
-            return sqrt_upper(l2_norm_sq(v))
-        p = float(self.p)
-        return to_fraction(
-            sum(abs(float(x)) ** p for x in v) ** (1.0 / p) * (1.0 + 1e-9)
-        )
-
-    def norm_leq(self, v: Vec, bound: Fraction) -> bool:
-        """Certified decision ||v||_p <= bound (squares comparison for p=2)."""
-        if bound < 0:
-            return False
-        if self.p == Fraction(1):
-            return l1_norm(v) <= bound
-        if self.p == INF_P:
-            return linf_norm(v) <= bound
-        if self.p == Fraction(2):
-            return l2_norm_sq(v) <= bound * bound
-        return self.norm_upper(v) <= bound
-
-
-def target_lattice(p, dim: int) -> TargetLattice:
-    pp = INF_P if p in (INF_P, "oo", "infinity") else to_fraction(p)
-    return TargetLattice(dim=dim, p=pp)
 
 
 @dataclass(frozen=True)
@@ -266,15 +212,18 @@ class LatticeMap:
     element's expression to the vectors M x_i, coordinatewise in the
     target.  Equivalently, coordinate k of the extension is the realized
     function evaluated at the k-th row of M, which makes well-definedness
-    on equivalent elements automatic.
+    on equivalent elements automatic.  The target is a seq:p:m space,
+    R^m with the coordinatewise order and the l_p norm.
     """
 
     source: SpaceSpec
-    target: TargetLattice
+    target: SpaceSpec
     images: tuple[Vec, ...] | None = None
     matrix: tuple[Vec, ...] | None = None
 
     def __post_init__(self):
+        if self.target.kind != "seq":
+            raise UnsupportedSpaceError("extension targets must be seq:p:m spaces")
         if (self.images is None) == (self.matrix is None):
             raise ArityError("provide exactly one of images= or matrix=")
         if self.images is not None:
@@ -302,43 +251,9 @@ class LatticeMap:
         return transpose(self.images)
 
     def admissibility_scale(self) -> Fraction:
-        """Certified upper bound c with ||extension(x-hat)|| <= c * ||x||.
-
-        phi-mode: the largest target norm of a generator image.  T-mode: an
-        operator norm bound — exact max column norm for p=1 sources, exact
-        max over sign vectors for p=inf sources, and the geometric-mean
-        bound sqrt(||T||_1 ||T||_inf) for p=2 sources.
-        """
-        if self.images is not None:
-            return max(
-                (self.target.norm_upper(y) for y in self.images),
-                default=Fraction(0),
-            )
-        columns = transpose(self.matrix)
-        p = Fraction(1) if self.source.kind == "fvl" else self.source.p
-        if p == Fraction(1):
-            return max(
-                (self.target.norm_upper(c) for c in columns),
-                default=Fraction(0),
-            )
-        if p == INF_P:
-            best = Fraction(0)
-            from .norm import _sign_patterns
-
-            for s in _sign_patterns(len(columns)):
-                combined = tuple(
-                    sum(si * c[k] for si, c in zip(s, columns))
-                    for k in range(self.target.dim)
-                )
-                best = max(best, self.target.norm_upper(combined))
-            return best
-        row_bound = max(
-            (l1_norm(row) for row in self.matrix), default=Fraction(0)
-        )
-        col_bound = max((l1_norm(c) for c in columns), default=Fraction(0))
-        if p == Fraction(2):
-            return sqrt_upper(row_bound * col_bound)
-        return max(row_bound, col_bound)
+        """Certified upper bound c >= ||M|| from source to target, so that
+        ||extension(x-hat)|| <= c * ||x|| for every x."""
+        return operator_upper(self.dual_rows, self.source, self.target)
 
 
 def extend_hom(lat_map: LatticeMap, f: FreeElement) -> Vec:
@@ -361,12 +276,12 @@ def contractivity_audit(
         cert = certs[i] if certs is not None else element_norm(f)
         y = extend_hom(lat_map, f)
         bound = scale * cert.upper
-        ok = lat_map.target.norm_leq(y, bound)
+        ok = norm_leq(y, lat_map.target.p, bound)
         entries.append(
             AuditEntry(
                 name=f"elem{i}[{f.describe()}]",
                 ok=ok,
-                observed=format_fraction(lat_map.target.norm_upper(y)),
+                observed=format_fraction(norm_upper(y, lat_map.target.p)),
                 bound=format_fraction(bound),
             )
         )
@@ -377,8 +292,8 @@ def pullback_seminorm(lat_map: LatticeMap, name: str | None = None) -> SeminormH
     """nu(f) = ||extension(f)||_Y as an admissible seminorm handle.
 
     If the map's admissibility scale exceeds 1, the dual rows are rescaled
-    by it so that nu(generator) <= 1; comparisons stay exact (p=2 compares
-    squares through the target's certified decision).
+    by it so that nu(generator) <= 1; comparisons stay exact (norm_leq
+    compares powers, never rounded roots).
     """
     scale = lat_map.admissibility_scale()
     rows = lat_map.dual_rows
@@ -394,6 +309,6 @@ def pullback_seminorm(lat_map: LatticeMap, name: str | None = None) -> SeminormH
     label = name or f"pullback[{target.dim}d,p={target.p}]"
     return SeminormHandle(
         name=label,
-        leq=lambda f, bound: target.norm_leq(value_vec(f), bound),
-        display=lambda f: format_fraction(target.norm_upper(value_vec(f))),
+        leq=lambda f, bound: norm_leq(value_vec(f), target.p, bound),
+        display=lambda f: format_fraction(norm_upper(value_vec(f), target.p)),
     )

@@ -7,12 +7,14 @@ is an exact rational, computed by one LP whose columns are the extreme
 rays (pwl.rays) of f's kink and budget arrangement; the LP duals certify
 optimality.  For the remaining spaces certified lower/upper bounds are
 produced instead; the exact unit factor behind the upper bound is a
-maximum over rays too.
+maximum over rays too.  Every l_p quantity comes from pnorm as a
+rational, so no float enters a certificate on any space.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -26,6 +28,18 @@ from .errors import (
 )
 from .expr import fold
 from .lp import simplex_standard
+from .pnorm import (  # the space constructors are re-exported from here
+    SpaceSpec,
+    admissibility_float,
+    admissibility_upper,
+    budget_directions,
+    fvl_space,
+    norm_upper,
+    parse_space,
+    peak_point,
+    seq_space,
+    sign_patterns,
+)
 from .pwl import (
     PwlFunction,
     active_piece,
@@ -41,90 +55,14 @@ from .qmath import (
     Vec,
     dot,
     format_fraction,
-    l1_norm,
-    l2_norm_sq,
-    linf_norm,
     null_space_basis,
     rationalize_vec,
-    sqrt_upper,
-    to_fraction,
     transpose,
     vec,
     vec_add,
     vec_scale,
     zero_vec,
 )
-
-INF_P = "inf"
-
-
-# ---------------------------------------------------------------------------
-# spaces
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Either fvl:n (n free generators) or seq:p:m (R^m with the l_p norm)."""
-
-    kind: str
-    dim: int
-    p: Fraction | str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("fvl", "seq"):
-            raise UnsupportedSpaceError(f"unknown space kind {self.kind!r}")
-        if self.dim < 1:
-            raise UnsupportedSpaceError("space dimension must be at least 1")
-        if self.kind == "fvl":
-            if self.p is not None:
-                raise UnsupportedSpaceError("fvl spaces carry no exponent")
-        else:
-            if self.p != INF_P:
-                if not isinstance(self.p, Fraction):
-                    raise UnsupportedSpaceError("seq exponent must be rational or inf")
-                if self.p < 1:
-                    raise UnsupportedSpaceError("seq exponent must satisfy p >= 1")
-
-    def __str__(self) -> str:
-        if self.kind == "fvl":
-            return f"fvl:{self.dim}"
-        p = self.p if self.p == INF_P else format_fraction(self.p)
-        return f"seq:{p}:{self.dim}"
-
-    @property
-    def is_polyhedral(self) -> bool:
-        """The admissible-tuple region is a polyhedron (exact path applies)."""
-        return self.kind == "fvl" or self.p == Fraction(1) or self.p == INF_P
-
-    @property
-    def exact_capable(self) -> bool:
-        """Admissibility is decidable in exact rational arithmetic."""
-        return self.kind == "fvl" or self.p in (Fraction(1), Fraction(2), INF_P)
-
-
-def fvl_space(n: int) -> SpaceSpec:
-    return SpaceSpec(kind="fvl", dim=n)
-
-
-def seq_space(p, m: int) -> SpaceSpec:
-    pp = INF_P if p in (INF_P, "oo", "infinity") else to_fraction(p)
-    return SpaceSpec(kind="seq", dim=m, p=pp)
-
-
-def parse_space(text: str) -> SpaceSpec:
-    parts = text.strip().lower().split(":")
-    try:
-        if parts[0] == "fvl" and len(parts) == 2:
-            return fvl_space(int(parts[1]))
-        if parts[0] == "seq" and len(parts) == 3:
-            p = parts[1] if parts[1] in ("inf", "oo", "infinity") else Fraction(parts[1])
-            return seq_space(p, int(parts[2]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UnsupportedSpaceError(f"cannot parse space {text!r}: {exc}") from exc
-    raise UnsupportedSpaceError(
-        f"cannot parse space {text!r}; expected fvl:N or seq:P:M"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +99,6 @@ class NormCertificate:
     upper: Fraction
     witness: FunctionalTuple
     upper_method: str  # "exact_match" | "strong_unit_lambda_n"
-    exact: bool
     lam: Fraction | None = None
     unit_support: tuple[Vec, ...] = ()
 
@@ -170,8 +107,10 @@ class NormCertificate:
             raise InternalFaultError(
                 f"certificate violates lower <= upper: {self.lower} > {self.upper}"
             )
-        if self.exact and self.lower != self.upper:
-            raise InternalFaultError("exact certificate with a strict sandwich")
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
 
 # ---------------------------------------------------------------------------
@@ -179,62 +118,15 @@ class NormCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _sign_patterns(k: int):
-    """Representatives of {+-1}^k modulo global sign (first entry +1)."""
-    for rest in itertools.product((1, -1), repeat=k - 1):
-        yield (1,) + rest
-
-
-def constraint_norm(tup: FunctionalTuple, space: SpaceSpec | None = None) -> Fraction:
-    """sup over the unit ball of the space of Sum_i |x_i(v)|.
-
-    Exact for fvl and p in {1, inf}; for p = 2 a certified rational upper
-    bound (exact whenever the squared value is a perfect square); for other
-    p a float-based value inflated by 1e-9.
-    """
-    space = tup.space if space is None else space
-    pts = tup.points
-    if space.kind == "fvl" or space.p == Fraction(1):
-        return max(
-            sum((abs(x[j]) for x in pts), Fraction(0)) for j in range(space.dim)
-        )
-    if space.p == INF_P:
-        best = Fraction(0)
-        for s in _sign_patterns(len(pts)):
-            combined = zero_vec(space.dim)
-            for si, x in zip(s, pts):
-                combined = tuple(c + si * v for c, v in zip(combined, x))
-            best = max(best, l1_norm(combined))
-        return best
-    if space.p == Fraction(2):
-        return sqrt_upper(_constraint_sq_l2(pts, space.dim))
-    q = float(space.p) / (float(space.p) - 1.0) if space.p != Fraction(1) else None
-    best_f = 0.0
-    for s in _sign_patterns(len(pts)):
-        combined = [0.0] * space.dim
-        for si, x in zip(s, pts):
-            for j, v in enumerate(x):
-                combined[j] += si * float(v)
-        best_f = max(best_f, sum(abs(c) ** q for c in combined) ** (1.0 / q))
-    return to_fraction(best_f * (1.0 + 1e-9))
-
-
-def _constraint_sq_l2(pts, dim: int) -> Fraction:
-    """Exact square of the l2 admissibility value (max over sign patterns)."""
-    best = Fraction(0)
-    for s in _sign_patterns(len(pts)):
-        combined = zero_vec(dim)
-        for si, x in zip(s, pts):
-            combined = tuple(c + si * v for c, v in zip(combined, x))
-        best = max(best, l2_norm_sq(combined))
-    return best
+def constraint_norm(tup: FunctionalTuple) -> Fraction:
+    """sup over the unit ball of the space of Sum_i |x_i(v)|, as pnorm's
+    certified upper bound (exact on polyhedral spaces)."""
+    return admissibility_upper(tup.points, tup.space)
 
 
 def tuple_admissible(tup: FunctionalTuple) -> bool:
-    """Exact check constraint_norm(tup) <= 1 where the space allows it."""
-    space = tup.space
-    if space.p == Fraction(2):
-        return _constraint_sq_l2(tup.points, space.dim) <= 1
+    """constraint_norm(tup) <= 1: exact unless the dual exponent q is
+    fractional (p = 3, say), where it may answer False just below 1."""
     return constraint_norm(tup) <= 1
 
 
@@ -251,33 +143,12 @@ def tuple_seminorm_value(f: PwlFunction, tup: FunctionalTuple) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def budget_directions(space: SpaceSpec) -> tuple[Vec, ...]:
-    """Finite directions b with admissibility == (Sum_i |<x_i, b>| <= 1 for all b).
-
-    These are the extreme points (up to sign) of the space's unit ball.
-    """
-    d = space.dim
-    if space.kind == "fvl" or space.p == Fraction(1):
-        return tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)
-        )
-    if space.p == INF_P:
-        return tuple(
-            (Fraction(1),) + tuple(Fraction(s) for s in rest)
-            for rest in itertools.product((1, -1), repeat=d - 1)
-        )
-    raise UnsupportedSpaceError(
-        f"space {space} has a non-polyhedral unit ball; use norm_bounds"
-    )
-
-
 def _zero_certificate(space: SpaceSpec, method: str) -> NormCertificate:
     return NormCertificate(
         lower=Fraction(0),
         upper=Fraction(0),
         witness=functional_tuple(space, (zero_vec(space.dim),)),
         upper_method=method,
-        exact=space.exact_capable,
         lam=Fraction(0) if method == "strong_unit_lambda_n" else None,
     )
 
@@ -343,7 +214,7 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         if lam > 0
     )
     witness = functional_tuple(space, points)
-    if constraint_norm(witness) > 1:
+    if not tuple_admissible(witness):
         raise InternalFaultError("witness tuple is not admissible")
     if tuple_seminorm_value(f, witness) != value:
         raise InternalFaultError("witness does not reproduce the exact norm")
@@ -352,7 +223,6 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         upper=value,
         witness=witness,
         upper_method="exact_match",
-        exact=True,
     )
 
 
@@ -375,7 +245,7 @@ def norm_by_cell_assignment(
     """
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
-    if not (space.kind == "fvl" or space.p == Fraction(1)):
+    if not space.coordinate_budget:
         raise UnsupportedSpaceError(
             "cell-assignment oracle requires a per-coordinate budget"
         )
@@ -430,19 +300,6 @@ def norm_by_cell_assignment(
 # ---------------------------------------------------------------------------
 
 
-def _row_norm_upper(row: Vec, space: SpaceSpec) -> Fraction:
-    """Certified upper bound on the space norm of a generator row."""
-    if space.kind == "fvl" or space.p == Fraction(1):
-        return l1_norm(row)
-    if space.p == INF_P:
-        return linf_norm(row)
-    if space.p == Fraction(2):
-        return sqrt_upper(l2_norm_sq(row))
-    p = float(space.p)
-    val = sum(abs(float(v)) ** p for v in row) ** (1.0 / p)
-    return to_fraction(val * (1.0 + 1e-9))
-
-
 def strong_unit_factor(f: PwlFunction):
     """(lam, unit_rows) with |f| <= lam * Sum_j |<x_j, .>| everywhere.
 
@@ -463,7 +320,8 @@ def strong_unit_factor(f: PwlFunction):
         subspace=null_space_basis(transpose(f.comp)),
     )
     lam = max(
-        (abs(shadow.eval(r)) / l1_norm(r) for r in generators), default=Fraction(0)
+        (abs(shadow.eval(r)) / norm_upper(r, 1) for r in generators),
+        default=Fraction(0),
     )
     return lam, tuple(f.comp)
 
@@ -486,31 +344,6 @@ def _float_evaluator(f: PwlFunction) -> Callable[[list[float]], float]:
     return value
 
 
-def _constraint_float(points, space: SpaceSpec) -> float:
-    if space.kind == "fvl" or space.p == Fraction(1):
-        return max(
-            sum(abs(x[j]) for x in points) for j in range(space.dim)
-        )
-    if space.p == INF_P:
-        q = 1.0
-    elif space.p == Fraction(2):
-        q = 2.0
-    else:
-        p = float(space.p)
-        q = p / (p - 1.0) if p > 1.0 else float("inf")
-    best = 0.0
-    for s in _sign_patterns(len(points)):
-        combined = [0.0] * space.dim
-        for si, x in zip(s, points):
-            for j, v in enumerate(x):
-                combined[j] += si * v
-        if q == float("inf"):
-            best = max(best, max(abs(c) for c in combined))
-        else:
-            best = max(best, sum(abs(c) ** q for c in combined) ** (1.0 / q))
-    return best
-
-
 def _sweep_candidates(
     f: PwlFunction, space: SpaceSpec, extra_points: tuple[Vec, ...] = ()
 ) -> list[FunctionalTuple]:
@@ -528,15 +361,13 @@ def _sweep_candidates(
             normals.append(vec_add(bi, bj))
             normals.append(tuple(x - y for x, y in zip(bi, bj)))
     out.extend((r,) for r in rays(d, normals))
-    if space.p == Fraction(2):
-        # |piece| peaks on the l2 ball at +-piece / ||piece||_2
+    if not space.is_polyhedral:
+        # |piece| peaks on the dual ball where Hoelder's inequality is tight
         for piece in sorted(linear_pieces(f), key=lambda p: p.coeffs):
-            sq = l2_norm_sq(piece.coeffs)
-            if sq > 0:
-                for c in (1, -1):
-                    out.append((vec_scale(c / sqrt_upper(sq), piece.coeffs),))
+            peak = peak_point(piece.coeffs, space)
+            out.extend(((peak,), (vec_scale(-1, peak),)))
 
-    for s in _sign_patterns(d):
+    for s in sign_patterns(d):
         out.append((vec(s),))
 
     basis = [
@@ -568,27 +399,34 @@ def _admissible_variants(points: tuple[Vec, ...], space: SpaceSpec):
 
 
 def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
-    """One deterministic hill-climbing run; returns float points."""
+    """One deterministic hill-climbing run; returns float points, or None
+    when f's values do not fit in a float."""
     rng = random.Random((seed * 1_000_003 + r) & 0xFFFFFFFF)
     d = space.dim
     k = 1 + r % 3
-    value = _float_evaluator(f)
+    budget = admissibility_float(space)
 
     def score(ps) -> float:
-        cn = _constraint_float(ps, space)
+        cn = budget(ps)
         if cn < 1e-12:
             return 0.0
         return sum(abs(value(x)) for x in ps) / max(1.0, cn)
 
     pts = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(k)]
-    best = score(pts)
+    try:
+        value = _float_evaluator(f)
+        best = score(pts)
+    except OverflowError:
+        return None
+    if not math.isfinite(best):
+        return None
     step = 0.6
     for _ in range(240):
         i = rng.randrange(k)
         j = rng.randrange(d)
         cand = [list(x) for x in pts]
         cand[i][j] += step * (2.0 * rng.random() - 1.0)
-        cn = _constraint_float(cand, space)
+        cn = budget(cand)
         if cn > 1e-12:
             cand = [[v / max(1.0, cn) for v in x] for x in cand]
         s = score(cand)
@@ -623,7 +461,7 @@ def norm_bounds(
         return _zero_certificate(space, "strong_unit_lambda_n")
 
     lam, unit_rows = strong_unit_factor(f)
-    unit_sum = sum((_row_norm_upper(row, space) for row in unit_rows), Fraction(0))
+    unit_sum = sum(norm_upper(row, space.exponent) for row in unit_rows)
     upper = lam * unit_sum
 
     best_value = Fraction(0)
@@ -637,28 +475,25 @@ def norm_bounds(
 
     for r in range(restarts):
         float_pts = _ascent_restart(f, space, seed, r)
+        if float_pts is None:
+            continue
         points = tuple(rationalize_vec(x, max_denominator) for x in float_pts)
-        if all(len(x) == space.dim for x in points):
-            tup = FunctionalTuple(space=space, points=points)
-            value = tuple_seminorm_value(f, tup)
-            if value > best_value or (
-                value == best_value and points < best_witness.points
-            ):
-                best_value, best_witness = value, tup
+        tup = FunctionalTuple(space=space, points=points)
+        value = tuple_seminorm_value(f, tup)
+        if value > best_value or (
+            value == best_value and points < best_witness.points
+        ):
+            best_value, best_witness = value, tup
 
-    exact_capable = space.exact_capable
     if best_value > upper:
-        if exact_capable:
-            raise InternalFaultError(
-                f"sound bounds crossed: lower {best_value} > upper {upper}"
-            )
-        best_value = upper
+        raise InternalFaultError(
+            f"sound bounds crossed: lower {best_value} > upper {upper}"
+        )
     return NormCertificate(
         lower=best_value,
         upper=upper,
         witness=best_witness,
         upper_method="strong_unit_lambda_n",
-        exact=exact_capable and best_value == upper,
         lam=lam,
         unit_support=unit_rows,
     )

@@ -18,7 +18,6 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import comb
 
@@ -32,7 +31,6 @@ from .expr import (
     Sup,
     Var,
     abs_expr,
-    compile_expr,
     eval_program,
     fold,
     substitute,
@@ -105,9 +103,9 @@ class PwlFunction:
                 f"{len(self.comp)} composition rows are given"
             )
 
-    @cached_property
+    @property
     def program(self) -> Program:
-        return compile_expr(self.expr)
+        return self.expr.program
 
     @property
     def arity(self) -> int:

@@ -1,4 +1,4 @@
-"""Exact rational helpers: vectors, square-root bounds, rationalization."""
+"""Exact rational helpers: vectors, rationalization, exact linear algebra."""
 
 from __future__ import annotations
 
@@ -41,18 +41,6 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def l1_norm(a: Vec) -> Fraction:
-    return sum((abs(x) for x in a), Fraction(0))
-
-
-def linf_norm(a: Vec) -> Fraction:
-    return max((abs(x) for x in a), default=Fraction(0))
-
-
-def l2_norm_sq(a: Vec) -> Fraction:
-    return sum((x * x for x in a), Fraction(0))
-
-
 def primitive_normal(a: Vec) -> Vec:
     """Scale to integer entries with gcd 1 and first nonzero entry positive.
 
@@ -69,47 +57,6 @@ def primitive_normal(a: Vec) -> Vec:
     if lead < 0:
         ints = [-v for v in ints]
     return tuple(Fraction(v) for v in ints)
-
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
-def sqrt_exact(q: Fraction) -> Fraction | None:
-    """Exact rational square root of q, or None when irrational."""
-    if q < 0:
-        raise ValueError("square root of a negative rational")
-    if is_perfect_square(q.numerator) and is_perfect_square(q.denominator):
-        return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
-    return None
-
-
-def sqrt_upper(q: Fraction, tol: Fraction = Fraction(1, 10**15)) -> Fraction:
-    """Rational r with sqrt(q) <= r < sqrt(q) + tol.
-
-    Newton iteration from above converges monotonically, so every iterate
-    is a certified upper bound; we stop once the bracket (r - q/r) is
-    tighter than tol.
-    """
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("square root of a negative rational")
-    if q == 0:
-        return Fraction(0)
-    exact = sqrt_exact(q)
-    if exact is not None:
-        return exact
-    r = Fraction(math.sqrt(float(q))) * Fraction(1000001, 1000000) + tol
-    if r * r < q:
-        r = max(q, Fraction(1))
-    while r - q / r > tol:
-        r = (r + q / r) / 2
-        # keep the bracket from accumulating huge denominators
-        r = r.limit_denominator(10**30) + tol / 4
-    return r
 
 
 def rationalize(x: float, max_den: int = 10**6) -> Fraction:

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .expr import Add, Expr, Inf, Scale, Sup, Var
-from .free import LatticeMap, TargetLattice
+from .free import LatticeMap
 from .norm import FunctionalTuple, SpaceSpec, constraint_norm
 from .pwl import PwlFunction, linear_pieces
 from .qmath import Vec
@@ -160,11 +160,13 @@ def random_admissible_tuple(
 
 
 def random_admissible_map(
-    rng: random.Random, source: SpaceSpec, target: TargetLattice
+    rng: random.Random, source: SpaceSpec, target: SpaceSpec
 ) -> LatticeMap:
     """phi-mode map with images rescaled to admissibility scale <= 1."""
-    images = [random_vector(rng, target.dim) for _ in range(source.dim)]
-    scale = max((target.norm_upper(y) for y in images), default=Fraction(0))
-    if scale > 1:
-        images = [tuple(v / scale for v in y) for y in images]
-    return LatticeMap(source=source, target=target, images=tuple(images))
+    images = tuple(random_vector(rng, target.dim) for _ in range(source.dim))
+    lat_map = LatticeMap(source=source, target=target, images=images)
+    scale = lat_map.admissibility_scale()
+    if scale <= 1:
+        return lat_map
+    images = tuple(tuple(v / scale for v in y) for y in images)
+    return LatticeMap(source=source, target=target, images=images)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -99,6 +100,20 @@ class TestNorm:
         assert cert["method"] == "strong_unit_lambda_n"
         assert cert["lambda"] is not None
 
+    @pytest.mark.parametrize(
+        "space,expr",
+        [
+            ("seq:2:2", "1" + "0" * 400 + "*t2"),
+            ("seq:2:2", r"t1 \/ 1" + "0" * 200 + "*t2"),
+            ("seq:3/2:2", r"t1 \/ 1" + "0" * 200 + "*t2"),
+        ],
+    )
+    def test_coefficients_beyond_float_range(self, capsys, space, expr):
+        code, out, _ = run_main(["norm", "--space", space, "--expr", expr], capsys)
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert Fraction(cert["lower"]) <= Fraction(cert["upper"])
+
     def test_timing_only_when_asked(self, capsys):
         code, out, _ = run_main(
             ["norm", "--space", "fvl:1", "--expr", "t1"], capsys
@@ -121,6 +136,15 @@ class TestExtend:
         assert code == 0
         report = json.loads(out)
         assert report["image"] == ["1", "1"]
+
+    def test_map_scale_bounds_the_operator_norm(self, capsys):
+        code, out, _ = run_main(
+            ["extend", "--space", "seq:inf:2", "--target", "seq:1:1",
+             "--expr", "t1", "--vector", "1", "--vector", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["map_scale"] == "2"
 
     def test_image_count_must_match(self, capsys):
         code, _, err = run_main(

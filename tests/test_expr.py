@@ -186,6 +186,24 @@ class TestCompile:
     def test_coefficients_are_normalised(self):
         assert compile_expr(Scale(2, Var(1))) == compile_expr(Scale(F(2), Var(1)))
 
+    def test_equality_hash_and_repr_go_through_the_program(self):
+        assert Sup(Var(1), Var(2)) == parse(r"t1 \/ t2", 2)
+        assert Sup(Var(1), Var(2)) != Sup(Var(2), Var(1))
+        assert hash(Scale(2, Var(1))) == hash(Scale(F(2), Var(1)))
+        assert repr(parse("|t1|", 1)) == "<Sup |t1|>"
+
+    def test_equality_hash_and_repr_are_linear(self):
+        t0 = time.perf_counter()
+        long_sum = " + ".join(["t1"] * 3000)
+        f = PwlFunction.from_expr(parse(long_sum, 1), 1)
+        g = PwlFunction.from_expr(parse(long_sum, 1), 1)
+        assert f == g and hash(f) == hash(g)
+        assert repr(f).count("t1") == 3000
+        deep = "|" * 24 + "t1" + "|" * 24
+        assert parse(deep, 1) == parse(deep, 1)
+        assert parse(deep, 1) != parse("|" + deep + " + t1|", 1)
+        assert time.perf_counter() - t0 < 1.0
+
 
 # The recursive walkers that compile_expr and fold replaced, kept as the
 # independent reference for the differential tests below.

@@ -13,7 +13,6 @@ from latfree.free import (
     generator,
     make_element,
     pullback_seminorm,
-    target_lattice,
     zero_element,
 )
 from latfree.norm import (
@@ -97,7 +96,7 @@ class TestExtendHom:
     def test_generator_images_drive_the_extension(self):
         phi = LatticeMap(
             source=fvl_space(2),
-            target=target_lattice("inf", 2),
+            target=seq_space("inf", 2),
             images=((1, 0), (0, 1)),
         )
         fab = make_element(fvl_space(2), identity_basis(2), parse(r"t1 \/ t2", 2))
@@ -106,7 +105,7 @@ class TestExtendHom:
     def test_well_defined_on_equivalent_elements(self):
         phi = LatticeMap(
             source=fvl_space(3),
-            target=target_lattice(1, 2),
+            target=seq_space(1, 2),
             images=((2, 1), (-1, 3), (0, 5)),
         )
         fa = make_element(fvl_space(3), identity_basis(3), parse(r"t1 + (t2 \/ t3)", 3))
@@ -118,7 +117,7 @@ class TestExtendHom:
     def test_matrix_mode_extension_of_embedding_is_the_matrix_action(self):
         T = LatticeMap(
             source=seq_space(1, 2),
-            target=target_lattice(1, 2),
+            target=seq_space(1, 2),
             matrix=((1, 2), (3, -1)),
         )
         xhat = embed((2, -5), seq_space(1, 2))
@@ -127,7 +126,7 @@ class TestExtendHom:
     def test_extension_coordinates_equal_realized_at_dual_rows(self):
         phi = LatticeMap(
             source=fvl_space(3),
-            target=target_lattice(1, 2),
+            target=seq_space(1, 2),
             images=((2, 1), (-1, 3), (0, 5)),
         )
         el = make_element(
@@ -139,7 +138,7 @@ class TestExtendHom:
     def test_lattice_operations_preserved(self):
         phi = LatticeMap(
             source=fvl_space(2),
-            target=target_lattice(1, 2),
+            target=seq_space(1, 2),
             images=((1, 2), (2, -1)),
         )
         a = make_element(fvl_space(2), identity_basis(2), parse("t1", 2))
@@ -152,11 +151,11 @@ class TestExtendHom:
 class TestLatticeMap:
     def test_requires_exactly_one_mode(self):
         with pytest.raises(ArityError):
-            LatticeMap(source=fvl_space(2), target=target_lattice(1, 2))
+            LatticeMap(source=fvl_space(2), target=seq_space(1, 2))
         with pytest.raises(ArityError):
             LatticeMap(
                 source=fvl_space(2),
-                target=target_lattice(1, 2),
+                target=seq_space(1, 2),
                 images=((1, 0), (0, 1)),
                 matrix=((1, 0), (0, 1)),
             )
@@ -164,23 +163,43 @@ class TestLatticeMap:
     def test_admissibility_scale(self):
         phi = LatticeMap(
             source=fvl_space(2),
-            target=target_lattice("inf", 2),
+            target=seq_space("inf", 2),
             images=((3, 0), (0, 3)),
         )
         assert phi.admissibility_scale() == 3
         small = LatticeMap(
             source=fvl_space(2),
-            target=target_lattice("inf", 2),
+            target=seq_space("inf", 2),
             images=((F(1, 2), 0), (0, F(1, 2))),
         )
         assert small.admissibility_scale() == F(1, 2)
+
+    def test_operator_scale_follows_the_target_norm(self):
+        # x -> (x, x) from seq:2:1 to seq:1:2 has norm 2
+        T = LatticeMap(
+            source=seq_space(2, 1), target=seq_space(1, 2), matrix=((1,), (1,))
+        )
+        assert T.admissibility_scale() == 2
+
+    def test_seq_inf_source_takes_sign_vectors(self):
+        # both generators map to 1, so e1 + e2 (norm 1 in seq:inf) maps to 2
+        phi = LatticeMap(
+            source=seq_space("inf", 2), target=seq_space(1, 1), images=((1,), (1,))
+        )
+        assert phi.admissibility_scale() == 2
+
+    def test_fvl_target_rejected(self):
+        with pytest.raises(UnsupportedSpaceError):
+            LatticeMap(
+                source=fvl_space(2), target=fvl_space(2), images=((1, 0), (0, 1))
+            )
 
 
 class TestContractivityAudit:
     def test_admissible_map_is_contractive(self):
         phi = LatticeMap(
             source=fvl_space(2),
-            target=target_lattice("inf", 2),
+            target=seq_space("inf", 2),
             images=((1, 0), (0, 1)),
         )
         fab = make_element(fvl_space(2), identity_basis(2), parse(r"t1 \/ t2", 2))
@@ -191,7 +210,7 @@ class TestContractivityAudit:
     def test_norm_preserving_case_is_tight(self):
         Tid = LatticeMap(
             source=seq_space(1, 2),
-            target=target_lattice(1, 2),
+            target=seq_space(1, 2),
             matrix=((1, 0), (0, 1)),
         )
         rep = contractivity_audit(Tid, [embed((1, 1), seq_space(1, 2))])
@@ -202,7 +221,7 @@ class TestContractivityAudit:
     def test_zero_map(self):
         phi = LatticeMap(
             source=fvl_space(2),
-            target=target_lattice("inf", 2),
+            target=seq_space("inf", 2),
             images=((0, 0), (0, 0)),
         )
         suite = [
@@ -216,7 +235,7 @@ class TestPullbackSeminorm:
     def test_generators_stay_admissible(self):
         phi = LatticeMap(
             source=fvl_space(2),
-            target=target_lattice("inf", 2),
+            target=seq_space("inf", 2),
             images=((1, 0), (0, 1)),
         )
         nu = pullback_seminorm(phi, "nu_phi")
@@ -226,7 +245,7 @@ class TestPullbackSeminorm:
     def test_joins_the_maximality_family(self):
         phi = LatticeMap(
             source=fvl_space(2),
-            target=target_lattice("inf", 2),
+            target=seq_space("inf", 2),
             images=((1, 0), (0, 1)),
         )
         fab = make_element(fvl_space(2), identity_basis(2), parse(r"t1 \/ t2", 2))
@@ -239,7 +258,7 @@ class TestPullbackSeminorm:
     def test_oversized_images_are_rescaled(self):
         big = LatticeMap(
             source=fvl_space(2),
-            target=target_lattice("inf", 2),
+            target=seq_space("inf", 2),
             images=((3, 0), (0, 3)),
         )
         nu = pullback_seminorm(big)
@@ -248,21 +267,10 @@ class TestPullbackSeminorm:
     def test_euclidean_target_compares_through_squares(self):
         l2map = LatticeMap(
             source=fvl_space(2),
-            target=target_lattice(2, 2),
+            target=seq_space(2, 2),
             images=((1, 0), (0, 1)),
         )
         fab = make_element(fvl_space(2), identity_basis(2), parse(r"t1 \/ t2", 2))
         nu = pullback_seminorm(l2map)
         assert nu.leq(fab.realized, F(2))
         assert not nu.leq(fab.realized, F(1))
-
-
-class TestTargetLattice:
-    def test_norm_upper_for_each_p(self):
-        assert target_lattice(1, 2).norm_upper((F(3), F(-4))) == 7
-        assert target_lattice("inf", 2).norm_upper((F(3), F(-4))) == 4
-        assert target_lattice(2, 2).norm_upper((F(3), F(4))) == 5
-
-    def test_unsupported_p(self):
-        with pytest.raises(UnsupportedSpaceError):
-            target_lattice(F(1, 2), 2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from latfree.errors import DimensionError, UnsupportedSpaceError
+from latfree.errors import DimensionError, InternalFaultError, UnsupportedSpaceError
 from latfree.expr import parse
 from latfree.norm import (
     _sweep_candidates,
@@ -236,6 +236,25 @@ class TestNormBounds:
         f = pw(r"t1 - 2*t2", 2)
         cert = norm_bounds(f, seq_space(2, 2), restarts=4, seed=5)
         assert tuple_seminorm_value(f, cert.witness) == cert.lower
+
+    def test_seq_three_halves_is_certified(self):
+        # (1, 1) in l_{3/2} has norm 2^(2/3); lower and upper are rationals
+        cert = norm_bounds(make_pwl(parse("t1", 1), [(1, 1)]), seq_space(F(3, 2), 2))
+        assert cert.lower**3 <= 4 <= cert.upper**3
+        assert not cert.exact
+
+    def test_crossed_bounds_are_a_fault(self, monkeypatch):
+        import latfree.norm as norm_module
+
+        real = norm_module.strong_unit_factor
+
+        def halved(f):
+            lam, rows = real(f)
+            return lam / 2, rows
+
+        monkeypatch.setattr(norm_module, "strong_unit_factor", halved)
+        with pytest.raises(InternalFaultError):
+            norm_bounds(pw("t1 + t2", 2), seq_space(F(3, 2), 2), restarts=2)
 
 
 class TestNormCertificateDispatch:

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 from latfree.expr import max_var_index
-from latfree.free import target_lattice
 from latfree.norm import constraint_norm, fvl_space, seq_space, tuple_admissible
 from latfree.pwl import PwlFunction, equivalent, linear_pieces
 from latfree.sampling import (
@@ -74,7 +73,7 @@ class TestRandomAdmissible:
         rng = random.Random(19)
         for _ in range(15):
             src = fvl_space(rng.randint(1, 3))
-            tgt = target_lattice(rng.choice([1, "inf"]), rng.randint(1, 3))
+            tgt = seq_space(rng.choice([1, "inf"]), rng.randint(1, 3))
             lat_map = random_admissible_map(rng, src, tgt)
             assert lat_map.admissibility_scale() <= 1
 
