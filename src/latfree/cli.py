@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -40,7 +39,7 @@ from .norm import (
     parse_space,
 )
 from .pwl import PwlFunction, equivalent
-from .qmath import Vec, format_fraction, to_fraction
+from .qmath import Vec, format_fraction, identity
 from .selftest import SelftestReport, run_selftest
 
 _USAGE_ERRORS = (
@@ -229,11 +228,7 @@ def _cmd_extend(args):
         )
     lat_map = LatticeMap(source=space, target=target, images=images)
     expr = parse(args.expr[0], space.dim)
-    basis = [
-        tuple(Fraction(1 if i == j else 0) for j in range(space.dim))
-        for i in range(space.dim)
-    ]
-    element = make_element(space, basis, expr)
+    element = make_element(space, identity(space.dim), expr)
     image = extend_hom(lat_map, element)
     scale = lat_map.admissibility_scale()
     report = {
@@ -268,8 +263,7 @@ def _cmd_audit(args):
         }
     cert = norm_certificate(f, space, **opts)
     family = [evaluation_seminorm(cert.witness, name="witness")]
-    for i in range(space.dim):
-        axis = tuple(Fraction(1 if j == i else 0) for j in range(space.dim))
+    for i, axis in enumerate(identity(space.dim)):
         family.append(
             evaluation_seminorm(
                 functional_tuple(space, (axis,)), name=f"axis{i + 1}"

@@ -41,6 +41,7 @@ from .qmath import (
     Vec,
     dot,
     format_fraction,
+    identity,
     is_zero_vec,
     matrix_rank,
     rref,
@@ -86,15 +87,11 @@ class FreeElement:
         return print_expr(self.expr)
 
 
-def _unit_row(dim: int, i: int) -> Vec:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
-
-
 def zero_element(space: SpaceSpec) -> FreeElement:
     """Canonical zero: the expression 0*t1 over the first coordinate vector."""
     return FreeElement(
         space=space,
-        vectors=(_unit_row(space.dim, 0),),
+        vectors=identity(space.dim)[:1],
         expr=Scale(Fraction(0), Var(1)),
     )
 
@@ -113,7 +110,7 @@ def generator(space: SpaceSpec, i: int) -> FreeElement:
     """The i-th free generator (1-based): the i-th coordinate functional."""
     if not 1 <= i <= space.dim:
         raise DimensionError(f"generator index {i} outside 1..{space.dim}")
-    return embed(_unit_row(space.dim, i - 1), space)
+    return embed(identity(space.dim)[i - 1], space)
 
 
 def _express_in_basis(basis: list[Vec], v: Vec) -> list[Fraction]:
@@ -292,8 +289,8 @@ def pullback_seminorm(lat_map: LatticeMap, name: str | None = None) -> SeminormH
     """nu(f) = ||extension(f)||_Y as an admissible seminorm handle.
 
     If the map's admissibility scale exceeds 1, the dual rows are rescaled
-    by it so that nu(generator) <= 1; comparisons stay exact (norm_leq
-    compares powers, never rounded roots).
+    by it so that nu(generator) <= 1; comparisons are norm_leq's, exact
+    for integer and infinite p.
     """
     scale = lat_map.admissibility_scale()
     rows = lat_map.dual_rows

@@ -14,7 +14,6 @@ rational, so no float enters a certificate on any space.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -55,6 +54,7 @@ from .qmath import (
     Vec,
     dot,
     format_fraction,
+    identity,
     null_space_basis,
     rationalize_vec,
     transpose,
@@ -370,9 +370,7 @@ def _sweep_candidates(
     for s in sign_patterns(d):
         out.append((vec(s),))
 
-    basis = [
-        tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)
-    ]
+    basis = identity(d)
     signed = []
     for e in basis:
         neg = tuple(-v for v in e)
@@ -400,7 +398,8 @@ def _admissible_variants(points: tuple[Vec, ...], space: SpaceSpec):
 
 def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
     """One deterministic hill-climbing run; returns float points, or None
-    when f's values do not fit in a float."""
+    when f's coefficients or the starting budget do not fit in a float.
+    A step whose budget overflows counts as no better."""
     rng = random.Random((seed * 1_000_003 + r) & 0xFFFFFFFF)
     d = space.dim
     k = 1 + r % 3
@@ -418,18 +417,19 @@ def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
         best = score(pts)
     except OverflowError:
         return None
-    if not math.isfinite(best):
-        return None
     step = 0.6
     for _ in range(240):
         i = rng.randrange(k)
         j = rng.randrange(d)
         cand = [list(x) for x in pts]
         cand[i][j] += step * (2.0 * rng.random() - 1.0)
-        cn = budget(cand)
-        if cn > 1e-12:
-            cand = [[v / max(1.0, cn) for v in x] for x in cand]
-        s = score(cand)
+        try:
+            cn = budget(cand)
+            if cn > 1e-12:
+                cand = [[v / max(1.0, cn) for v in x] for x in cand]
+            s = score(cand)
+        except OverflowError:  # a q-th power past the float range
+            s = best
         if s > best:
             best, pts = s, cand
         else:
@@ -464,24 +464,20 @@ def norm_bounds(
     unit_sum = sum(norm_upper(row, space.exponent) for row in unit_rows)
     upper = lam * unit_sum
 
+    def ascent_tuples():
+        for r in range(restarts):
+            float_pts = _ascent_restart(f, space, seed, r)
+            if float_pts is not None:
+                points = tuple(rationalize_vec(x, max_denominator) for x in float_pts)
+                yield FunctionalTuple(space=space, points=points)
+
     best_value = Fraction(0)
     best_witness = functional_tuple(space, (zero_vec(space.dim),))
-    for tup in _sweep_candidates(f, space, extra_points=(nonzero_witness,)):
+    sweep = _sweep_candidates(f, space, extra_points=(nonzero_witness,))
+    for tup in itertools.chain(sweep, ascent_tuples()):
         value = tuple_seminorm_value(f, tup)
         if value > best_value or (
             value == best_value and tup.points < best_witness.points
-        ):
-            best_value, best_witness = value, tup
-
-    for r in range(restarts):
-        float_pts = _ascent_restart(f, space, seed, r)
-        if float_pts is None:
-            continue
-        points = tuple(rationalize_vec(x, max_denominator) for x in float_pts)
-        tup = FunctionalTuple(space=space, points=points)
-        value = tuple_seminorm_value(f, tup)
-        if value > best_value or (
-            value == best_value and points < best_witness.points
         ):
             best_value, best_witness = value, tup
 

@@ -16,12 +16,16 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import UnsupportedSpaceError
-from .qmath import Vec, dot, format_fraction, to_fraction, transpose
+from .qmath import Vec, dot, format_fraction, identity, to_fraction, transpose
 
 INF_P = "inf"
 
 # rounded roots are within 2**-_BITS above the true root
 _BITS = 64
+
+# largest numerator or denominator of a seq exponent: a root of degree k
+# works on integers of about k * _BITS bits
+MAX_EXPONENT_TERM = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +55,11 @@ class SpaceSpec:
                     raise UnsupportedSpaceError("seq exponent must be rational or inf")
                 if self.p < 1:
                     raise UnsupportedSpaceError("seq exponent must satisfy p >= 1")
+                if max(self.p.numerator, self.p.denominator) > MAX_EXPONENT_TERM:
+                    raise UnsupportedSpaceError(
+                        f"seq exponent {format_fraction(self.p)} has a numerator "
+                        f"or denominator above {MAX_EXPONENT_TERM}"
+                    )
 
     def __str__(self) -> str:
         if self.kind == "fvl":
@@ -89,8 +98,7 @@ def parse_space(text: str) -> SpaceSpec:
         if parts[0] == "fvl" and len(parts) == 2:
             return fvl_space(int(parts[1]))
         if parts[0] == "seq" and len(parts) == 3:
-            p = parts[1] if parts[1] in ("inf", "oo", "infinity") else Fraction(parts[1])
-            return seq_space(p, int(parts[2]))
+            return seq_space(parts[1], int(parts[2]))
     except (ValueError, ZeroDivisionError) as exc:
         raise UnsupportedSpaceError(f"cannot parse space {text!r}: {exc}") from exc
     raise UnsupportedSpaceError(
@@ -120,8 +128,13 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    # 2**ceil(bits/k) is above the root; Newton steps fall to the floor
-    x = 1 << -(-n.bit_length() // k)
+    bits = -(-n.bit_length() // k)  # the root is below 2**bits
+    if bits == 1:
+        return 1
+    # the root of n's top digits, shifted back, is above the root by a
+    # factor of at most 1 + 2**(half + 1 - bits); Newton steps fall to the floor
+    half = bits // 2
+    x = (iroot(n >> (k * half), k) + 1) << half
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -129,18 +142,18 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def root_upper(q, k: int, bits: int = _BITS) -> Fraction:
+def root_upper(q, k: int) -> Fraction:
     """Rational r >= q ** (1/k): the root itself when the numerator and the
     denominator of q are perfect k-th powers, else the next multiple of
-    2**-bits above it, so that r**k > q > (r - 2**-bits)**k."""
+    2**-_BITS above it, so that r**k > q > (r - 2**-_BITS)**k."""
     q = Fraction(q)
     if q < 0:
         raise ValueError("root of a negative rational")
     num, den = iroot(q.numerator, k), iroot(q.denominator, k)
     if num**k == q.numerator and den**k == q.denominator:
         return Fraction(num, den)
-    scaled = (q.numerator << (k * bits)) // q.denominator
-    return Fraction(iroot(scaled, k) + 1, 1 << bits)
+    scaled = (q.numerator << (k * _BITS)) // q.denominator
+    return Fraction(iroot(scaled, k) + 1, 1 << _BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +210,7 @@ def budget_directions(space: SpaceSpec) -> tuple[Vec, ...]:
     """
     d = space.dim
     if space.coordinate_budget:
-        return tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(d)) for i in range(d)
-        )
+        return identity(d)
     if space.exponent == INF_P:
         return tuple(
             (Fraction(1),) + tuple(Fraction(s) for s in rest)
@@ -277,12 +288,19 @@ def operator_upper(matrix, source: SpaceSpec, target: SpaceSpec) -> Fraction:
     A seq:inf source takes the exact max of ||M s|| over sign vectors s, the
     vertices of its unit ball.  Every other source takes the Hoelder bound
     ||(||c_j||)_j||_q over the columns c_j, q dual to the source's p; at
-    p = 1 that is the largest column norm, which is ||M|| itself.
+    p = 1 that is the largest column norm, which is ||M|| itself.  When the
+    target's exponent is at least p, the Riesz-Thorin bound
+    ||M||_1 ** (1/p) ||M||_inf ** (1 - 1/p) on l_p -> l_p also holds, and
+    the smaller of the two is returned (at p = 2 the identity gets 1).
     """
     columns = transpose(matrix)
-    r = target.exponent
-    if source.exponent == INF_P:
+    p, r = source.exponent, target.exponent
+    if p == INF_P:
         return max(norm_upper(combined, r) for combined in _signed_sums(columns))
-    return norm_upper(
-        [norm_upper(c, r) for c in columns], dual_exponent(source.exponent)
-    )
+    bound = norm_upper([norm_upper(c, r) for c in columns], dual_exponent(p))
+    if r == INF_P or r >= p:
+        col = max(norm_upper(c, Fraction(1)) for c in columns)
+        row = max(norm_upper(w, Fraction(1)) for w in matrix)
+        a, b = p.numerator, p.denominator
+        bound = min(bound, root_upper(col**b * row ** (a - b), a))
+    return bound

@@ -39,6 +39,7 @@ from .lp import solve_lp
 from .qmath import (
     Vec,
     dot,
+    identity,
     is_zero_vec,
     matrix_rank,
     null_space_basis,
@@ -120,10 +121,7 @@ class PwlFunction:
     @classmethod
     def from_expr(cls, expr: Expr, n: int) -> "PwlFunction":
         """Expression over the standard coordinates of Q^n (identity rows)."""
-        rows = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        )
-        return cls(dim=n, expr=expr, comp=rows)
+        return cls(dim=n, expr=expr, comp=identity(n))
 
 
 def make_pwl(expr: Expr, rows) -> PwlFunction:
@@ -256,10 +254,8 @@ def rays(dim: int, normals, subspace=()) -> tuple[Vec, ...]:
     null space (with the subspace rows) is a line gives two of them.
     Returns the primitive integer rays, closed under sign, sorted.
     """
-    axes = [
-        tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)
-    ]
-    planes = canonical_normals(list(normals) + axes)
+    axes = identity(dim)
+    planes = canonical_normals(list(normals) + list(axes))
     fixed = canonical_normals(subspace)
     if any(len(n) != dim for n in planes + fixed):
         raise DimensionError("hyperplane normal has wrong length")

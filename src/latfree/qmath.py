@@ -25,6 +25,11 @@ def zero_vec(dim: int) -> Vec:
     return (Fraction(0),) * dim
 
 
+def identity(dim: int) -> tuple[Vec, ...]:
+    """The unit vectors of Q^dim, the rows of the identity matrix."""
+    return tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
+
+
 def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 

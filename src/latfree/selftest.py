@@ -17,7 +17,6 @@ import numpy as np
 
 from .expr import fold, parse
 from .free import (
-    LatticeMap,
     contractivity_audit,
     extend_hom,
     generator,
@@ -25,8 +24,6 @@ from .free import (
     pullback_seminorm,
 )
 from .norm import (
-    NormCertificate,
-    evaluation_seminorm,
     fvl_space,
     maximality_audit,
     norm_bounds,
@@ -47,7 +44,7 @@ from .pwl import (
     pwl_sup,
 )
 from .pnorm import norm_upper
-from .qmath import Vec, format_fraction
+from .qmath import format_fraction, identity
 from .sampling import (
     random_admissible_map,
     random_admissible_tuple,
@@ -288,7 +285,7 @@ def _c8_extension_audit(seed: int):
             lat_map = random_admissible_map(rng, fvl_space(n), target)
             el = make_element(
                 fvl_space(n),
-                [tuple(Fraction(1 if a == b else 0) for b in range(n)) for a in range(n)],
+                identity(n),
                 f.expr,
             )
             rep = contractivity_audit(lat_map, [el], certs=[cert])
@@ -304,9 +301,7 @@ def _c8_extension_audit(seed: int):
 
         e = random_expr(rng, n)
         e2 = equivalent_variant(rng, e)
-        basis = [
-            tuple(Fraction(1 if a == b else 0) for b in range(n)) for a in range(n)
-        ]
+        basis = identity(n)
         el1 = make_element(fvl_space(n), basis, e)
         el2 = make_element(fvl_space(n), basis, e2)
         target = seq_space(1, 2)

@@ -106,9 +106,11 @@ class TestNorm:
             ("seq:2:2", "1" + "0" * 400 + "*t2"),
             ("seq:2:2", r"t1 \/ 1" + "0" * 200 + "*t2"),
             ("seq:3/2:2", r"t1 \/ 1" + "0" * 200 + "*t2"),
+            # the ascent raises budgets to the power q = 1000
+            ("seq:1000/999:2", r"t1 \/ 2*t2 - t1"),
         ],
     )
-    def test_coefficients_beyond_float_range(self, capsys, space, expr):
+    def test_values_beyond_float_range(self, capsys, space, expr):
         code, out, _ = run_main(["norm", "--space", space, "--expr", expr], capsys)
         assert code == 0
         cert = json.loads(out)["certificate"]
@@ -177,6 +179,12 @@ class TestExitCodes:
     def test_bad_space_is_usage(self, capsys):
         code, _, _ = run_main(["norm", "--space", "seq:0:2", "--expr", "t1"], capsys)
         assert code == 1
+        # an exponent denominator above 1000 is refused, not computed
+        code, _, err = run_main(
+            ["norm", "--space", "seq:1.000001:2", "--expr", "t1"], capsys
+        )
+        assert code == 1
+        assert "latfree: error" in err and "Traceback" not in err
 
     def test_arity_violation_is_usage(self, capsys):
         code, _, _ = run_main(["norm", "--space", "fvl:1", "--expr", "t2"], capsys)

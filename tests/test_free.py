@@ -180,6 +180,11 @@ class TestLatticeMap:
             source=seq_space(2, 1), target=seq_space(1, 2), matrix=((1,), (1,))
         )
         assert T.admissibility_scale() == 2
+        # the identity on seq:2 has norm 1 in both modes
+        for mode in ("matrix", "images"):
+            ident = {mode: ((1, 0), (0, 1))}
+            T = LatticeMap(source=seq_space(2, 2), target=seq_space(2, 2), **ident)
+            assert T.admissibility_scale() == 1
 
     def test_seq_inf_source_takes_sign_vectors(self):
         # both generators map to 1, so e1 + e2 (norm 1 in seq:inf) maps to 2

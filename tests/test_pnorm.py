@@ -36,9 +36,12 @@ def _random_points(rng, dim):
 
 
 class TestRoots:
-    @pytest.mark.parametrize("k", [2, 3])
+    # high degrees arise from exponents like 1000/999
+    @pytest.mark.parametrize("k", [2, 3, 7, 999, 1000])
     def test_iroot_is_the_floor_root(self, k):
-        for n in [0, 1, 2, 7, 8, 9, 26, 27, 28, 10**40, 10**401, 3**300 - 1, 3**300]:
+        powers = [2**k, 3**k, (10**19 + 7) ** k, (10**19 + 7) << (k * 64)]
+        near = [m + e for m in powers for e in (-1, 0, 1)]
+        for n in [0, 1, 2, 7, 8, 9, 26, 27, 28, 10**40, 10**401, 3**300] + near:
             r = iroot(n, k)
             assert r**k <= n < (r + 1) ** k
 
@@ -98,17 +101,23 @@ class TestTargetSpace:
         step = F(1, 2**200)
         for _ in range(50):
             v = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
-            roots = [root_upper(abs(x) ** 3, 2, 200) for x in v]
-            exact = [r**2 == abs(x) ** 3 for r, x in zip(roots, v)]
-            hi = sum(roots)
-            lo = hi - step * exact.count(False)
+            # floor(sqrt(|x|^3) * 2^200) / 2^200 per term
+            cubes = [abs(x) ** 3 for x in v]
+            lo = sum(
+                F(iroot((c.numerator << 400) // c.denominator, 2), 2**200)
+                for c in cubes
+            )
+            hi = lo + step * len(v)
             up = norm_upper(v, F(3, 2))
             assert up**3 >= lo**2
             assert (up - F(1, 2**40)) ** 3 < hi**2
 
     def test_unsupported_p(self):
-        with pytest.raises(UnsupportedSpaceError):
-            seq_space(F(1, 2), 2)
+        # numerators and denominators above 1000 are refused
+        for p in [F(1, 2), F(1001, 1000), F(1000001, 1000000), F(5000)]:
+            with pytest.raises(UnsupportedSpaceError):
+                seq_space(p, 2)
+        assert seq_space(F(1000, 999), 2).p == F(1000, 999)
 
     def test_norm_leq_near_the_boundary(self):
         assert norm_leq((F(3), F(4)), F(2), F(5))
@@ -175,8 +184,24 @@ class TestOperatorUpper:
         assert operator_upper(m, seq_space("inf", 2), seq_space(1, 2)) == 2
         assert operator_upper(m, seq_space("inf", 2), seq_space("inf", 2)) == 2
 
-    def test_hoelder_bound_for_seq_2(self):
-        # the identity on l2 is bounded by ||(1, 1)||_2 = sqrt 2 >= 1
+    def test_riesz_thorin_bound_when_the_target_exponent_is_larger(self):
         ident = ((F(1), F(0)), (F(0), F(1)))
-        bound = operator_upper(ident, seq_space(2, 2), seq_space(2, 2))
-        assert bound == root_upper(F(2), 2)
+        assert operator_upper(ident, seq_space(2, 2), seq_space(2, 2)) == 1
+        assert operator_upper(ident, seq_space(F(3, 2), 2), seq_space(3, 2)) == 1
+        # diag(2, 1): Hoelder gives sqrt 5, Riesz-Thorin the true norm 2
+        diag = ((F(2), F(0)), (F(0), F(1)))
+        assert operator_upper(diag, seq_space(2, 2), seq_space(2, 2)) == 2
+
+    def test_hoelder_bound_when_it_is_smaller(self):
+        # [[1, 1], [0, 1]] on l2: Hoelder sqrt 3, Riesz-Thorin 2
+        m = ((F(1), F(1)), (F(0), F(1)))
+        bound = operator_upper(m, seq_space(2, 2), seq_space(2, 2))
+        assert bound == root_upper(F(3), 2)
+
+    def test_hoelder_bound_alone_for_a_smaller_target_exponent(self):
+        # the identity from l_{3/2} to l_1 has norm 2^(1/3)
+        ident = ((F(1), F(0)), (F(0), F(1)))
+        bound = operator_upper(ident, seq_space(F(3, 2), 2), seq_space(1, 2))
+        assert bound == root_upper(F(2), 3)
+        # x -> (x, x) from l_2 to l_1 has norm 2
+        assert operator_upper(((F(1),), (F(1),)), seq_space(2, 1), seq_space(1, 2)) == 2
