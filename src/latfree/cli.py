@@ -32,6 +32,7 @@ from .free import LatticeMap, extend_hom, make_element
 from .norm import (
     NormCertificate,
     SpaceSpec,
+    check_search_settings,
     evaluation_seminorm,
     functional_tuple,
     maximality_audit,
@@ -181,18 +182,23 @@ def _cmd_equiv(args):
     return 0, report, lines
 
 
+def _search_opts(args, space: SpaceSpec) -> dict:
+    """norm_bounds' search settings, checked on every space."""
+    check_search_settings(args.restarts, args.max_denominator)
+    if space.is_polyhedral:
+        return {}
+    return {
+        "restarts": args.restarts,
+        "seed": args.seed,
+        "max_denominator": args.max_denominator,
+    }
+
+
 def _cmd_norm(args):
     space = parse_space(args.space)
     expr = parse(args.expr[0], space.dim)
     f = PwlFunction.from_expr(expr, space.dim)
-    opts = {}
-    if not space.is_polyhedral:
-        opts = {
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "max_denominator": args.max_denominator,
-        }
-    cert = norm_certificate(f, space, **opts)
+    cert = norm_certificate(f, space, **_search_opts(args, space))
     report = {
         "command": "norm",
         "space": str(space),
@@ -254,14 +260,7 @@ def _cmd_audit(args):
     space = parse_space(args.space)
     expr = parse(args.expr[0], space.dim)
     f = PwlFunction.from_expr(expr, space.dim)
-    opts = {}
-    if not space.is_polyhedral:
-        opts = {
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "max_denominator": args.max_denominator,
-        }
-    cert = norm_certificate(f, space, **opts)
+    cert = norm_certificate(f, space, **_search_opts(args, space))
     family = [evaluation_seminorm(cert.witness, name="witness")]
     for i, axis in enumerate(identity(space.dim)):
         family.append(

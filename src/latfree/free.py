@@ -301,7 +301,7 @@ def pullback_seminorm(lat_map: LatticeMap, name: str | None = None) -> SeminormH
     def value_vec(f: PwlFunction) -> Vec:
         if f.dim != lat_map.source.dim:
             raise DimensionError("function and pullback map dimensions differ")
-        return tuple(f.eval(row) for row in rows)
+        return tuple(f.eval_many(rows))
 
     label = name or f"pullback[{target.dim}d,p={target.p}]"
     return SeminormHandle(

@@ -134,7 +134,7 @@ def tuple_seminorm_value(f: PwlFunction, tup: FunctionalTuple) -> Fraction:
     """Sum_i |f(x_i)| normalized by max(1, constraint_norm) — a sound lower bound."""
     if f.dim != tup.space.dim:
         raise DimensionError("function and tuple live in different dimensions")
-    total = sum((abs(f.eval(x)) for x in tup.points), Fraction(0))
+    total = sum((abs(v) for v in f.eval_many(tup.points)), Fraction(0))
     return total / max(Fraction(1), constraint_norm(tup))
 
 
@@ -184,7 +184,7 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         f.dim,
         difference_normals(pieces) + [p.coeffs for p in pieces] + list(budget),
     )
-    objective = [abs(f.eval(v)) for v in columns]
+    objective = [abs(v) for v in f.eval_many(columns)]
     matrix = [[abs(dot(v, b)) for v in columns] for b in budget]
     rows = [(tuple(row), "<=", Fraction(1)) for row in matrix]
     res = simplex_standard(objective, rows)
@@ -320,7 +320,10 @@ def strong_unit_factor(f: PwlFunction):
         subspace=null_space_basis(transpose(f.comp)),
     )
     lam = max(
-        (abs(shadow.eval(r)) / norm_upper(r, 1) for r in generators),
+        (
+            abs(v) / norm_upper(r, 1)
+            for r, v in zip(generators, shadow.eval_many(generators))
+        ),
         default=Fraction(0),
     )
     return lam, tuple(f.comp)
@@ -371,11 +374,9 @@ def _sweep_candidates(
         out.append((vec(s),))
 
     basis = identity(d)
-    signed = []
-    for e in basis:
-        neg = tuple(-v for v in e)
-        signed.append(e if abs(f.eval(e)) >= abs(f.eval(neg)) else neg)
-    out.append(tuple(signed))
+    negated = tuple(vec_scale(-1, e) for e in basis)
+    size = [abs(v) for v in f.eval_many(basis + negated)]
+    out.append(tuple(e if size[i] >= size[d + i] else negated[i] for i, e in enumerate(basis)))
     out.append(tuple(basis))
 
     tuples = []
@@ -437,6 +438,14 @@ def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
     return pts
 
 
+def check_search_settings(restarts: int, max_denominator: int) -> None:
+    """Raise ValueError unless restarts >= 0 and max_denominator >= 1."""
+    if restarts < 0:
+        raise ValueError(f"restarts must be at least 0, got {restarts}")
+    if max_denominator < 1:
+        raise ValueError(f"the denominator cap must be at least 1, got {max_denominator}")
+
+
 def norm_bounds(
     f: PwlFunction,
     space: SpaceSpec,
@@ -454,6 +463,7 @@ def norm_bounds(
     lam * Sum_j ||x_j|| over the composition rows, with lam exact from
     strong_unit_factor.
     """
+    check_search_settings(restarts, max_denominator)
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
     eq_zero, nonzero_witness = equivalent(f, zero_pwl(f.dim))

@@ -10,6 +10,10 @@ linear, generated by its extreme rays.  So equality, and every extremum
 that is linear or linear-fractional per cell, is decided on the finite
 ray set `rays` returns.  The cell enumeration (`build_arrangement`) stays
 for the max-min normal form and the independent norm oracle.
+
+The exact kernel runs on Python ints: `PwlFunction.eval_many` evaluates a
+whole batch of points in one fold with integral values as int, and each
+ray is one fraction-free integer solve (`qmath.null_line`).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import comb
 
 from .errors import CapacityError, DimensionError, InternalFaultError
@@ -31,7 +36,6 @@ from .expr import (
     Sup,
     Var,
     abs_expr,
-    eval_program,
     fold,
     substitute,
 )
@@ -40,9 +44,10 @@ from .qmath import (
     Vec,
     dot,
     identity,
+    int_or_fraction,
     is_zero_vec,
     matrix_rank,
-    null_space_basis,
+    null_line,
     primitive_normal,
     to_fraction,
     vec,
@@ -112,11 +117,49 @@ class PwlFunction:
     def arity(self) -> int:
         return len(self.comp)
 
+    @cached_property
+    def _sparse_comp(self) -> tuple[tuple[tuple[int, int | Fraction], ...], ...]:
+        """Each composition row as its (column, entry) pairs with entry != 0."""
+        return tuple(
+            tuple((j, int_or_fraction(c)) for j, c in enumerate(row) if c)
+            for row in self.comp
+        )
+
     def eval(self, x) -> Fraction:
-        xs = vec(x)
-        if len(xs) != self.dim:
-            raise DimensionError(f"expected a point of length {self.dim}, got {len(xs)}")
-        return eval_program(self.program, tuple(dot(row, xs) for row in self.comp))
+        return self.eval_many([x])[0]
+
+    def eval_many(self, points) -> list[Fraction]:
+        """f at each point, in one fold over the whole batch.
+
+        A slot's value is the list of its values at the points.  Integral
+        coordinates, composition entries and coefficients travel as int, so
+        a Fraction (and its gcd) appears only where an entry is not integral.
+        """
+        xs = [tuple(map(int_or_fraction, x)) for x in points]
+        for x in xs:
+            if len(x) != self.dim:
+                raise DimensionError(f"expected a point of length {self.dim}, got {len(x)}")
+
+        def column(i):
+            row = self._sparse_comp[i - 1]
+            if len(row) == 1 and row[0][1] == 1:  # a coordinate, as from_expr builds
+                j = row[0][0]
+                return [x[j] for x in xs]
+            return [sum(c * x[j] for j, c in row) for x in xs]
+
+        def scale(c, v):
+            c = int_or_fraction(c)
+            return [c * u for u in v]
+
+        values = fold(
+            self.program,
+            column,
+            scale,
+            lambda u, v: list(map(operator.add, u, v)),
+            lambda u, v: [a if a >= b else b for a, b in zip(u, v)],
+            lambda u, v: [a if a <= b else b for a, b in zip(u, v)],
+        )
+        return [v if type(v) is Fraction else Fraction(v) for v in values]
 
     @classmethod
     def from_expr(cls, expr: Expr, n: int) -> "PwlFunction":
@@ -234,9 +277,9 @@ def difference_normals(pieces) -> list[Vec]:
 
 
 # (k-1)-subsets `rays` may solve.  Measured on a 2-core x86 box with
-# Python 3.11: a whole equivalence check costs about 280 us per subset in
-# dimension 4 at 300k subsets, and solving a subset alone about 400 us in
-# dimension 5, so the cap admits about a minute of either.  The exact
+# Python 3.11: solving a subset costs about 35 us in dimension 4 and 55 us
+# in dimension 5, and a whole equivalence check about 20 us per subset in
+# dimension 4, so the cap admits a few seconds of either.  The exact
 # norm's vertex LP grows faster than the ray count; this cap does not
 # bound it.
 _MAX_RAY_SUBSETS = 150_000
@@ -251,11 +294,12 @@ def rays(dim: int, normals, subspace=()) -> tuple[Vec, ...]:
     pointed cone, the conic hull of its extreme rays, and the extreme rays
     of all cells are the rays on the lines where k - 1 independent
     hyperplanes meet inside the subspace.  So each (k - 1)-subset whose
-    null space (with the subspace rows) is a line gives two of them.
-    Returns the primitive integer rays, closed under sign, sorted.
+    null space (with the subspace rows) is a line gives two of them; the
+    line comes from one fraction-free integer elimination of the primitive
+    integer normals (`null_line`).  Returns the primitive integer rays as
+    Fraction vectors, closed under sign, sorted.
     """
-    axes = identity(dim)
-    planes = canonical_normals(list(normals) + list(axes))
+    planes = canonical_normals(list(normals) + list(identity(dim)))
     fixed = canonical_normals(subspace)
     if any(len(n) != dim for n in planes + fixed):
         raise DimensionError("hyperplane normal has wrong length")
@@ -265,13 +309,16 @@ def rays(dim: int, normals, subspace=()) -> tuple[Vec, ...]:
     subsets = comb(len(planes), k - 1)
     if subsets > _MAX_RAY_SUBSETS:
         raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, subsets)
+    # canonical normals are primitive integer vectors
+    planes = [[c.numerator for c in n] for n in planes]
+    fixed = [[c.numerator for c in n] for n in fixed]
     lines = set()
     for subset in itertools.combinations(planes, k - 1):
-        rows = fixed + list(subset)
-        basis = null_space_basis(rows) if rows else axes
-        if len(basis) == 1:
-            lines.add(primitive_normal(basis[0]))
-    return tuple(sorted(lines | {tuple(-v for v in r) for r in lines}))
+        line = null_line(fixed + list(subset), dim)
+        if line is not None:
+            lines.add(line)
+    lines |= {tuple(-v for v in r) for r in lines}
+    return tuple(tuple(Fraction(v) for v in r) for r in sorted(lines))
 
 
 def _strict_cell_point(normals: list[Vec], signs, dim: int):
@@ -372,7 +419,7 @@ def active_piece(
     """The unique candidate piece equal to f on the (closed) cell."""
     cands = linear_pieces(f) if candidates is None else frozenset(candidates)
     probes = _probe_points(arr, cell)
-    values = [f.eval(p) for p in probes]
+    values = f.eval_many(probes)
     matches = [
         c
         for c in sorted(cands, key=lambda c: c.coeffs)
@@ -394,12 +441,12 @@ _SAMPLE_COUNT = 48
 _SAMPLE_SEED = 0x1A7F4EE
 
 
-def _sample_points(dim: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _sample_points(dim: int) -> tuple[tuple[int, ...], ...]:
     rng = random.Random(_SAMPLE_SEED + dim)
-    pts = []
-    for _ in range(_SAMPLE_COUNT):
-        pts.append(tuple(rng.randint(-9, 9) for _ in range(dim)))
-    return pts
+    return tuple(
+        tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(_SAMPLE_COUNT)
+    )
 
 
 def _ray_witness(f: PwlFunction, g: PwlFunction) -> Vec | None:
@@ -410,7 +457,13 @@ def _ray_witness(f: PwlFunction, g: PwlFunction) -> Vec | None:
     on its extreme rays.
     """
     normals = difference_normals(linear_pieces(f) | linear_pieces(g))
-    return next((r for r in rays(f.dim, normals) if f.eval(r) != g.eval(r)), None)
+    return _first_difference(f, g, rays(f.dim, normals))
+
+
+def _first_difference(f: PwlFunction, g: PwlFunction, points):
+    """The first of `points` where f and g differ, or None."""
+    pairs = zip(points, f.eval_many(points), g.eval_many(points))
+    return next((p for p, a, b in pairs if a != b), None)
 
 
 def equivalent(f: PwlFunction, g: PwlFunction):
@@ -422,9 +475,9 @@ def equivalent(f: PwlFunction, g: PwlFunction):
     """
     if f.dim != g.dim:
         raise DimensionError("cannot compare functions over different dimensions")
-    for p in _sample_points(f.dim):
-        if f.eval(p) != g.eval(p):
-            return False, vec(p)
+    witness = _first_difference(f, g, _sample_points(f.dim))
+    if witness is not None:
+        return False, vec(witness)
     witness = _ray_witness(f, g)
     return witness is None, witness
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import InternalFaultError
+
 
 Vec = tuple[Fraction, ...]
 
@@ -15,6 +17,14 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
     return Fraction(x)
+
+
+def int_or_fraction(x) -> int | Fraction:
+    """to_fraction(x), as an int when it is integral."""
+    if type(x) is int:
+        return x
+    q = to_fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def vec(values) -> Vec:
@@ -55,7 +65,7 @@ def primitive_normal(a: Vec) -> Vec:
     if is_zero_vec(a):
         return a
     denom = math.lcm(*(x.denominator for x in a))
-    ints = [int(x * denom) for x in a]
+    ints = [x.numerator * (denom // x.denominator) for x in a]
     g = math.gcd(*ints)
     ints = [v // g for v in ints]
     lead = next(v for v in ints if v != 0)
@@ -137,3 +147,56 @@ def null_space_basis(rows) -> list[Vec]:
             x[pc] = -reduced[r][fc]
         basis.append(tuple(x))
     return basis
+
+
+def null_line(rows, dim: int) -> tuple[int, ...] | None:
+    """Primitive generator of {x in Q^dim : Mx = 0} when it is a line, else None.
+
+    M has integer rows.  Fraction-free Gauss-Jordan elimination (Bareiss,
+    1968): each step replaces every other row r by (p*r - m*pivot_row) / p',
+    where p is the new pivot, m is r's entry in the pivot column and p' the
+    previous pivot.  Every entry stays a minor of M, so each division is
+    exact (a remainder is an InternalFaultError), and at the end each pivot
+    row holds the last pivot D in its own pivot column and 0 in the others.
+    With one free column f, x_f = D and x_c = -row[f] for the pivot row of
+    each pivot column c then solve Mx = 0.  The generator has gcd 1 and its
+    first nonzero entry positive.
+    """
+    a = [list(r) for r in rows]
+    pivot_cols: list[int] = []
+    free = None
+    prev = 1
+    for col in range(dim):
+        top = len(pivot_cols)
+        piv = next((i for i in range(top, len(a)) if a[i][col]), None)
+        if piv is None:
+            if free is not None:
+                return None
+            free = col
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        prow = a[top]
+        p = prow[col]
+        # pivot columns are never read again (their entries are known), so
+        # only the free column and the columns right of this one are updated
+        live = range(col + 1, dim) if free is None else (free, *range(col + 1, dim))
+        for i, row in enumerate(a):
+            if i == top:
+                continue
+            m = row[col]
+            for j in live:
+                row[j], rem = divmod(p * row[j] - m * prow[j], prev)
+                if rem:
+                    raise InternalFaultError("fraction-free elimination left a remainder")
+        pivot_cols.append(col)
+        prev = p
+    if free is None:
+        return None
+    x = [0] * dim
+    x[free] = prev
+    for row, c in zip(a, pivot_cols):
+        x[c] = -row[free]
+    g = math.gcd(*x)
+    if next(v for v in x if v) < 0:
+        g = -g
+    return tuple(v // g for v in x)

@@ -12,8 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .expr import fold, parse
 from .free import (
@@ -54,6 +53,9 @@ from .sampling import (
 )
 from .free import embed
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -76,6 +78,8 @@ class SelftestReport:
 
 def _mc_eval(f: PwlFunction, pts: np.ndarray) -> np.ndarray:
     """Vectorized float evaluation; exact for integer data below 2**53."""
+    import numpy as np  # only the Monte-Carlo oracle needs numpy (~13 MB, ~0.15 s)
+
     comp = np.array([[float(v) for v in row] for row in f.comp])
     y = pts @ comp.T
     return fold(
@@ -111,6 +115,8 @@ def _c2_equivalence(seed: int):
     eq, _ = equivalent(a, b)
     if not eq:
         return False, "distribution identity not recognized"
+    import numpy as np
+
     rng = random.Random(seed * 7919 + 2)
     npts = 10_000
     grid_rng = np.random.default_rng(seed * 7919 + 2)

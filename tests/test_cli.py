@@ -199,6 +199,18 @@ class TestExitCodes:
         assert code == 4
         assert "candidate pieces: 729 exceeds the cap of 256" in err
 
+    @pytest.mark.parametrize("command", ["norm", "audit"])
+    @pytest.mark.parametrize("space", ["fvl:2", "seq:1:2", "seq:inf:2", "seq:2:2"])
+    @pytest.mark.parametrize(
+        "settings", [["--restarts", "-3"], ["--restarts", "0", "--max-denominator", "0"]]
+    )
+    def test_invalid_search_settings_are_usage(self, capsys, command, space, settings):
+        code, out, err = run_main(
+            [command, "--space", space, "--expr", "t1 - t2"] + settings, capsys
+        )
+        assert code == 1 and out == ""
+        assert "latfree: error" in err and "Traceback" not in err
+
     def test_missing_subcommand_is_usage(self, capsys):
         assert cli.main([]) == 1
         capsys.readouterr()

@@ -243,6 +243,13 @@ class TestNormBounds:
         assert cert.lower**3 <= 4 <= cert.upper**3
         assert not cert.exact
 
+    @pytest.mark.parametrize(
+        "settings", [{"restarts": -3}, {"restarts": 0, "max_denominator": 0}]
+    )
+    def test_invalid_search_settings_are_refused(self, settings):
+        with pytest.raises(ValueError):
+            norm_bounds(pw("t1 - t2", 2), seq_space(2, 2), **settings)
+
     def test_crossed_bounds_are_a_fault(self, monkeypatch):
         import latfree.norm as norm_module
 

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latfree.errors import DimensionError
-from latfree.expr import parse
+from latfree.expr import Scale, Var, eval_program, parse, substitute
 from latfree.pwl import (
     PwlFunction,
+    _sample_points,
     active_piece,
     arrangement_for,
     build_arrangement,
     canonical_normals,
+    difference_normals,
     equivalent,
     is_zero,
     linear_pieces,
@@ -23,9 +25,12 @@ from latfree.pwl import (
     pwl_inf,
     pwl_scale,
     pwl_sup,
+    rays,
     signs_at,
     zero_pwl,
 )
+from latfree.qmath import dot, vec
+from latfree.sampling import random_expr, random_pair
 
 F = Fraction
 
@@ -60,6 +65,73 @@ class TestPwlFunction:
     def test_identity_composition(self):
         f = pw(r"t1 \/ t2", 2)
         assert f.comp == ((F(1), F(0)), (F(0), F(1)))
+
+
+def _rational_pwl(rng, arity, dim):
+    """A random expression with non-integral coefficients, composed with
+    rows that mix integral and non-integral entries."""
+    images = [
+        Scale(F(rng.randint(-5, 5), rng.randint(1, 4)), Var(i + 1)) for i in range(arity)
+    ]
+    coeff = F(rng.randint(1, 7), rng.randint(1, 3))
+    expr = Scale(coeff, substitute(random_expr(rng, arity), images))
+    comp = [
+        tuple(F(rng.randint(-6, 6), rng.choice((1, 1, 2, 5))) for _ in range(dim))
+        for _ in range(arity)
+    ]
+    return make_pwl(expr, comp)
+
+
+def _mixed_point(rng, dim):
+    return tuple(
+        rng.randint(-9, 9) if rng.random() < 0.5 else F(rng.randint(-9, 9), rng.randint(1, 6))
+        for _ in range(dim)
+    )
+
+
+class TestEvalMany:
+    def test_matches_the_fraction_program(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            dim = rng.randint(1, 4)
+            f = _rational_pwl(rng, rng.randint(1, 3), dim)
+            points = [_mixed_point(rng, dim) for _ in range(rng.randint(0, 12))]
+            got = f.eval_many(points)
+            assert all(type(v) is Fraction for v in got)
+            assert got == [
+                eval_program(f.program, tuple(dot(row, vec(x)) for row in f.comp))
+                for x in points
+            ]
+            if points:
+                assert f.eval(points[0]) == got[0]
+
+    def test_wrong_length_point(self):
+        f = pw(r"t1 \/ t2", 2)
+        with pytest.raises(DimensionError):
+            f.eval_many([(1, 2), (1, 2, 3)])
+        with pytest.raises(DimensionError):
+            f.eval((F(1, 2),))
+
+    def test_equivalent_returns_the_first_differing_point(self):
+        def reference(f, g):
+            for p in _sample_points(f.dim):
+                if f.eval(p) != g.eval(p):
+                    return False, vec(p)
+            for r in rays(f.dim, difference_normals(linear_pieces(f) | linear_pieces(g))):
+                if f.eval(r) != g.eval(r):
+                    return False, r
+            return True, None
+
+        rng = random.Random(32)
+        for _ in range(60):
+            dim = rng.randint(1, 3)
+            fe, ge, _ = random_pair(rng, dim)
+            f, g = PwlFunction.from_expr(fe, dim), PwlFunction.from_expr(ge, dim)
+            assert equivalent(f, g) == reference(f, g)
+        # past the sample, the witness is the first differing ray
+        f = pw(r"2*t1 \/ 3*t2", 2)
+        g = pw(r"2*t1 \/ 3*t2 + ((t1 - 6*t2) /\ (7*t2 - t1))^+", 2)
+        assert equivalent(f, g) == reference(f, g) == (False, (F(13), F(2)))
 
 
 class TestLinearPieces:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -6,9 +7,15 @@ from fractions import Fraction
 import pytest
 
 from latfree import pwl
-from latfree.errors import CapacityError, DimensionError
+from latfree.errors import CapacityError, DimensionError, InternalFaultError
 from latfree.expr import parse
-from latfree.qmath import matrix_rank
+from latfree.qmath import (
+    identity,
+    matrix_rank,
+    null_line,
+    null_space_basis,
+    primitive_normal,
+)
 from latfree.norm import (
     fvl_space,
     norm_by_cell_assignment,
@@ -22,6 +29,7 @@ from latfree.pwl import (
     _ray_witness,
     active_piece,
     build_arrangement,
+    canonical_normals,
     difference_normals,
     equivalent,
     linear_pieces,
@@ -106,6 +114,65 @@ class TestRays:
         with pytest.raises(CapacityError) as info:
             rays(3, [(1, 1, 0), (1, 0, 1), (0, 1, 1)])
         assert info.value.cap == 10 and info.value.measured == math.comb(6, 2)
+
+
+def _fraction_rays(dim, normals, subspace=()):
+    """Reference: the Fraction null-space loop `rays` ran before its
+    integer elimination, without the subset cap."""
+    axes = identity(dim)
+    planes = canonical_normals(list(normals) + list(axes))
+    fixed = canonical_normals(subspace)
+    k = dim - matrix_rank(fixed) if fixed else dim
+    if k == 0:
+        return ()
+    lines = set()
+    for subset in itertools.combinations(planes, k - 1):
+        rows = fixed + list(subset)
+        basis = null_space_basis(rows) if rows else axes
+        if len(basis) == 1:
+            lines.add(primitive_normal(basis[0]))
+    return tuple(sorted(lines | {tuple(-v for v in r) for r in lines}))
+
+
+def _random_normals(rng, dim, count):
+    """Normals with small or up-to-10^6 entries, some of them sums of
+    earlier ones, so that many subsets are rank-deficient."""
+    out = []
+    for _ in range(count):
+        if len(out) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(out, 2)
+            out.append(tuple(x + rng.choice((-1, 1)) * y for x, y in zip(a, b)))
+        else:
+            bound = rng.choice((3, 10**6))
+            out.append(tuple(rng.randint(-bound, bound) for _ in range(dim)))
+    return out
+
+
+class TestIntegerNullLine:
+    def test_matches_the_fraction_null_space(self):
+        rng = random.Random(5)
+        for _ in range(600):
+            dim = rng.randint(1, 5)
+            rows = _random_normals(rng, dim, rng.randint(0, dim + 1))
+            basis = null_space_basis(rows) if rows else identity(dim)
+            want = primitive_normal(basis[0]) if len(basis) == 1 else None
+            assert null_line(rows, dim) == want
+
+    def test_a_remainder_is_an_internal_fault(self):
+        # integer rows never leave one; a fractional entry can
+        with pytest.raises(InternalFaultError):
+            null_line([(1, F(1, 3)), (1, 0)], 2)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_rays_match_the_fraction_loop(self, dim):
+        rng = random.Random(1000 + dim)
+        most = {2: 7, 3: 5, 4: 4, 5: 3}[dim]
+        for i in range(75):
+            normals = _random_normals(rng, dim, rng.randint(0, most))
+            subspace = []
+            if i % 2:
+                subspace = _random_normals(rng, dim, rng.randint(1, dim))
+            assert rays(dim, normals, subspace) == _fraction_rays(dim, normals, subspace)
 
 
 def _cell_verdict(f: PwlFunction, g: PwlFunction) -> bool:
