@@ -354,6 +354,14 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--seed", type=int, default=None, help="default: $LATFREE_SEED or 0"
         )
+        p.add_argument(
+            "--timing",
+            action="store_true",
+            help="include wall times (breaks byte-for-byte reproducibility)",
+        )
+
+    def search(p):
+        """The float search settings, read only by norm and audit."""
         p.add_argument("--restarts", type=int, default=16)
         p.add_argument(
             "--max-denominator",
@@ -361,11 +369,6 @@ def _build_parser() -> _Parser:
             type=int,
             default=10**6,
             help="denominator cap when rationalizing float search points",
-        )
-        p.add_argument(
-            "--timing",
-            action="store_true",
-            help="include wall times (breaks byte-for-byte reproducibility)",
         )
 
     p_eval = sub.add_parser("eval", help="evaluate an expression at a point")
@@ -381,6 +384,7 @@ def _build_parser() -> _Parser:
 
     p_norm = sub.add_parser("norm", help="certified norm of an expression")
     common(p_norm, needs_space="required")
+    search(p_norm)
     p_norm.set_defaults(handler=_cmd_norm)
 
     p_ext = sub.add_parser(
@@ -400,6 +404,7 @@ def _build_parser() -> _Parser:
         "audit", help="check admissible seminorms against the certificate"
     )
     common(p_audit, needs_space="required")
+    search(p_audit)
     p_audit.set_defaults(handler=_cmd_audit)
 
     p_self = sub.add_parser("selftest", help="run the built-in acceptance suite")

@@ -1,10 +1,12 @@
-"""Exact rational linear programming (dense two-phase simplex, Bland's rule).
+"""Exact rational linear programming: one feasible-start simplex.
 
-Everything is computed over exact rationals; gmpy2.mpq is used for tableau
-arithmetic when available (fractions.Fraction otherwise) and results are
-always returned as Fraction.  Bland's anti-cycling rule makes termination
-unconditional, so the three outcomes optimal/infeasible/unbounded are a
-total classification.
+`simplex_standard` maximizes c.z over z >= 0 and rows coeffs.z <= rhs
+with every rhs >= 0, so z = 0 is feasible and the slack basis is a
+starting vertex: there is no phase 1.  Every LP in the package (the cell
+LP, the vertex LP and the cell-assignment oracle) is written in this
+form.  Arithmetic is over Fraction, and Bland's rule makes termination
+unconditional, so optimal/unbounded is a total classification; an optimal
+result carries its dual multipliers.
 """
 
 from __future__ import annotations
@@ -12,48 +14,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
-
-LE, GE, EQ = "<=", ">=", "="
-
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     value: Fraction | None = None
     point: tuple[Fraction, ...] | None = None
     duals: tuple[Fraction, ...] | None = None
 
 
-def _to_fraction(q) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
 class _Tableau:
     """Dense simplex tableau over exact rationals.
 
-    Columns 0..ncols-1 are variables (structural, then slack/surplus, then
-    artificial); the last column is the rhs.  `basis[i]` is the variable
-    occupying row i.
+    Columns 0..ncols-1 are variables (structural, then slack); the last
+    column is the rhs.  `basis[i]` is the variable occupying row i.
     """
 
     def __init__(self, nrows: int, ncols: int):
-        self.rows = [[_ZERO] * (ncols + 1) for _ in range(nrows)]
-        self.obj = [_ZERO] * (ncols + 1)
+        self.rows = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
+        self.obj = [Fraction(0)] * (ncols + 1)
         self.basis = [-1] * nrows
         self.ncols = ncols
 
     def pivot(self, row: int, col: int) -> None:
         piv_row = self.rows[row]
-        inv = _ONE / piv_row[col]
+        inv = 1 / piv_row[col]
         self.rows[row] = piv_row = [v * inv for v in piv_row]
         for target in self.rows:
             if target is piv_row:
@@ -70,23 +55,10 @@ class _Tableau:
                     self.obj[j] -= factor * pv
         self.basis[row] = col
 
-    def price_out_basis(self) -> None:
-        for i, col in enumerate(self.basis):
-            factor = self.obj[col]
-            if factor != 0:
-                row = self.rows[i]
-                for j, rv in enumerate(row):
-                    if rv != 0:
-                        self.obj[j] -= factor * rv
-
-    def run(self, allowed_cols: int) -> str:
+    def run(self) -> str:
         """Maximize until no reduced cost is positive (Bland's rule)."""
         while True:
-            enter = -1
-            for j in range(allowed_cols):
-                if self.obj[j] > 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(self.ncols) if self.obj[j] > 0), -1)
             if enter < 0:
                 return "optimal"
             leave = -1
@@ -108,136 +80,38 @@ class _Tableau:
 
 
 def simplex_standard(c, rows) -> LpResult:
-    """max c.z subject to rows (coeffs, rel, rhs) and z >= 0.
+    """max c.z subject to rows (coeffs, rhs), meaning coeffs.z <= rhs, and z >= 0.
 
-    Duals are reported only when every constraint is `<=` with nonnegative
-    rhs (then duals[i] is the multiplier of row i in the optimal dual).
+    Every rhs must be nonnegative.  An optimal result carries the duals:
+    duals[i] >= 0 is the multiplier of row i, with Sum_i duals[i] * rhs_i
+    equal to the value and Sum_i duals[i] * coeffs_i >= c columnwise.
     """
-    c = [_Q(v) for v in c]
+    c = [Fraction(v) for v in c]
     n = len(c)
-    norm_rows = []
-    for coeffs, rel, rhs in rows:
-        coeffs = [_Q(v) for v in coeffs]
+    m = len(rows)
+    tab = _Tableau(m, n + m)
+    for i, (coeffs, rhs) in enumerate(rows):
         if len(coeffs) != n:
             raise ValueError("constraint width does not match objective")
-        rhs = _Q(rhs)
+        rhs = Fraction(rhs)
         if rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        norm_rows.append((coeffs, rel, rhs))
-
-    m = len(norm_rows)
-    n_slack = sum(1 for _, rel, _ in norm_rows if rel in (LE, GE))
-    n_art = sum(1 for _, rel, _ in norm_rows if rel in (GE, EQ))
-    ncols = n + n_slack + n_art
-    tab = _Tableau(m, ncols)
-
-    slack_col_of_row = {}
-    slack_at = n
-    art_at = n + n_slack
-    art_cols = []
-    pure_le = all(rel == LE for _, rel, _ in norm_rows)
-    for i, (coeffs, rel, rhs) in enumerate(norm_rows):
+            raise ValueError("a row's rhs must be nonnegative")
         row = tab.rows[i]
-        for j, v in enumerate(coeffs):
-            row[j] = v
+        row[:n] = map(Fraction, coeffs)
+        row[n + i] = Fraction(1)
         row[-1] = rhs
-        if rel in (LE, GE):
-            row[slack_at] = _ONE if rel == LE else -_ONE
-            slack_col_of_row[i] = slack_at
-            slack_at += 1
-        if rel == LE:
-            tab.basis[i] = slack_col_of_row[i]
-        else:
-            row[art_at] = _ONE
-            tab.basis[i] = art_at
-            art_cols.append(art_at)
-            art_at += 1
+        tab.basis[i] = n + i
+    tab.obj[:n] = c
 
-    if art_cols:
-        for col in art_cols:
-            tab.obj[col] = -_ONE
-        tab.price_out_basis()
-        tab.run(ncols)
-        # obj[-1] holds the negated phase-1 optimum; positive means some
-        # artificial variable is stuck above zero
-        if tab.obj[-1] > 0:
-            return LpResult(status="infeasible")
-        # drive leftover artificials out of the basis; a row with no
-        # eligible pivot is a redundant constraint and can be zeroed
-        art_set = set(art_cols)
-        for i in range(m):
-            if tab.basis[i] in art_set:
-                row = tab.rows[i]
-                pivot_col = next(
-                    (j for j in range(n + n_slack) if row[j] != 0), None
-                )
-                if pivot_col is not None:
-                    tab.pivot(i, pivot_col)
-        tab.obj = [_ZERO] * (ncols + 1)
-
-    for j, v in enumerate(c):
-        tab.obj[j] = v
-    for col in art_cols:
-        tab.obj[col] = _ZERO
-    tab.price_out_basis()
-    # artificial columns are frozen out of phase 2 by restricting pricing
-    status = tab.run(n + n_slack)
-    if status == "unbounded":
+    if tab.run() == "unbounded":
         return LpResult(status="unbounded")
-
-    point = [_ZERO] * n
+    point = [Fraction(0)] * n
     for i, col in enumerate(tab.basis):
         if col < n:
             point[col] = tab.rows[i][-1]
-    value = -tab.obj[-1]
-    duals = None
-    if pure_le:
-        duals = tuple(
-            _to_fraction(-tab.obj[slack_col_of_row[i]]) for i in range(m)
-        )
     return LpResult(
         status="optimal",
-        value=_to_fraction(value),
-        point=tuple(_to_fraction(v) for v in point),
-        duals=duals,
-    )
-
-
-def solve_lp(objective, constraints, goal: str = "max") -> LpResult:
-    """Optimize a linear objective over free variables.
-
-    objective: coefficient sequence; constraints: (coeffs, rel, rhs) with
-    rel one of "<=", ">=", "="; goal "max" or "min".  Free variables are
-    split into nonnegative pairs internally.
-    """
-    if goal not in ("max", "min"):
-        raise ValueError(f"goal must be 'max' or 'min', not {goal!r}")
-    obj = [Fraction(v) for v in objective]
-    n = len(obj)
-    sign = 1 if goal == "max" else -1
-    split_obj = []
-    for v in obj:
-        split_obj.extend((sign * v, -sign * v))
-    split_rows = []
-    for coeffs, rel, rhs in constraints:
-        coeffs = [Fraction(v) for v in coeffs]
-        if len(coeffs) != n:
-            raise ValueError("constraint width does not match objective")
-        split = []
-        for v in coeffs:
-            split.extend((v, -v))
-        split_rows.append((split, rel, Fraction(rhs)))
-    res = simplex_standard(split_obj, split_rows)
-    if res.status != "optimal":
-        return LpResult(status=res.status)
-    point = tuple(
-        res.point[2 * i] - res.point[2 * i + 1] for i in range(n)
-    )
-    return LpResult(
-        status="optimal",
-        value=sign * res.value,
-        point=point,
-        duals=None,
+        value=-tab.obj[-1],
+        point=tuple(point),
+        duals=tuple(-tab.obj[n + i] for i in range(m)),
     )

@@ -186,7 +186,7 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     )
     objective = [abs(v) for v in f.eval_many(columns)]
     matrix = [[abs(dot(v, b)) for v in columns] for b in budget]
-    rows = [(tuple(row), "<=", Fraction(1)) for row in matrix]
+    rows = [(row, 1) for row in matrix]
     res = simplex_standard(objective, rows)
     if res.status != "optimal":
         raise InternalFaultError(f"vertex LP ended {res.status}, expected optimal")
@@ -281,13 +281,13 @@ def norm_by_cell_assignment(
             for i, c in enumerate(coeffs):
                 row[var_index(s, i, True)] = factor * c
                 row[var_index(s, i, False)] = -factor * c
-            rows.append((tuple(row), "<=", Fraction(0)))
+            rows.append((row, 0))
     for j in range(d):
         row = [Fraction(0)] * nvars
         for s in range(len(slots)):
             row[var_index(s, j, True)] = Fraction(1)
             row[var_index(s, j, False)] = Fraction(1)
-        rows.append((tuple(row), "<=", Fraction(1)))
+        rows.append((row, 1))
 
     res = simplex_standard(objective, rows)
     if res.status != "optimal":

@@ -4,12 +4,16 @@ A PwlFunction pairs a lattice-linear expression with a rational matrix of
 composition rows; its value at x is the expression evaluated at the row
 products.  Such functions are positively homogeneous and piecewise linear,
 with linear candidate pieces obtained structurally from the expression.
+
 Add the coordinate normals to the hyperplanes where two pieces meet, and
 every closed cell of the arrangement is a pointed cone on which f is
-linear, generated by its extreme rays.  So equality, and every extremum
-that is linear or linear-fractional per cell, is decided on the finite
-ray set `rays` returns.  The cell enumeration (`build_arrangement`) stays
-for the max-min normal form and the independent norm oracle.
+linear, generated by its extreme rays.  `rays` returns that finite ray
+set; equality, every extremum that is linear or linear-fractional per
+cell, and the min-groups of the max-min normal form are decided on it.
+`build_arrangement` enumerates the full-dimensional cells with one
+feasible-start LP per probed sign vector; it stays independent of `rays`,
+so the two check each other, and it serves the max-min form and the
+cell-assignment norm oracle.
 
 The exact kernel runs on Python ints: `PwlFunction.eval_many` evaluates a
 whole batch of points in one fold with integral values as int, and each
@@ -39,7 +43,7 @@ from .expr import (
     fold,
     substitute,
 )
-from .lp import solve_lp
+from .lp import simplex_standard
 from .qmath import (
     Vec,
     dot,
@@ -64,25 +68,8 @@ class LinFunc:
 
     coeffs: tuple[Fraction, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
     def __call__(self, x) -> Fraction:
         return dot(self.coeffs, vec(x))
-
-    def scale(self, c) -> "LinFunc":
-        cc = to_fraction(c)
-        return LinFunc(tuple(cc * v for v in self.coeffs))
-
-    def add(self, other: "LinFunc") -> "LinFunc":
-        return LinFunc(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
-
-    def sub(self, other: "LinFunc") -> "LinFunc":
-        return LinFunc(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
-
-    def is_zero(self) -> bool:
-        return is_zero_vec(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -247,7 +234,6 @@ class Cell:
 
     signs: tuple[int, ...]
     interior: Vec
-    active: LinFunc | None = None
 
 
 @dataclass(frozen=True)
@@ -324,17 +310,19 @@ def rays(dim: int, normals, subspace=()) -> tuple[Vec, ...]:
 def _strict_cell_point(normals: list[Vec], signs, dim: int):
     """Rational x with signs[i]*normals[i](x) >= 1, or None when empty.
 
-    By homogeneity of the cone, strict sign feasibility is the same as
-    margin-1 feasibility, and the LP returns an exact interior point.
+    The LP is max t subject to t <= s_i n_i.x and t <= 1, with x = u - w
+    and u, w, t >= 0; it is feasible at 0.  By homogeneity of the cone the
+    optimum is 1 exactly when the open cell is nonempty, and 0 otherwise.
     """
     rows = [
-        (tuple(-s * c for c in n), "<=", Fraction(-1))
+        (tuple(-s * c for c in n) + tuple(s * c for c in n) + (1,), 0)
         for n, s in zip(normals, signs)
     ]
-    res = solve_lp([Fraction(0)] * dim, rows, goal="max")
-    if res.status == "optimal":
-        return res.point
-    return None
+    rows.append(((0,) * (2 * dim) + (1,), 1))
+    res = simplex_standard((0,) * (2 * dim) + (1,), rows)
+    if res.value != 1:
+        return None
+    return tuple(u - w for u, w in zip(res.point[:dim], res.point[dim : 2 * dim]))
 
 
 def build_arrangement(dim: int, normals, extra_normals=()) -> Arrangement:
@@ -522,46 +510,30 @@ class MaxMinForm:
         return max(min(p(xs) for p in g) for g in self.groups)
 
 
-def _dominates_on_cell(
-    candidate: LinFunc, act: LinFunc, arr: Arrangement, cell: Cell
-) -> bool:
-    """candidate >= act everywhere on the closed cell cone (exact LP)."""
-    diff = candidate.sub(act)
-    if diff.is_zero():
-        return True
-    d = arr.dim
-    rows = [
-        (tuple(-s * c for c in h.coeffs), "<=", Fraction(0))
-        for h, s in zip(arr.hyperplanes, cell.signs)
-    ]
-    for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        rows.append((tuple(e), "<=", Fraction(1)))
-        rows.append((tuple(-v for v in e), "<=", Fraction(1)))
-    res = solve_lp(diff.coeffs, rows, goal="min")
-    if res.status != "optimal":
-        raise InternalFaultError("domination LP must be bounded over the boxed cell")
-    return res.value >= 0
-
-
 def max_min_form(f: PwlFunction) -> MaxMinForm:
-    """Max of min-groups over the cells; verified equivalent to f."""
-    pieces = linear_pieces(f)
+    """Max of min-groups over the cells; verified equivalent to f.
+
+    A cell's group holds the pieces p >= f on the closed cell.  With the
+    coordinate normals added, each closed cell is a union of pointed cones
+    generated by the rays of the arrangement that lie in it, so p >= f on
+    the cell exactly when p >= f on those rays.
+    """
+    pieces = sorted(linear_pieces(f), key=lambda p: p.coeffs)
     arr = arrangement_for(f)
+    ray_list = rays(f.dim, [h.coeffs for h in arr.hyperplanes])
+    heights = [[dot(h.coeffs, r) for h in arr.hyperplanes] for r in ray_list]
+    values = {p: [p(r) for r in ray_list] for p in pieces}
     groups = []
     seen = set()
     for cell in arr.cells:
-        act = active_piece(f, arr, cell, pieces)
+        act = values[active_piece(f, arr, cell, pieces)]
+        inside = [
+            k
+            for k, hs in enumerate(heights)
+            if all(s * v >= 0 for s, v in zip(cell.signs, hs))
+        ]
         group = tuple(
-            sorted(
-                (
-                    p
-                    for p in pieces
-                    if _dominates_on_cell(p, act, arr, cell)
-                ),
-                key=lambda p: p.coeffs,
-            )
+            p for p in pieces if all(values[p][k] >= act[k] for k in inside)
         )
         if group not in seen:
             seen.add(group)

@@ -211,6 +211,23 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "latfree: error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--arity", "1", "--expr", "t1", "--at", "1"],
+            ["equiv", "--arity", "1", "--expr", "t1", "--expr", "t1"],
+            ["extend", "--space", "fvl:1", "--target", "seq:1:1",
+             "--expr", "t1", "--vector", "1"],
+            ["selftest"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("flag", [["--restarts", "2"], ["--max-denominator", "5"]])
+    def test_search_flags_only_on_norm_and_audit(self, capsys, argv, flag):
+        code, out, err = run_main(argv + flag, capsys)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
     def test_missing_subcommand_is_usage(self, capsys):
         assert cli.main([]) == 1
         capsys.readouterr()

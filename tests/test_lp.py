@@ -3,86 +3,38 @@ from fractions import Fraction
 
 import pytest
 
-from latfree.lp import EQ, GE, LE, simplex_standard, solve_lp
+from latfree.lp import simplex_standard
 
 F = Fraction
 
 
 class TestSolveLp:
+    """Small LPs whose optimal vertex or unboundedness is known by hand."""
+
     def test_bounded_maximum_attained_at_vertex(self):
-        res = solve_lp(
+        res = simplex_standard(
             (F(3), F(2)),
             [
-                ((F(1), F(1)), LE, F(4)),
-                ((F(1), F(0)), LE, F(2)),
-                ((F(0), F(1)), LE, F(3)),
-                ((F(-1), F(0)), LE, F(0)),
-                ((F(0), F(-1)), LE, F(0)),
+                ((F(1), F(1)), F(4)),
+                ((F(1), F(0)), F(2)),
+                ((F(0), F(1)), F(3)),
             ],
-            goal="max",
         )
         assert res.status == "optimal"
         assert res.value == 10
         assert res.point == (F(2), F(2))
 
-    def test_minimization(self):
-        res = solve_lp(
-            (F(1), F(1)),
-            [
-                ((F(1), F(0)), GE, F(1)),
-                ((F(0), F(1)), GE, F(2)),
-            ],
-            goal="min",
-        )
-        assert res.status == "optimal"
-        assert res.value == 3
-
-    def test_free_variables(self):
-        res = solve_lp(
-            (F(1),),
-            [((F(1),), GE, F(-5)), ((F(1),), LE, F(-2))],
-            goal="min",
-        )
-        assert res.status == "optimal"
-        assert res.value == -5
-        assert res.point == (F(-5),)
-
-    def test_equality_constraint(self):
-        res = solve_lp(
-            (F(1), F(2)),
-            [
-                ((F(1), F(1)), EQ, F(1)),
-                ((F(-1), F(0)), LE, F(0)),
-                ((F(0), F(-1)), LE, F(0)),
-            ],
-            goal="max",
-        )
-        assert res.status == "optimal"
-        assert res.value == 2
-        assert res.point == (F(0), F(1))
-
-    def test_infeasible(self):
-        res = solve_lp(
-            (F(1),),
-            [((F(1),), LE, F(0)), ((F(1),), GE, F(1))],
-            goal="max",
-        )
-        assert res.status == "infeasible"
-
     def test_unbounded(self):
-        res = solve_lp((F(1),), [((F(1),), GE, F(0))], goal="max")
+        res = simplex_standard((F(1),), [((F(-1),), F(0))])
         assert res.status == "unbounded"
 
     def test_exact_rational_vertex(self):
-        res = solve_lp(
+        res = simplex_standard(
             (F(1), F(1)),
             [
-                ((F(3), F(1)), LE, F(1)),
-                ((F(1), F(3)), LE, F(1)),
-                ((F(-1), F(0)), LE, F(0)),
-                ((F(0), F(-1)), LE, F(0)),
+                ((F(3), F(1)), F(1)),
+                ((F(1), F(3)), F(1)),
             ],
-            goal="max",
         )
         assert res.status == "optimal"
         assert res.point == (F(1, 4), F(1, 4))
@@ -93,31 +45,44 @@ class TestSimplexStandard:
     def test_duals_certify_optimum(self):
         c = (F(5), F(4))
         rows = [
-            ((F(6), F(4)), LE, F(24)),
-            ((F(1), F(2)), LE, F(6)),
+            ((F(6), F(4)), F(24)),
+            ((F(1), F(2)), F(6)),
         ]
         res = simplex_standard(c, rows)
         assert res.status == "optimal"
         assert res.value == 21
-        y = res.duals
-        assert y is not None and all(v >= 0 for v in y)
-        # weak duality holds with equality at the optimum
-        assert sum(yi * r[2] for yi, r in zip(y, rows)) == res.value
-        # dual feasibility: y^T A >= c columnwise
-        for j in range(2):
-            assert sum(yi * r[0][j] for yi, r in zip(y, rows)) >= c[j]
+        _assert_duals_certify(c, rows, res)
 
     def test_degenerate_problem_terminates(self):
         c = (F(1), F(1), F(1))
         rows = [
-            ((F(1), F(1), F(0)), LE, F(1)),
-            ((F(1), F(0), F(1)), LE, F(1)),
-            ((F(0), F(1), F(1)), LE, F(1)),
-            ((F(1), F(1), F(1)), LE, F(1)),
+            ((F(1), F(1), F(0)), F(1)),
+            ((F(1), F(0), F(1)), F(1)),
+            ((F(0), F(1), F(1)), F(1)),
+            ((F(1), F(1), F(1)), F(1)),
         ]
         res = simplex_standard(c, rows)
         assert res.status == "optimal"
         assert res.value == 1
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[((F(1),), F(-1))], [((F(1), F(1)), F(1))]],
+        ids=["negative_rhs", "width_mismatch"],
+    )
+    def test_malformed_rows_are_refused(self, rows):
+        with pytest.raises(ValueError):
+            simplex_standard((F(1),), rows)
+
+
+def _assert_duals_certify(c, rows, res):
+    """y >= 0, y.b equals the optimum, and y^T A >= c columnwise."""
+    y = res.duals
+    assert y is not None and len(y) == len(rows)
+    assert all(v >= 0 for v in y)
+    assert sum(yi * r[1] for yi, r in zip(y, rows)) == res.value
+    for j in range(len(c)):
+        assert sum(yi * r[0][j] for yi, r in zip(y, rows)) >= c[j]
 
 
 def _random_lp(rng):
@@ -127,7 +92,7 @@ def _random_lp(rng):
     rows = []
     for _ in range(m):
         coeffs = tuple(F(rng.randint(-3, 3)) for _ in range(n))
-        rows.append((coeffs, LE, F(rng.randint(0, 6))))
+        rows.append((coeffs, F(rng.randint(0, 6))))
     return c, rows
 
 
@@ -141,7 +106,7 @@ def test_differential_against_scipy():
         c, rows = _random_lp(rng)
         res = simplex_standard(c, rows)
         a_ub = [[float(v) for v in r[0]] for r in rows]
-        b_ub = [float(r[2]) for r in rows]
+        b_ub = [float(r[1]) for r in rows]
         ref = linprog(
             [-float(v) for v in c],
             A_ub=a_ub,
@@ -152,6 +117,7 @@ def test_differential_against_scipy():
         if res.status == "optimal":
             assert ref.status == 0
             assert abs(float(res.value) - (-ref.fun)) < 1e-7
+            _assert_duals_certify(c, rows, res)
             agreements += 1
         elif res.status == "unbounded":
             # x = 0 is feasible for every sampled instance (b >= 0), but
@@ -159,5 +125,5 @@ def test_differential_against_scipy():
             # primal as status 2, so accept either unbounded flavor here.
             assert ref.status in (2, 3)
         else:
-            raise AssertionError("sampled instances are never infeasible")
+            raise AssertionError(f"unexpected status {res.status}")
     assert agreements > 30  # the sampler produces plenty of bounded instances

@@ -10,6 +10,7 @@ from latfree import pwl
 from latfree.errors import CapacityError, DimensionError, InternalFaultError
 from latfree.expr import parse
 from latfree.qmath import (
+    dot,
     identity,
     matrix_rank,
     null_line,
@@ -213,6 +214,24 @@ class TestDifferential:
             assert cert.lower == norm_by_cell_assignment(f, space)
             assert tuple_admissible(cert.witness)
             assert tuple_seminorm_value(f, cert.witness) == cert.lower
+
+    def test_cell_lp_matches_ray_sums(self):
+        # a closed cell is generated by the rays inside it, so the open cell
+        # is nonempty exactly when the sum of those rays lies strictly in it
+        rng = random.Random(404)
+        for i in range(100):
+            dim = 1 + i % 4
+            normals = canonical_normals(_random_normals(rng, dim, rng.randint(0, 5)))
+            ray_list = rays(dim, normals)
+            cells = []
+            for signs in itertools.product((1, -1), repeat=len(normals)):
+                planes = [tuple(s * c for c in n) for s, n in zip(signs, normals)]
+                inside = [r for r in ray_list if all(dot(h, r) >= 0 for h in planes)]
+                total = tuple(map(sum, zip(*inside))) or (0,) * dim
+                if all(dot(h, total) > 0 for h in planes):
+                    cells.append(signs)
+            arr = build_arrangement(dim, normals)
+            assert sorted(cells) == [c.signs for c in arr.cells]
 
     def test_thin_cone_is_found_past_the_sample(self):
         # the bump lives on 6*t2 < t1 < 7*t2, which holds no sample point
