@@ -52,7 +52,7 @@ from .pwl import (
 )
 from .qmath import (
     Vec,
-    dot,
+    clear_denominators,
     format_fraction,
     identity,
     null_space_basis,
@@ -185,7 +185,12 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         difference_normals(pieces) + [p.coeffs for p in pieces] + list(budget),
     )
     objective = [abs(v) for v in f.eval_many(columns)]
-    matrix = [[abs(dot(v, b)) for v in columns] for b in budget]
+    # rays and budget directions are integral, so |<v,b>| is taken on ints
+    int_columns = [[x.numerator for x in v] for v in columns]
+    int_budget = [[x.numerator for x in b] for b in budget]
+    matrix = [
+        [abs(sum(map(operator.mul, v, b))) for v in int_columns] for b in int_budget
+    ]
     rows = [(row, 1) for row in matrix]
     res = simplex_standard(objective, rows)
     if res.status != "optimal":
@@ -201,11 +206,11 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         raise InternalFaultError("negative LP dual on a <= row")
     if sum(duals, Fraction(0)) != value:
         raise InternalFaultError("LP dual value does not match the optimum")
-    for j, c in enumerate(objective):
-        covered = sum(
-            (y * matrix[i][j] for i, y in enumerate(duals)), Fraction(0)
-        )
-        if covered < c:
+    # Sum_b y_b |<v,b>| >= |f(v)| on ints: y_b = weights[b] / common
+    weights, common = clear_denominators(duals)
+    for c, column in zip(objective, zip(*matrix)):
+        covered = sum(map(operator.mul, weights, column))
+        if covered * c.denominator < c.numerator * common:
             raise InternalFaultError("LP dual fails to dominate a ray column")
 
     points = sorted(

@@ -27,6 +27,14 @@ def int_or_fraction(x) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
+def clear_denominators(values) -> tuple[list[int], int]:
+    """([s * v for each value v], s) with s the lcm of the denominators, so
+    every s * v is an int."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    s = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
+
+
 def vec(values) -> Vec:
     return tuple(to_fraction(v) for v in values)
 
@@ -64,8 +72,7 @@ def primitive_normal(a: Vec) -> Vec:
     """
     if is_zero_vec(a):
         return a
-    denom = math.lcm(*(x.denominator for x in a))
-    ints = [x.numerator * (denom // x.denominator) for x in a]
+    ints, _ = clear_denominators(a)
     g = math.gcd(*ints)
     ints = [v // g for v in ints]
     lead = next(v for v in ints if v != 0)

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from latfree.lp import simplex_standard
+from latfree import lp
+from latfree.errors import InternalFaultError
+from latfree.lp import LpResult, simplex_standard
+from latfree.norm import norm_exact_polyhedral, parse_space
+from latfree.pwl import PwlFunction
+from latfree.sampling import random_expr
 
 F = Fraction
 
@@ -127,3 +132,194 @@ def test_differential_against_scipy():
         else:
             raise AssertionError(f"unexpected status {res.status}")
     assert agreements > 30  # the sampler produces plenty of bounded instances
+
+
+# ---------------------------------------------------------------------------
+# differential check against the rational tableau the integer one replaced
+# ---------------------------------------------------------------------------
+
+
+class _FractionTableau:
+    """The dense Fraction tableau, kept here as the reference."""
+
+    def __init__(self, nrows, ncols):
+        self.rows = [[F(0)] * (ncols + 1) for _ in range(nrows)]
+        self.obj = [F(0)] * (ncols + 1)
+        self.basis = [-1] * nrows
+        self.ncols = ncols
+        self.pivots = []
+
+    def pivot(self, row, col):
+        self.pivots.append((row, col))
+        piv_row = self.rows[row]
+        inv = 1 / piv_row[col]
+        self.rows[row] = piv_row = [v * inv for v in piv_row]
+        for target in self.rows + [self.obj]:
+            if target is piv_row:
+                continue
+            factor = target[col]
+            if factor != 0:
+                for j, pv in enumerate(piv_row):
+                    if pv != 0:
+                        target[j] -= factor * pv
+        self.basis[row] = col
+
+    def run(self):
+        while True:
+            enter = next((j for j in range(self.ncols) if self.obj[j] > 0), -1)
+            if enter < 0:
+                return "optimal"
+            leave = -1
+            best_ratio = None
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a > 0:
+                    ratio = row[-1] / a
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and self.basis[i] < self.basis[leave])
+                    ):
+                        best_ratio = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+
+def _fraction_simplex(c, rows):
+    """(LpResult, pivots) from the reference tableau."""
+    c = [F(v) for v in c]
+    n, m = len(c), len(rows)
+    tab = _FractionTableau(m, n + m)
+    for i, (coeffs, rhs) in enumerate(rows):
+        row = tab.rows[i]
+        row[:n] = map(F, coeffs)
+        row[n + i] = F(1)
+        row[-1] = F(rhs)
+        tab.basis[i] = n + i
+    tab.obj[:n] = c
+    if tab.run() == "unbounded":
+        return LpResult(status="unbounded"), tab.pivots
+    point = [F(0)] * n
+    for i, col in enumerate(tab.basis):
+        if col < n:
+            point[col] = tab.rows[i][-1]
+    return (
+        LpResult(
+            status="optimal",
+            value=-tab.obj[-1],
+            point=tuple(point),
+            duals=tuple(-tab.obj[n + i] for i in range(m)),
+        ),
+        tab.pivots,
+    )
+
+
+@pytest.fixture
+def integer_simplex(monkeypatch):
+    """simplex_standard returning (LpResult, pivots) by recording _Tableau.pivot."""
+    pivots = []
+    original = lp._Tableau.pivot
+
+    def recorded(self, row, col):
+        pivots.append((row, col))
+        return original(self, row, col)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recorded)
+
+    def solve(c, rows):
+        pivots.clear()
+        res = simplex_standard(c, rows)
+        return res, list(pivots)
+
+    return solve
+
+
+def _fractional_lp(rng):
+    n = rng.randint(1, 5)
+    m = rng.randint(1, 5)
+
+    def q(lo, hi):
+        return F(rng.randint(lo, hi), rng.randint(1, 6))
+
+    c = tuple(q(-7, 7) for _ in range(n))
+    rows = [(tuple(q(-5, 5) for _ in range(n)), q(0, 9)) for _ in range(m)]
+    return c, rows
+
+
+def _degenerate_lp(rng):
+    """Few distinct coefficients, many rhs-0 rows and repeated rows: ties."""
+    n = rng.randint(1, 5)
+    m = rng.randint(2, 6)
+    c = tuple(F(rng.choice((-1, 0, 1, 1, 2))) for _ in range(n))
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.3:
+            rows.append(rng.choice(rows))
+            continue
+        coeffs = tuple(F(rng.choice((-1, 0, 1, 1, 2))) for _ in range(n))
+        rows.append((coeffs, F(rng.choice((0, 0, 1, 2)))))
+    return c, rows
+
+
+def _edge_lp(rng, i):
+    """m = 0 (optimal at 0 or unbounded) and n = 0 (optimal at the empty point)."""
+    if i % 2:
+        n = rng.randint(1, 3)
+        return tuple(F(rng.randint(-3, 2), rng.randint(1, 3)) for _ in range(n)), []
+    m = rng.randint(1, 3)
+    return (), [((), F(rng.randint(0, 4), rng.randint(1, 3))) for _ in range(m)]
+
+
+def _vertex_lps(monkeypatch):
+    """(objective, rows) of the vertex LP of 60 seeded exact norms."""
+    import latfree.norm as norm_module
+
+    captured = []
+
+    def capture(c, rows):
+        captured.append((list(c), [(list(r), b) for r, b in rows]))
+        return simplex_standard(c, rows)
+
+    monkeypatch.setattr(norm_module, "simplex_standard", capture)
+    rng = random.Random(8)
+    for i in range(60):
+        kind = ("fvl", "seq:1", "seq:inf")[i % 3]
+        dim = 2 + i % 2
+        space = parse_space(f"{kind}:{dim}")
+        f = PwlFunction.from_expr(random_expr(rng, dim, max_pieces=3), dim)
+        norm_exact_polyhedral(f, space)
+    monkeypatch.setattr(norm_module, "simplex_standard", simplex_standard)
+    return captured
+
+
+def test_integer_tableau_matches_the_fraction_tableau(integer_simplex, monkeypatch):
+    rng = random.Random(2024)
+    cases = [_fractional_lp(rng) for _ in range(120)]
+    cases += [_degenerate_lp(rng) for _ in range(120)]
+    cases += [_edge_lp(rng, i) for i in range(30)]
+    vertex_lps = _vertex_lps(monkeypatch)
+    assert len(vertex_lps) >= 55  # a zero element takes no LP
+    cases += vertex_lps
+    statuses = set()
+    pivoted = 0
+    for c, rows in cases:
+        res, pivots = integer_simplex(c, rows)
+        ref, ref_pivots = _fraction_simplex(c, rows)
+        assert res == ref
+        assert pivots == ref_pivots
+        statuses.add(res.status)
+        pivoted += bool(pivots)
+    assert len(cases) >= 300
+    assert statuses == {"optimal", "unbounded"}
+    assert pivoted > 150
+
+
+def test_a_remainder_is_an_internal_fault():
+    # a divisor that is not the basis determinant leaves a remainder:
+    # (2*[3, 0, 1, 1] - 3*[2, 1, 0, 1]) / 2 has -3/2 in column 1
+    tab = lp._Tableau([[2, 1, 0, 1], [3, 0, 1, 1]], [1, 0, 0, 0], [1, 2])
+    tab.divisor = 2
+    with pytest.raises(InternalFaultError):
+        tab.pivot(0, 0)

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from latfree import lp
 from latfree.errors import DimensionError, InternalFaultError, UnsupportedSpaceError
 from latfree.expr import parse
+from latfree.lp import LpResult
 from latfree.norm import (
     _sweep_candidates,
     budget_directions,
@@ -143,6 +146,99 @@ class TestExactPolyhedralNorm:
     def test_non_polyhedral_space_rejected(self):
         with pytest.raises(UnsupportedSpaceError):
             norm_exact_polyhedral(pw("t1", 2), seq_space(2, 2))
+
+
+class TestVertexLpCertificate:
+    """Every part of the vertex LP's answer is checked again: a tampered
+    answer is an internal fault, never a reported norm.  For 2*t1 + t2 on
+    fvl:2 the LP gives value 3, duals (2, 1) and the witness {e1, e2}."""
+
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            (lambda r: LpResult(status="unbounded"), "ended unbounded"),
+            (lambda r: replace(r, value=-r.value), "nonpositive norm"),
+            (lambda r: replace(r, duals=None), "no usable duals"),
+            (lambda r: replace(r, duals=tuple(y / 2 for y in r.duals)), "does not match"),
+            (lambda r: replace(r, duals=(-r.duals[0],) + r.duals[1:]), "negative LP dual"),
+            (lambda r: replace(r, duals=r.duals[::-1]), "fails to dominate"),
+            (lambda r: replace(r, point=tuple(2 * z for z in r.point)), "not admissible"),
+            (lambda r: replace(r, point=tuple(z / 2 for z in r.point)), "does not reproduce"),
+        ],
+        ids=[
+            "unbounded",
+            "value_negated",
+            "duals_missing",
+            "duals_halved",
+            "dual_negative",
+            "column_uncovered",
+            "point_scaled_up",
+            "point_scaled_down",
+        ],
+    )
+    def test_tampered_answer_is_a_fault(self, monkeypatch, tamper, message):
+        import latfree.norm as norm_module
+
+        real = norm_module.simplex_standard
+        monkeypatch.setattr(
+            norm_module, "simplex_standard", lambda c, rows: tamper(real(c, rows))
+        )
+        with pytest.raises(InternalFaultError, match=message):
+            norm_exact_polyhedral(pw("2*t1 + t2", 2), fvl_space(2))
+
+    def test_untampered_answer_passes(self, monkeypatch):
+        import latfree.norm as norm_module
+
+        answers = []
+        real = norm_module.simplex_standard
+
+        def recorded(c, rows):
+            answers.append(real(c, rows))
+            return answers[-1]
+
+        monkeypatch.setattr(norm_module, "simplex_standard", recorded)
+        cert = norm_exact_polyhedral(pw("2*t1 + t2", 2), fvl_space(2))
+        assert cert.lower == 3 == cert.upper
+        (res,) = answers
+        assert res.value == 3 and res.duals == (2, 1)
+        assert sorted(z for z in res.point if z) == [1, 1]
+
+
+class TestVertexLpWork:
+    """Bland's rule fixes the pivot sequence, so the vertex LP's pivot and
+    column counts are deterministic; a changed count flags a regression."""
+
+    @pytest.mark.parametrize(
+        "space,text,pivots,columns",
+        [
+            ("fvl:4", "|t1|+|t2|+|t3|+|t4|", 14, 1360),
+            ("fvl:4", "|t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|", 73, 2238),
+            ("seq:inf:3", "|t1|+|t2|+|t3|", 5, 50),
+        ],
+    )
+    def test_pivot_and_column_counts(self, monkeypatch, space, text, pivots, columns):
+        import latfree.norm as norm_module
+
+        counted = []
+        real_pivot = lp._Tableau.pivot
+        real_simplex = norm_module.simplex_standard
+
+        def pivot(self, row, col):
+            counted.append(col)
+            return real_pivot(self, row, col)
+
+        lengths = []
+
+        def simplex(c, rows):
+            lengths.append(len(c))
+            return real_simplex(c, rows)
+
+        monkeypatch.setattr(lp._Tableau, "pivot", pivot)
+        monkeypatch.setattr(norm_module, "simplex_standard", simplex)
+        spec = parse_space(space)
+        norm_exact_polyhedral(pw(text, spec.dim), spec)
+        assert lengths == [columns]
+        assert len(counted) == pivots
 
 
 class TestCellAssignment:
