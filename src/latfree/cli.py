@@ -150,7 +150,7 @@ def _cmd_eval(args):
     return 0, report, [f"value    {format_fraction(value)}"]
 
 
-def _resolve_arity(space: SpaceSpec | None, args, exprs) -> int:
+def _resolve_arity(space: SpaceSpec | None, args) -> int:
     if space is not None:
         return space.dim
     if args.arity is not None:
@@ -162,7 +162,7 @@ def _cmd_equiv(args):
     if len(args.expr) != 2:
         raise ValueError("equiv needs exactly two --expr arguments")
     space = parse_space(args.space) if args.space else None
-    arity = _resolve_arity(space, args, args.expr)
+    arity = _resolve_arity(space, args)
     f = PwlFunction.from_expr(parse(args.expr[0], arity), arity)
     g = PwlFunction.from_expr(parse(args.expr[1], arity), arity)
     equal, witness = equivalent(f, g)

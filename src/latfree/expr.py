@@ -198,25 +198,6 @@ def eval_expr(e: Expr, x) -> Fraction:
     return eval_program(compile_expr(e), tuple(to_fraction(v) for v in x))
 
 
-def eval_coordinatewise(e: Expr, vectors, dim: int) -> tuple[Fraction, ...]:
-    """Evaluate with vector-valued variables, lattice ops acting per coordinate.
-
-    This is evaluation inside the coordinate lattice R^dim: Add is vector
-    addition, Sup/Inf are coordinatewise max/min, so coordinate k is the
-    value at the k-th coordinates of the vectors.
-    """
-    vecs = [tuple(to_fraction(v) for v in w) for w in vectors]
-    for w in vecs:
-        if len(w) != dim:
-            raise DimensionError(f"expected vectors of length {dim}, got {len(w)}")
-    prog = compile_expr(e)
-    if prog.max_var > len(vecs):
-        raise ArityError(
-            f"variable t{prog.max_var} has no image among {len(vecs)} vectors"
-        )
-    return tuple(eval_program(prog, column) for column in zip(*vecs))
-
-
 def substitute(e: Expr, images) -> Expr:
     """Replace t_i by images[i-1]; the result ranges over the images' arity.
 

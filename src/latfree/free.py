@@ -1,10 +1,12 @@
 """Free-lattice elements, generator embeddings, and extension homomorphisms.
 
-A FreeElement is a lattice-linear expression over finitely many dual
-vectors.  Construction reduces the vectors to a linearly independent set
-(rewriting the expression through exact elimination), which makes the
-universal-property extension of any admissible map well-defined: applying
-the same expression to the images of the vectors.
+A FreeElement is a lattice-linear expression over finitely many vectors,
+read as a function on the dual: the model of FVL[E] as the lattice of
+functions on E* generated by the evaluations delta_x (Aviles, Rodriguez
+and Tradacete, 2018).  Since x -> delta_x is linear, the realized function
+already respects every linear relation among the vectors, so an element
+keeps its vectors exactly as given.  The extension of an admissible map
+evaluates that function at the map's dual rows.
 """
 
 from __future__ import annotations
@@ -12,22 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    ArityError,
-    DimensionError,
-    InternalFaultError,
-    UnsupportedSpaceError,
-)
-from .expr import (
-    Add,
-    Expr,
-    Scale,
-    Var,
-    eval_coordinatewise,
-    max_var_index,
-    print_expr,
-    substitute,
-)
+from .errors import ArityError, DimensionError, UnsupportedSpaceError
+from .expr import Expr, Scale, Var, max_var_index, print_expr
 from .norm import (
     AuditEntry,
     AuditReport,
@@ -36,18 +24,8 @@ from .norm import (
     norm_certificate,
 )
 from .pnorm import SpaceSpec, norm_leq, norm_upper, operator_upper
-from .pwl import PwlFunction, equivalent
-from .qmath import (
-    Vec,
-    dot,
-    format_fraction,
-    identity,
-    is_zero_vec,
-    matrix_rank,
-    rref,
-    transpose,
-    vec,
-)
+from .pwl import PwlFunction
+from .qmath import Vec, format_fraction, identity, transpose, vec
 
 # ---------------------------------------------------------------------------
 # elements
@@ -56,7 +34,12 @@ from .qmath import (
 
 @dataclass(frozen=True)
 class FreeElement:
-    """Lattice-linear combination of the evaluation functionals of vectors."""
+    """Lattice-linear combination of the evaluation functionals of vectors.
+
+    The vectors may be dependent, repeated or zero: the element is the
+    realized function x* -> expr(x*(x_1), ..., x*(x_n)), which depends on
+    them only through those values.
+    """
 
     space: SpaceSpec
     vectors: tuple[Vec, ...]
@@ -72,11 +55,6 @@ class FreeElement:
             raise ArityError(
                 f"expression uses t{max_var_index(self.expr)} but the element "
                 f"has {len(self.vectors)} vectors"
-            )
-        if matrix_rank(self.vectors) != len(self.vectors):
-            raise InternalFaultError(
-                "FreeElement constructed with dependent vectors; "
-                "use make_element for reduction"
             )
 
     @property
@@ -98,12 +76,7 @@ def zero_element(space: SpaceSpec) -> FreeElement:
 
 def embed(x, space: SpaceSpec) -> FreeElement:
     """The evaluation functional of x: realized(x*) = x*(x)."""
-    xv = vec(x)
-    if len(xv) != space.dim:
-        raise DimensionError(f"vector of length {len(xv)} in space {space}")
-    if is_zero_vec(xv):
-        return zero_element(space)
-    return FreeElement(space=space, vectors=(xv,), expr=Var(1))
+    return FreeElement(space=space, vectors=(vec(x),), expr=Var(1))
 
 
 def generator(space: SpaceSpec, i: int) -> FreeElement:
@@ -113,82 +86,16 @@ def generator(space: SpaceSpec, i: int) -> FreeElement:
     return embed(identity(space.dim)[i - 1], space)
 
 
-def _express_in_basis(basis: list[Vec], v: Vec) -> list[Fraction]:
-    """Coefficients c with v = sum c_j basis_j (basis independent, v dependent)."""
-    if not basis:
-        raise InternalFaultError("cannot express a nonzero vector in an empty basis")
-    columns = list(basis) + [v]
-    reduced, pivots = rref(transpose(columns))
-    k = len(basis)
-    if k in pivots:
-        raise InternalFaultError("vector is not in the span of the basis")
-    coeffs = [Fraction(0)] * k
-    for row, pc in enumerate(pivots):
-        coeffs[pc] = reduced[row][k]
-    return coeffs
-
-
-def _linear_expr(coeffs: list[Fraction], var_of: list[int]) -> Expr:
-    """sum_j coeffs[j] * t_{var_of[j]} as an expression (0*t1 when all zero)."""
-    terms: list[Expr] = [
-        Var(var_of[j]) if c == 1 else Scale(c, Var(var_of[j]))
-        for j, c in enumerate(coeffs)
-        if c != 0
-    ]
-    if not terms:
-        return Scale(Fraction(0), Var(1))
-    out = terms[0]
-    for t in terms[1:]:
-        out = Add(out, t)
-    return out
-
-
 def make_element(space: SpaceSpec, vectors, expr: Expr) -> FreeElement:
-    """Build an element, reducing dependent vectors by exact elimination.
+    """The element expr(delta_{x_1}, ..., delta_{x_n}) on the given vectors.
 
-    Dependent vectors are rewritten as rational combinations of the kept
-    independent ones and substituted into the expression (valid since the
-    realized function only sees the inner products); the realized function
-    is verified unchanged.
+    The vectors are converted to rationals and kept as given, dependent or
+    not; at least one is required.
     """
     rows = tuple(vec(v) for v in vectors)
     if not rows:
         raise ArityError("an element needs at least one vector")
-    for v in rows:
-        if len(v) != space.dim:
-            raise DimensionError(f"vector of length {len(v)} in space {space}")
-    if max_var_index(expr) > len(rows):
-        raise ArityError(
-            f"expression uses t{max_var_index(expr)} but only "
-            f"{len(rows)} vectors are given"
-        )
-
-    original = PwlFunction(dim=space.dim, expr=expr, comp=rows)
-
-    kept: list[Vec] = []
-    images: list[Expr] = []
-    for v in rows:
-        if not is_zero_vec(v) and matrix_rank(kept + [v]) == len(kept) + 1:
-            kept.append(v)
-            images.append(Var(len(kept)))
-        elif is_zero_vec(v):
-            images.append(Scale(Fraction(0), Var(1)))
-        else:
-            coeffs = _express_in_basis(kept, v)
-            images.append(_linear_expr(coeffs, list(range(1, len(kept) + 1))))
-
-    if not kept:
-        element = zero_element(space)
-    else:
-        element = FreeElement(
-            space=space, vectors=tuple(kept), expr=substitute(expr, images)
-        )
-    eq, witness = equivalent(original, element.realized)
-    if not eq:
-        raise InternalFaultError(
-            f"independence reduction changed the element at {witness}"
-        )
-    return element
+    return FreeElement(space=space, vectors=rows, expr=expr)
 
 
 def element_norm(f: FreeElement, **opts) -> NormCertificate:
@@ -257,10 +164,7 @@ def extend_hom(lat_map: LatticeMap, f: FreeElement) -> Vec:
     """Image of f under the unique lattice homomorphism extending the map."""
     if f.space.dim != lat_map.source.dim:
         raise DimensionError("element and map live over different source spaces")
-    images = [
-        tuple(dot(row, x) for row in lat_map.dual_rows) for x in f.vectors
-    ]
-    return eval_coordinatewise(f.expr, images, lat_map.target.dim)
+    return tuple(f.realized.eval_many(lat_map.dual_rows))
 
 
 def contractivity_audit(

@@ -327,14 +327,14 @@ def _strict_cell_point(normals: list[Vec], signs, dim: int):
     return tuple(u - w for u, w in zip(res.point[:dim], res.point[dim : 2 * dim]))
 
 
-def build_arrangement(dim: int, normals, extra_normals=()) -> Arrangement:
+def build_arrangement(dim: int, normals) -> Arrangement:
     """Enumerate full-dimensional cells of a central hyperplane arrangement.
 
-    normals/extra_normals are coefficient vectors; they are canonicalized
+    normals are coefficient vectors; they are canonicalized
     and deduplicated first.  With no (nonzero) normals the whole space is
     the single cell.  Cells come out sorted by sign vector.
     """
-    canon = canonical_normals(list(normals) + list(extra_normals))
+    canon = canonical_normals(normals)
     for n in canon:
         if len(n) != dim:
             raise DimensionError("hyperplane normal has wrong length")
@@ -365,10 +365,8 @@ def build_arrangement(dim: int, normals, extra_normals=()) -> Arrangement:
     )
 
 
-def arrangement_for(f: PwlFunction, extra_normals=()) -> Arrangement:
-    return build_arrangement(
-        f.dim, difference_normals(linear_pieces(f)), extra_normals
-    )
+def arrangement_for(f: PwlFunction) -> Arrangement:
+    return build_arrangement(f.dim, difference_normals(linear_pieces(f)))
 
 
 def signs_at(arr: Arrangement, x) -> tuple[int, ...]:

@@ -112,10 +112,10 @@ def _rewrite_somewhere(rng: random.Random, e: Expr) -> Expr:
             return _rewrite_once(rng, e)
 
 
-def equivalent_variant(rng: random.Random, e: Expr, passes: int = 3) -> Expr:
+def equivalent_variant(rng: random.Random, e: Expr) -> Expr:
     """A syntactically different expression denoting the same function."""
     out = e
-    for _ in range(passes):
+    for _ in range(3):
         out = _rewrite_somewhere(rng, out)
     return out
 
@@ -133,9 +133,7 @@ def random_pair(rng: random.Random, arity: int):
 # ---------------------------------------------------------------------------
 
 
-def random_vector(rng: random.Random, dim: int, *, int_only: bool = False) -> Vec:
-    if int_only:
-        return tuple(Fraction(rng.randint(-4, 4)) for _ in range(dim))
+def random_vector(rng: random.Random, dim: int) -> Vec:
     return tuple(
         Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)
     )

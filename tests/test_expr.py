@@ -15,15 +15,16 @@ from latfree.expr import (
     Sup,
     Var,
     compile_expr,
-    eval_coordinatewise,
     eval_expr,
     max_var_index,
     parse,
     print_expr,
     substitute,
 )
-from latfree.norm import _float_evaluator
+from latfree.free import LatticeMap, extend_hom, make_element
+from latfree.norm import _float_evaluator, fvl_space, seq_space
 from latfree.pwl import PwlFunction, linear_pieces
+from latfree.qmath import identity
 from latfree.sampling import equivalent_variant, random_expr
 from latfree.selftest import _mc_eval
 
@@ -130,13 +131,17 @@ class TestEval:
             eval_expr(parse("t2", 2), (1,))
 
     def test_coordinatewise_lattice_ops(self):
-        e = parse(r"t1 \/ t2", 2)
-        out = eval_coordinatewise(e, [(1, 0), (0, 2)], 2)
-        assert out == (F(1), F(2))
+        # the extension along generator images acts coordinatewise in R^2
+        el = make_element(fvl_space(2), identity(2), parse(r"t1 \/ t2", 2))
+        phi = LatticeMap(fvl_space(2), seq_space(1, 2), images=((1, 0), (0, 2)))
+        assert extend_hom(phi, el) == (F(1), F(2))
 
     def test_coordinatewise_dimension_check(self):
         with pytest.raises(DimensionError):
-            eval_coordinatewise(parse("t1", 1), [(1, 2)], 3)
+            LatticeMap(fvl_space(1), seq_space(1, 3), images=((1, 2),))
+        phi = LatticeMap(fvl_space(2), seq_space(1, 3), images=((1, 2, 3), (4, 5, 6)))
+        with pytest.raises(DimensionError):
+            extend_hom(phi, make_element(fvl_space(1), identity(1), parse("t1", 1)))
 
 
 class TestStructure:
@@ -265,9 +270,9 @@ def test_fold_matches_recursive_reference():
             assert floats([float(v) for v in x]) == float(expected)
             assert mc_value == float(expected)
         vectors = [tuple(x[j] for x in points) for j in range(n)]
-        assert eval_coordinatewise(e, vectors, len(points)) == tuple(
-            ref_eval(e, x) for x in points
-        )
+        phi = LatticeMap(fvl_space(n), seq_space(1, len(points)), images=vectors)
+        el = make_element(fvl_space(n), identity(n), e)
+        assert extend_hom(phi, el) == tuple(ref_eval(e, x) for x in points)
         images = [random_expr(rng, 2, lattice_ops=1) for _ in range(n)]
         out = substitute(e, images)
         y = (F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))

@@ -69,7 +69,6 @@ class TestMakeElement:
 
     def test_duplicate_vector_cancels(self):
         el = make_element(fvl_space(1), [(1,), (1,)], parse("t1 - t2", 2))
-        assert len(el.vectors) == 1
         eq, _ = equivalent(el.realized, zero_element(fvl_space(1)).realized)
         assert eq
 
@@ -79,7 +78,6 @@ class TestMakeElement:
             [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
             parse("t3 - t1 - t2", 3),
         )
-        assert len(el.vectors) == 2
         eq, _ = equivalent(el.realized, zero_element(fvl_space(3)).realized)
         assert eq
 
@@ -90,6 +88,34 @@ class TestMakeElement:
         direct = make_element(fvl_space(2), [(1, 0), (0, 1)], parse("t1 + t2", 2))
         eq, _ = equivalent(el.realized, direct.realized)
         assert eq
+
+    def test_unreduced_vectors_extend_and_norm_as_reduced(self):
+        # t3 = t1 + t2, t4 = t1 and t5 = 0 reduce the element to t2 \/ (t1 - t2)
+        el = make_element(
+            fvl_space(2),
+            [(1, 0), (0, 1), (1, 1), (1, 0), (0, 0)],
+            parse(r"t3 \/ (2*t4 - t2) + |t5| - t1", 5),
+        )
+        reduced = make_element(
+            fvl_space(2), identity_basis(2), parse(r"t2 \/ (t1 - t2)", 2)
+        )
+        maps = [
+            LatticeMap(
+                source=fvl_space(2),
+                target=seq_space("inf", 2),
+                images=((1, 2), (3, -1)),
+            ),
+            LatticeMap(
+                source=fvl_space(2),
+                target=seq_space(1, 3),
+                matrix=((1, 2), (3, -1), (0, 5)),
+            ),
+        ]
+        for lat_map in maps:
+            assert extend_hom(lat_map, el) == extend_hom(lat_map, reduced)
+        cert, ref = element_norm(el), element_norm(reduced)
+        assert cert.exact and ref.exact
+        assert cert.lower == ref.lower == cert.upper == 2
 
 
 class TestExtendHom:

@@ -84,5 +84,3 @@ class TestRandomVector:
         v = random_vector(rng, 3)
         assert len(v) == 3
         assert all(isinstance(x, Fraction) for x in v)
-        vi = random_vector(rng, 4, int_only=True)
-        assert all(x.denominator == 1 for x in vi)
