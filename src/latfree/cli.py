@@ -28,11 +28,10 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .expr import parse, print_expr
-from .free import LatticeMap, extend_hom, make_element
+from .free import LatticeMap, extend_hom
 from .norm import (
     NormCertificate,
     SpaceSpec,
-    check_search_settings,
     evaluation_seminorm,
     functional_tuple,
     maximality_audit,
@@ -50,6 +49,7 @@ _USAGE_ERRORS = (
     DimensionError,
     ValueError,
     ZeroDivisionError,
+    OSError,  # an --out path that cannot be opened
 )
 _FAULT_ERRORS = (InternalFaultError, LatfreeError)
 
@@ -131,8 +131,15 @@ def _cert_table(cert: NormCertificate) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _one_expr(args) -> str:
+    """The text of the one --expr that every subcommand but equiv takes."""
+    if len(args.expr) != 1:
+        raise ValueError(f"{args.command} needs exactly one --expr argument")
+    return args.expr[0]
+
+
 def _cmd_eval(args):
-    expr = parse(args.expr[0], args.arity)
+    expr = parse(_one_expr(args), args.arity)
     at = _frac_list(args.at)
     if len(at) != args.arity:
         raise DimensionError(
@@ -182,23 +189,17 @@ def _cmd_equiv(args):
     return 0, report, lines
 
 
-def _search_opts(args, space: SpaceSpec) -> dict:
-    """norm_bounds' search settings, checked on every space."""
-    check_search_settings(args.restarts, args.max_denominator)
-    if space.is_polyhedral:
-        return {}
-    return {
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "max_denominator": args.max_denominator,
-    }
-
-
 def _cmd_norm(args):
     space = parse_space(args.space)
-    expr = parse(args.expr[0], space.dim)
+    expr = parse(_one_expr(args), space.dim)
     f = PwlFunction.from_expr(expr, space.dim)
-    cert = norm_certificate(f, space, **_search_opts(args, space))
+    cert = norm_certificate(
+        f,
+        space,
+        restarts=args.restarts,
+        seed=args.seed,
+        max_denominator=args.max_denominator,
+    )
     report = {
         "command": "norm",
         "space": str(space),
@@ -233,9 +234,8 @@ def _cmd_extend(args):
             f"got {len(images)} image vectors for {space.dim} generators"
         )
     lat_map = LatticeMap(source=space, target=target, images=images)
-    expr = parse(args.expr[0], space.dim)
-    element = make_element(space, identity(space.dim), expr)
-    image = extend_hom(lat_map, element)
+    expr = parse(_one_expr(args), space.dim)
+    image = extend_hom(lat_map, PwlFunction.from_expr(expr, space.dim))
     scale = lat_map.admissibility_scale()
     report = {
         "command": "extend",
@@ -258,9 +258,15 @@ def _cmd_extend(args):
 
 def _cmd_audit(args):
     space = parse_space(args.space)
-    expr = parse(args.expr[0], space.dim)
+    expr = parse(_one_expr(args), space.dim)
     f = PwlFunction.from_expr(expr, space.dim)
-    cert = norm_certificate(f, space, **_search_opts(args, space))
+    cert = norm_certificate(
+        f,
+        space,
+        restarts=args.restarts,
+        seed=args.seed,
+        max_denominator=args.max_denominator,
+    )
     family = [evaluation_seminorm(cert.witness, name="witness")]
     for i, axis in enumerate(identity(space.dim)):
         family.append(

@@ -178,11 +178,6 @@ def fold(prog: Program, var, scale, add, sup, inf):
     return vals[-1]
 
 
-def max_var_index(e: Expr) -> int:
-    """Highest variable index in e."""
-    return compile_expr(e).max_var
-
-
 def eval_program(prog: Program, xs: tuple[Fraction, ...]) -> Fraction:
     """Exact value of a compiled expression at the rational vector xs."""
     if prog.max_var > len(xs):
@@ -195,7 +190,7 @@ def eval_program(prog: Program, xs: tuple[Fraction, ...]) -> Fraction:
 
 def eval_expr(e: Expr, x) -> Fraction:
     """Evaluate at a rational vector; length must cover every variable."""
-    return eval_program(compile_expr(e), tuple(to_fraction(v) for v in x))
+    return eval_program(e.program, tuple(to_fraction(v) for v in x))
 
 
 def substitute(e: Expr, images) -> Expr:
@@ -204,7 +199,7 @@ def substitute(e: Expr, images) -> Expr:
     Equal subterms of e become one shared node of the result.
     """
     imgs = tuple(images)
-    prog = compile_expr(e)
+    prog = e.program
     if prog.max_var > len(imgs):
         raise ArityError(
             f"variable t{prog.max_var} has no image among {len(imgs)} expressions"
@@ -445,5 +440,5 @@ def print_expr(e: Expr) -> str:
     def inf(u, v):
         return ("inf", (spine(u, "inf"), " /\\ ", wrap(v)))
 
-    text = fold(compile_expr(e), lambda i: ("var", f"t{i}"), scale, add, sup, inf)
+    text = fold(e.program, lambda i: ("var", f"t{i}"), scale, add, sup, inf)
     return _flatten(text[1])

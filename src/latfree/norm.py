@@ -511,12 +511,24 @@ def norm_bounds(
 
 
 def norm_certificate(
-    f: PwlFunction, space: SpaceSpec, **opts
+    f: PwlFunction,
+    space: SpaceSpec,
+    *,
+    restarts: int = 16,
+    seed: int = 0,
+    max_denominator: int = 10**6,
 ) -> NormCertificate:
-    """Exact norm when the space is polyhedral, else certified bounds."""
+    """Exact norm when the space is polyhedral, else certified bounds.
+
+    The search settings are checked on every space, though only
+    norm_bounds reads them.
+    """
+    check_search_settings(restarts, max_denominator)
     if space.is_polyhedral:
         return norm_exact_polyhedral(f, space)
-    return norm_bounds(f, space, **opts)
+    return norm_bounds(
+        f, space, restarts=restarts, seed=seed, max_denominator=max_denominator
+    )
 
 
 # ---------------------------------------------------------------------------

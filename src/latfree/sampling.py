@@ -160,7 +160,7 @@ def random_admissible_tuple(
 def random_admissible_map(
     rng: random.Random, source: SpaceSpec, target: SpaceSpec
 ) -> LatticeMap:
-    """phi-mode map with images rescaled to admissibility scale <= 1."""
+    """Map with random generator images rescaled to admissibility scale <= 1."""
     images = tuple(random_vector(rng, target.dim) for _ in range(source.dim))
     lat_map = LatticeMap(source=source, target=target, images=images)
     scale = lat_map.admissibility_scale()

@@ -17,9 +17,9 @@ from typing import TYPE_CHECKING
 from .expr import fold, parse
 from .free import (
     contractivity_audit,
+    embed,
     extend_hom,
     generator,
-    make_element,
     pullback_seminorm,
 )
 from .norm import (
@@ -43,15 +43,15 @@ from .pwl import (
     pwl_sup,
 )
 from .pnorm import norm_upper
-from .qmath import format_fraction, identity
+from .qmath import format_fraction
 from .sampling import (
+    equivalent_variant,
     random_admissible_map,
     random_admissible_tuple,
     random_expr,
     random_pair,
     random_vector,
 )
-from .free import embed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -102,7 +102,7 @@ def _c1_generator_norms(seed: int):
     ok = True
     for n in range(1, 5):
         t0 = time.perf_counter()
-        cert = norm_exact_polyhedral(generator(fvl_space(n), 1).realized, fvl_space(n))
+        cert = norm_exact_polyhedral(generator(fvl_space(n), 1), fvl_space(n))
         ok &= cert.exact and cert.lower == 1 == cert.upper
         ok &= time.perf_counter() - t0 < 1.0
         values.append(format_fraction(cert.lower))
@@ -198,7 +198,7 @@ def _c5_norm_extension(seed: int):
         if all(v == 0 for v in x):
             x = (Fraction(1),) + x[1:]
         space = seq_space(Fraction(p) if p != "inf" else "inf", m)
-        xhat = embed(x, space).realized
+        xhat = embed(x, space)
         if p == "1":
             cert = norm_exact_polyhedral(xhat, space)
             ok &= cert.exact and cert.lower == sum(map(abs, x)) == cert.upper
@@ -289,12 +289,7 @@ def _c8_extension_audit(seed: int):
         target = seq_space(p, r)
         for text, n, expected, f, cert in suite:
             lat_map = random_admissible_map(rng, fvl_space(n), target)
-            el = make_element(
-                fvl_space(n),
-                identity(n),
-                f.expr,
-            )
-            rep = contractivity_audit(lat_map, [el], certs=[cert])
+            rep = contractivity_audit(lat_map, [f], certs=[cert])
             ok &= rep.passed
             nu = pullback_seminorm(lat_map)
             ok &= maximality_audit(f, fvl_space(n), [nu], cert).passed
@@ -303,16 +298,13 @@ def _c8_extension_audit(seed: int):
     agree = True
     for _ in range(25):
         n = rng.randint(2, 3)
-        from .sampling import equivalent_variant
-
         e = random_expr(rng, n)
         e2 = equivalent_variant(rng, e)
-        basis = identity(n)
-        el1 = make_element(fvl_space(n), basis, e)
-        el2 = make_element(fvl_space(n), basis, e2)
+        f1 = PwlFunction.from_expr(e, n)
+        f2 = PwlFunction.from_expr(e2, n)
         target = seq_space(1, 2)
         lat_map = random_admissible_map(rng, fvl_space(n), target)
-        agree &= extend_hom(lat_map, el1) == extend_hom(lat_map, el2)
+        agree &= extend_hom(lat_map, f1) == extend_hom(lat_map, f2)
     ok &= agree
     return ok, f"{audits} contractivity audits passed; 25 well-definedness checks"
 

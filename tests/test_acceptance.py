@@ -42,9 +42,7 @@ def run_budgeted(fn, budget_s):
 
 def test_01_generator_norms_are_exactly_one():
     for n in range(1, 5):
-        cert = norm_exact_polyhedral(
-            generator(fvl_space(n), 1).realized, fvl_space(n)
-        )
+        cert = norm_exact_polyhedral(generator(fvl_space(n), 1), fvl_space(n))
         assert cert.exact and cert.lower == 1 == cert.upper
     run_budgeted(_c1_generator_norms, 10)
 

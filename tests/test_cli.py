@@ -228,6 +228,24 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "unrecognized arguments" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--arity", "2", "--at", "1,2"],
+            ["norm", "--space", "fvl:2"],
+            ["extend", "--space", "fvl:2", "--target", "seq:1:1",
+             "--vector", "1", "--vector", "1"],
+            ["audit", "--space", "fvl:2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_expr_subcommands_refuse_two(self, capsys, argv):
+        code, out, err = run_main(
+            argv + ["--expr", "t1", "--expr", r"t1 \/ t2"], capsys
+        )
+        assert code == 1 and out == ""
+        assert f"latfree: error: {argv[0]} needs exactly one --expr" in err
+
     def test_missing_subcommand_is_usage(self, capsys):
         assert cli.main([]) == 1
         capsys.readouterr()
@@ -329,6 +347,17 @@ class TestOutFile(object):
         assert code == 0
         assert out == ""
         assert json.loads(out_path.read_text())["certificate"]["lower"] == "1"
+
+    def test_unopenable_path_is_usage(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "report.json"
+        code, out, err = run_main(
+            ["eval", "--arity", "1", "--expr", "t1", "--at", "1",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("latfree: error: ") and "Traceback" not in err
+        assert not out_path.parent.exists()
 
 
 class TestSubprocess:

@@ -16,15 +16,13 @@ from latfree.expr import (
     Var,
     compile_expr,
     eval_expr,
-    max_var_index,
     parse,
     print_expr,
     substitute,
 )
-from latfree.free import LatticeMap, extend_hom, make_element
+from latfree.free import LatticeMap, extend_hom
 from latfree.norm import _float_evaluator, fvl_space, seq_space
 from latfree.pwl import PwlFunction, linear_pieces
-from latfree.qmath import identity
 from latfree.sampling import equivalent_variant, random_expr
 from latfree.selftest import _mc_eval
 
@@ -132,7 +130,7 @@ class TestEval:
 
     def test_coordinatewise_lattice_ops(self):
         # the extension along generator images acts coordinatewise in R^2
-        el = make_element(fvl_space(2), identity(2), parse(r"t1 \/ t2", 2))
+        el = PwlFunction.from_expr(parse(r"t1 \/ t2", 2), 2)
         phi = LatticeMap(fvl_space(2), seq_space(1, 2), images=((1, 0), (0, 2)))
         assert extend_hom(phi, el) == (F(1), F(2))
 
@@ -141,13 +139,13 @@ class TestEval:
             LatticeMap(fvl_space(1), seq_space(1, 3), images=((1, 2),))
         phi = LatticeMap(fvl_space(2), seq_space(1, 3), images=((1, 2, 3), (4, 5, 6)))
         with pytest.raises(DimensionError):
-            extend_hom(phi, make_element(fvl_space(1), identity(1), parse("t1", 1)))
+            extend_hom(phi, PwlFunction.from_expr(parse("t1", 1), 1))
 
 
 class TestStructure:
     def test_max_var_index(self):
         e = parse(r"t2 + t5 /\ t1", 5)
-        assert max_var_index(e) == 5
+        assert e.program.max_var == 5
 
     def test_substitute(self):
         e = parse(r"t1 \/ t2", 2)
@@ -271,8 +269,7 @@ def test_fold_matches_recursive_reference():
             assert mc_value == float(expected)
         vectors = [tuple(x[j] for x in points) for j in range(n)]
         phi = LatticeMap(fvl_space(n), seq_space(1, len(points)), images=vectors)
-        el = make_element(fvl_space(n), identity(n), e)
-        assert extend_hom(phi, el) == tuple(ref_eval(e, x) for x in points)
+        assert extend_hom(phi, f) == tuple(ref_eval(e, x) for x in points)
         images = [random_expr(rng, 2, lattice_ops=1) for _ in range(n)]
         out = substitute(e, images)
         y = (F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))

@@ -2,58 +2,62 @@ from fractions import Fraction
 
 import pytest
 
-from latfree.errors import ArityError, DimensionError, UnsupportedSpaceError
+from latfree.errors import DimensionError, UnsupportedSpaceError
 from latfree.expr import parse, print_expr
 from latfree.free import (
     LatticeMap,
     contractivity_audit,
-    element_norm,
     embed,
     extend_hom,
     generator,
-    make_element,
     pullback_seminorm,
-    zero_element,
 )
 from latfree.norm import (
     fvl_space,
     maximality_audit,
+    norm_certificate,
     norm_exact_polyhedral,
     seq_space,
 )
-from latfree.pwl import equivalent
+from latfree.pwl import PwlFunction, equivalent, make_pwl, zero_pwl
 
 F = Fraction
 
 
-def identity_basis(n):
-    return [tuple(F(1 if i == j else 0) for j in range(n)) for i in range(n)]
+def from_text(text, n):
+    """The element text(delta_{e_1}, ..., delta_{e_n}) of FVL[Q^n]."""
+    return PwlFunction.from_expr(parse(text, n), n)
 
 
 class TestEmbed:
     def test_realized_is_the_evaluation_functional(self):
         el = embed((1, 0), seq_space(1, 2))
-        assert el.realized.eval((5, 7)) == 5
+        assert el.eval((5, 7)) == 5
         el2 = embed((2, -3), seq_space(1, 2))
-        assert el2.realized.eval((1, 1)) == -1
+        assert el2.eval((1, 1)) == -1
 
     def test_norm_recovers_the_vector_norm(self):
-        cert = element_norm(embed((3, 4), seq_space(2, 2)), restarts=4, seed=1)
+        space = seq_space(2, 2)
+        cert = norm_certificate(embed((3, 4), space), space, restarts=4, seed=1)
         assert cert.lower == 5 == cert.upper
 
     def test_zero_vector(self):
-        z = embed((0, 0), seq_space(1, 2))
-        cert = element_norm(z)
+        space = seq_space(1, 2)
+        cert = norm_certificate(embed((0, 0), space), space)
         assert cert.lower == 0 == cert.upper
+
+    def test_vector_length_must_match_the_space(self):
+        with pytest.raises(DimensionError):
+            embed((1, 2, 3), seq_space(1, 2))
 
 
 class TestGenerator:
     def test_projects_onto_its_coordinate(self):
         g = generator(fvl_space(2), 1)
-        assert g.realized.eval((3, -1)) == 3
+        assert g.eval((3, -1)) == 3
 
     def test_has_unit_norm(self):
-        cert = element_norm(generator(fvl_space(3), 2))
+        cert = norm_certificate(generator(fvl_space(3), 2), fvl_space(3))
         assert cert.exact and cert.lower == 1 == cert.upper
 
     def test_index_validation(self):
@@ -63,42 +67,33 @@ class TestGenerator:
 
 class TestMakeElement:
     def test_independent_vectors_kept(self):
-        el = make_element(fvl_space(2), [(1, 0), (0, 1)], parse(r"t1 \/ t2", 2))
-        assert el.vectors == ((F(1), F(0)), (F(0), F(1)))
+        el = make_pwl(parse(r"t1 \/ t2", 2), [(1, 0), (0, 1)])
+        assert el.comp == ((F(1), F(0)), (F(0), F(1)))
         assert print_expr(el.expr) == r"t1 \/ t2"
 
     def test_duplicate_vector_cancels(self):
-        el = make_element(fvl_space(1), [(1,), (1,)], parse("t1 - t2", 2))
-        eq, _ = equivalent(el.realized, zero_element(fvl_space(1)).realized)
+        el = make_pwl(parse("t1 - t2", 2), [(1,), (1,)])
+        eq, _ = equivalent(el, zero_pwl(1))
         assert eq
 
     def test_linear_dependence_rewritten(self):
-        el = make_element(
-            fvl_space(3),
-            [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
-            parse("t3 - t1 - t2", 3),
-        )
-        eq, _ = equivalent(el.realized, zero_element(fvl_space(3)).realized)
+        el = make_pwl(parse("t3 - t1 - t2", 3), [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        eq, _ = equivalent(el, zero_pwl(3))
         assert eq
 
     def test_realized_function_is_preserved(self):
-        el = make_element(
-            fvl_space(2), [(1, 0), (0, 1), (1, 1)], parse(r"t3 /\ (t1 + t2)", 3)
-        )
-        direct = make_element(fvl_space(2), [(1, 0), (0, 1)], parse("t1 + t2", 2))
-        eq, _ = equivalent(el.realized, direct.realized)
+        el = make_pwl(parse(r"t3 /\ (t1 + t2)", 3), [(1, 0), (0, 1), (1, 1)])
+        direct = make_pwl(parse("t1 + t2", 2), [(1, 0), (0, 1)])
+        eq, _ = equivalent(el, direct)
         assert eq
 
     def test_unreduced_vectors_extend_and_norm_as_reduced(self):
         # t3 = t1 + t2, t4 = t1 and t5 = 0 reduce the element to t2 \/ (t1 - t2)
-        el = make_element(
-            fvl_space(2),
-            [(1, 0), (0, 1), (1, 1), (1, 0), (0, 0)],
+        el = make_pwl(
             parse(r"t3 \/ (2*t4 - t2) + |t5| - t1", 5),
+            [(1, 0), (0, 1), (1, 1), (1, 0), (0, 0)],
         )
-        reduced = make_element(
-            fvl_space(2), identity_basis(2), parse(r"t2 \/ (t1 - t2)", 2)
-        )
+        reduced = from_text(r"t2 \/ (t1 - t2)", 2)
         maps = [
             LatticeMap(
                 source=fvl_space(2),
@@ -108,12 +103,13 @@ class TestMakeElement:
             LatticeMap(
                 source=fvl_space(2),
                 target=seq_space(1, 3),
-                matrix=((1, 2), (3, -1), (0, 5)),
+                images=((1, 3, 0), (2, -1, 5)),
             ),
         ]
         for lat_map in maps:
             assert extend_hom(lat_map, el) == extend_hom(lat_map, reduced)
-        cert, ref = element_norm(el), element_norm(reduced)
+        cert = norm_certificate(el, fvl_space(2))
+        ref = norm_certificate(reduced, fvl_space(2))
         assert cert.exact and ref.exact
         assert cert.lower == ref.lower == cert.upper == 2
 
@@ -125,7 +121,7 @@ class TestExtendHom:
             target=seq_space("inf", 2),
             images=((1, 0), (0, 1)),
         )
-        fab = make_element(fvl_space(2), identity_basis(2), parse(r"t1 \/ t2", 2))
+        fab = from_text(r"t1 \/ t2", 2)
         assert extend_hom(phi, fab) == (F(1), F(1))
 
     def test_well_defined_on_equivalent_elements(self):
@@ -134,17 +130,15 @@ class TestExtendHom:
             target=seq_space(1, 2),
             images=((2, 1), (-1, 3), (0, 5)),
         )
-        fa = make_element(fvl_space(3), identity_basis(3), parse(r"t1 + (t2 \/ t3)", 3))
-        fb = make_element(
-            fvl_space(3), identity_basis(3), parse(r"(t1 + t2) \/ (t1 + t3)", 3)
-        )
+        fa = from_text(r"t1 + (t2 \/ t3)", 3)
+        fb = from_text(r"(t1 + t2) \/ (t1 + t3)", 3)
         assert extend_hom(phi, fa) == extend_hom(phi, fb)
 
     def test_matrix_mode_extension_of_embedding_is_the_matrix_action(self):
         T = LatticeMap(
             source=seq_space(1, 2),
             target=seq_space(1, 2),
-            matrix=((1, 2), (3, -1)),
+            images=((1, 3), (2, -1)),
         )
         xhat = embed((2, -5), seq_space(1, 2))
         assert extend_hom(T, xhat) == (F(-8), F(11))
@@ -155,11 +149,9 @@ class TestExtendHom:
             target=seq_space(1, 2),
             images=((2, 1), (-1, 3), (0, 5)),
         )
-        el = make_element(
-            fvl_space(3), identity_basis(3), parse(r"t1 /\ t2 + t1 \/ (2*t3)", 3)
-        )
+        el = from_text(r"t1 /\ t2 + t1 \/ (2*t3)", 3)
         out = extend_hom(phi, el)
-        assert out == tuple(el.realized.eval(r) for r in phi.dual_rows)
+        assert out == tuple(el.eval(r) for r in phi.dual_rows)
 
     def test_lattice_operations_preserved(self):
         phi = LatticeMap(
@@ -167,25 +159,13 @@ class TestExtendHom:
             target=seq_space(1, 2),
             images=((1, 2), (2, -1)),
         )
-        a = make_element(fvl_space(2), identity_basis(2), parse("t1", 2))
-        b = make_element(fvl_space(2), identity_basis(2), parse("t2", 2))
-        ab = make_element(fvl_space(2), identity_basis(2), parse(r"t1 \/ t2", 2))
+        a, b = generator(fvl_space(2), 1), generator(fvl_space(2), 2)
+        ab = from_text(r"t1 \/ t2", 2)
         ga, gb, gab = extend_hom(phi, a), extend_hom(phi, b), extend_hom(phi, ab)
         assert gab == tuple(max(p, q) for p, q in zip(ga, gb))
 
 
 class TestLatticeMap:
-    def test_requires_exactly_one_mode(self):
-        with pytest.raises(ArityError):
-            LatticeMap(source=fvl_space(2), target=seq_space(1, 2))
-        with pytest.raises(ArityError):
-            LatticeMap(
-                source=fvl_space(2),
-                target=seq_space(1, 2),
-                images=((1, 0), (0, 1)),
-                matrix=((1, 0), (0, 1)),
-            )
-
     def test_admissibility_scale(self):
         phi = LatticeMap(
             source=fvl_space(2),
@@ -203,14 +183,14 @@ class TestLatticeMap:
     def test_operator_scale_follows_the_target_norm(self):
         # x -> (x, x) from seq:2:1 to seq:1:2 has norm 2
         T = LatticeMap(
-            source=seq_space(2, 1), target=seq_space(1, 2), matrix=((1,), (1,))
+            source=seq_space(2, 1), target=seq_space(1, 2), images=((1, 1),)
         )
         assert T.admissibility_scale() == 2
-        # the identity on seq:2 has norm 1 in both modes
-        for mode in ("matrix", "images"):
-            ident = {mode: ((1, 0), (0, 1))}
-            T = LatticeMap(source=seq_space(2, 2), target=seq_space(2, 2), **ident)
-            assert T.admissibility_scale() == 1
+        # the identity on seq:2 has norm 1
+        T = LatticeMap(
+            source=seq_space(2, 2), target=seq_space(2, 2), images=((1, 0), (0, 1))
+        )
+        assert T.admissibility_scale() == 1
 
     def test_seq_inf_source_takes_sign_vectors(self):
         # both generators map to 1, so e1 + e2 (norm 1 in seq:inf) maps to 2
@@ -233,7 +213,7 @@ class TestContractivityAudit:
             target=seq_space("inf", 2),
             images=((1, 0), (0, 1)),
         )
-        fab = make_element(fvl_space(2), identity_basis(2), parse(r"t1 \/ t2", 2))
+        fab = from_text(r"t1 \/ t2", 2)
         rep = contractivity_audit(phi, [fab])
         assert rep.passed
         assert rep.entries[0].observed == "1"
@@ -242,7 +222,7 @@ class TestContractivityAudit:
         Tid = LatticeMap(
             source=seq_space(1, 2),
             target=seq_space(1, 2),
-            matrix=((1, 0), (0, 1)),
+            images=((1, 0), (0, 1)),
         )
         rep = contractivity_audit(Tid, [embed((1, 1), seq_space(1, 2))])
         assert rep.passed
@@ -255,10 +235,7 @@ class TestContractivityAudit:
             target=seq_space("inf", 2),
             images=((0, 0), (0, 0)),
         )
-        suite = [
-            make_element(fvl_space(2), identity_basis(2), parse(r"t1 \/ t2", 2)),
-            zero_element(fvl_space(2)),
-        ]
+        suite = [from_text(r"t1 \/ t2", 2), zero_pwl(2)]
         assert contractivity_audit(phi, suite).passed
 
 
@@ -271,7 +248,7 @@ class TestPullbackSeminorm:
         )
         nu = pullback_seminorm(phi, "nu_phi")
         assert nu.name == "nu_phi"
-        assert nu.leq(generator(fvl_space(2), 1).realized, F(1))
+        assert nu.leq(generator(fvl_space(2), 1), F(1))
 
     def test_joins_the_maximality_family(self):
         phi = LatticeMap(
@@ -279,11 +256,9 @@ class TestPullbackSeminorm:
             target=seq_space("inf", 2),
             images=((1, 0), (0, 1)),
         )
-        fab = make_element(fvl_space(2), identity_basis(2), parse(r"t1 \/ t2", 2))
-        cert = norm_exact_polyhedral(fab.realized, fvl_space(2))
-        rep = maximality_audit(
-            fab.realized, fvl_space(2), [pullback_seminorm(phi)], cert
-        )
+        fab = from_text(r"t1 \/ t2", 2)
+        cert = norm_exact_polyhedral(fab, fvl_space(2))
+        rep = maximality_audit(fab, fvl_space(2), [pullback_seminorm(phi)], cert)
         assert rep.passed
 
     def test_oversized_images_are_rescaled(self):
@@ -293,7 +268,7 @@ class TestPullbackSeminorm:
             images=((3, 0), (0, 3)),
         )
         nu = pullback_seminorm(big)
-        assert nu.leq(generator(fvl_space(2), 1).realized, F(1))
+        assert nu.leq(generator(fvl_space(2), 1), F(1))
 
     def test_euclidean_target_compares_through_squares(self):
         l2map = LatticeMap(
@@ -301,7 +276,7 @@ class TestPullbackSeminorm:
             target=seq_space(2, 2),
             images=((1, 0), (0, 1)),
         )
-        fab = make_element(fvl_space(2), identity_basis(2), parse(r"t1 \/ t2", 2))
+        fab = from_text(r"t1 \/ t2", 2)
         nu = pullback_seminorm(l2map)
-        assert nu.leq(fab.realized, F(2))
-        assert not nu.leq(fab.realized, F(1))
+        assert nu.leq(fab, F(2))
+        assert not nu.leq(fab, F(1))

@@ -371,6 +371,10 @@ class TestNormCertificateDispatch:
         )
         assert cert.upper_method == "strong_unit_lambda_n"
 
+    def test_search_settings_checked_on_polyhedral_spaces(self):
+        with pytest.raises(ValueError):
+            norm_certificate(pw("t1", 1), fvl_space(1), restarts=-1)
+
 
 class TestMaximalityAudit:
     def test_admissible_seminorms_stay_below_certificate(self):

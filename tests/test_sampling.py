@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-from latfree.expr import max_var_index
 from latfree.norm import constraint_norm, fvl_space, seq_space, tuple_admissible
 from latfree.pwl import PwlFunction, equivalent, linear_pieces
 from latfree.sampling import (
@@ -20,7 +19,7 @@ class TestRandomExpr:
         for _ in range(150):
             n = rng.randint(1, 3)
             e = random_expr(rng, n, max_pieces=4)
-            assert max_var_index(e) <= n
+            assert e.program.max_var <= n
             assert len(linear_pieces(PwlFunction.from_expr(e, n))) <= 4
 
     def test_deterministic_for_a_fixed_seed(self):
