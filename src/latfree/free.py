@@ -86,7 +86,7 @@ class LatticeMap:
     def admissibility_scale(self) -> Fraction:
         """Certified upper bound c on the norm of x -> (m_k . x)_k from
         source to target, so that ||extension(x-hat)|| <= c * ||x||."""
-        return operator_upper(self.dual_rows, self.source, self.target)
+        return operator_upper(self.images, self.source, self.target)
 
 
 def extend_hom(lat_map: LatticeMap, f: PwlFunction) -> Vec:

@@ -43,10 +43,11 @@ from .pwl import (
     PwlFunction,
     active_piece,
     arrangement_for,
-    difference_normals,
     equivalent,
     is_zero,
+    kinks,
     linear_pieces,
+    pieces_and_kinks,
     rays,
     zero_pwl,
 )
@@ -156,18 +157,19 @@ def _zero_certificate(space: SpaceSpec, method: str) -> NormCertificate:
 def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     """Exact norm for fvl / seq:1 / seq:inf, with an LP-dual optimality proof.
 
-    The arrangement of kinks (piece differences), pieces (zero sets of f)
-    and budget directions b makes |f| and every |<., b>| linear on each
-    closed cell.  Splitting any admissible tuple point over the extreme
-    rays of its cell therefore preserves the objective and every budget
-    row, so the supremum equals
+    The arrangement of f's kinks (from its join nodes), its pieces (zero
+    sets of f) and the budget directions b makes |f| and every |<., b>|
+    linear on each closed cell.  Splitting any admissible tuple point over
+    the extreme rays of its cell therefore preserves the objective and every
+    budget row, so the supremum equals
 
         max { Sum_v lam_v |f(v)| : Sum_v lam_v |<v,b>| <= 1 for all b }
 
     over the finite set of rays v.  The optimal basis gives the witness
     tuple {lam_v * v}; the exact dual y gives Sum_b y_b |<v,b>| >= |f(v)| on
     every ray, hence by homogeneity on the whole space, so value = Sum_b y_b
-    is also an upper bound.
+    is also an upper bound.  The zero element needs no separate test: its
+    LP has value 0, and duals summing to 0 certify |f| <= 0 on every ray.
     """
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
@@ -175,15 +177,9 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         raise UnsupportedSpaceError(
             f"space {space} is not polyhedral; use norm_bounds"
         )
-    if is_zero(f):
-        return _zero_certificate(space, "exact_match")
-
     budget = budget_directions(space)
-    pieces = linear_pieces(f)
-    columns = rays(
-        f.dim,
-        difference_normals(pieces) + [p.coeffs for p in pieces] + list(budget),
-    )
+    pieces, bends = pieces_and_kinks(f)
+    columns = rays(f.dim, list(bends) + [p.coeffs for p in pieces] + list(budget))
     objective = [abs(v) for v in f.eval_many(columns)]
     # rays and budget directions are integral, so |<v,b>| is taken on ints
     int_columns = [[x.numerator for x in v] for v in columns]
@@ -196,8 +192,8 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     if res.status != "optimal":
         raise InternalFaultError(f"vertex LP ended {res.status}, expected optimal")
     value = res.value
-    if value <= 0:
-        raise InternalFaultError("nonzero element received a nonpositive norm")
+    if value < 0:
+        raise InternalFaultError("vertex LP returned a negative norm")
 
     duals = res.duals
     if duals is None or len(duals) != len(budget):
@@ -212,6 +208,8 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         covered = sum(map(operator.mul, weights, column))
         if covered * c.denominator < c.numerator * common:
             raise InternalFaultError("LP dual fails to dominate a ray column")
+    if value == 0:
+        return _zero_certificate(space, "exact_match")
 
     points = sorted(
         vec_scale(lam, v)
@@ -312,18 +310,14 @@ def strong_unit_factor(f: PwlFunction):
     restricted to the image subspace of the composition matrix and the
     l1 ball Sum_j |y_j| <= 1; f depends on its argument only through y,
     and a vanishing budget forces a vanishing value, so the bound is tight
-    and always finite.  On each cell of the kink arrangement (which holds
-    the coordinate normals) f and ||y||_1 are linear, so splitting y over
+    and always finite.  On each cell of the arrangement of f's kinks and
+    the coordinate normals, f and ||y||_1 are linear, so splitting y over
     the cell's extreme rays r gives |f(y)| <= Sum_r mu_r |f(r)|: the ratio
     |f(y)| / ||y||_1 peaks on a ray inside the image subspace.
     """
     n = len(f.comp)
     shadow = PwlFunction.from_expr(f.expr, n)
-    generators = rays(
-        n,
-        difference_normals(linear_pieces(shadow)),
-        subspace=null_space_basis(transpose(f.comp)),
-    )
+    generators = rays(n, kinks(shadow), subspace=null_space_basis(transpose(f.comp)))
     lam = max(
         (
             abs(v) / norm_upper(r, 1)
@@ -352,26 +346,24 @@ def _float_evaluator(f: PwlFunction) -> Callable[[list[float]], float]:
     return value
 
 
-def _sweep_candidates(
-    f: PwlFunction, space: SpaceSpec, extra_points: tuple[Vec, ...] = ()
-) -> list[FunctionalTuple]:
+def _sweep_candidates(f: PwlFunction, space: SpaceSpec) -> list[FunctionalTuple]:
     d = space.dim
-    out: list[tuple[Vec, ...]] = [(p,) for p in extra_points]
+    pieces, bends = pieces_and_kinks(f)
 
     # On polyhedral spaces the single-point budget max_b |<x, b>| is linear
     # wherever the signs of <x, b> and of |<x, b_i>| - |<x, b_j>| are fixed,
     # so these normals make |f(x)| / budget peak on a ray.
-    normals = difference_normals(linear_pieces(f))
+    normals = list(bends)
     if space.is_polyhedral:
         budget = budget_directions(space)
         normals += list(budget)
         for bi, bj in itertools.combinations(budget, 2):
             normals.append(vec_add(bi, bj))
             normals.append(tuple(x - y for x, y in zip(bi, bj)))
-    out.extend((r,) for r in rays(d, normals))
+    out: list[tuple[Vec, ...]] = [(r,) for r in rays(d, normals)]
     if not space.is_polyhedral:
         # |piece| peaks on the dual ball where Hoelder's inequality is tight
-        for piece in sorted(linear_pieces(f), key=lambda p: p.coeffs):
+        for piece in sorted(pieces, key=lambda p: p.coeffs):
             peak = peak_point(piece.coeffs, space)
             out.extend(((peak,), (vec_scale(-1, peak),)))
 
@@ -471,7 +463,7 @@ def norm_bounds(
     check_search_settings(restarts, max_denominator)
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
-    eq_zero, nonzero_witness = equivalent(f, zero_pwl(f.dim))
+    eq_zero, _ = equivalent(f, zero_pwl(f.dim))
     if eq_zero:
         return _zero_certificate(space, "strong_unit_lambda_n")
 
@@ -488,7 +480,7 @@ def norm_bounds(
 
     best_value = Fraction(0)
     best_witness = functional_tuple(space, (zero_vec(space.dim),))
-    sweep = _sweep_candidates(f, space, extra_points=(nonzero_witness,))
+    sweep = _sweep_candidates(f, space)
     for tup in itertools.chain(sweep, ascent_tuples()):
         value = tuple_seminorm_value(f, tup)
         if value > best_value or (

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import UnsupportedSpaceError
-from .qmath import Vec, dot, format_fraction, identity, to_fraction, transpose
+from .qmath import Vec, dot, format_fraction, identity, to_fraction, transpose, vec
 
 INF_P = "inf"
 
@@ -281,9 +281,9 @@ def peak_point(a: Vec, space: SpaceSpec) -> Vec:
 # ---------------------------------------------------------------------------
 
 
-def operator_upper(matrix, source: SpaceSpec, target: SpaceSpec) -> Fraction:
-    """Certified upper bound on ||M|| from source to target, M having one
-    row per target coordinate.
+def operator_upper(columns, source: SpaceSpec, target: SpaceSpec) -> Fraction:
+    """Certified upper bound on ||M|| from source to target, M given by its
+    columns M e_j, one per source coordinate.
 
     A seq:inf source takes the exact max of ||M s|| over sign vectors s, the
     vertices of its unit ball.  Every other source takes the Hoelder bound
@@ -293,14 +293,14 @@ def operator_upper(matrix, source: SpaceSpec, target: SpaceSpec) -> Fraction:
     ||M||_1 ** (1/p) ||M||_inf ** (1 - 1/p) on l_p -> l_p also holds, and
     the smaller of the two is returned (at p = 2 the identity gets 1).
     """
-    columns = transpose(matrix)
+    columns = [vec(c) for c in columns]
     p, r = source.exponent, target.exponent
     if p == INF_P:
         return max(norm_upper(combined, r) for combined in _signed_sums(columns))
     bound = norm_upper([norm_upper(c, r) for c in columns], dual_exponent(p))
     if r == INF_P or r >= p:
         col = max(norm_upper(c, Fraction(1)) for c in columns)
-        row = max(norm_upper(w, Fraction(1)) for w in matrix)
+        row = max(norm_upper(w, Fraction(1)) for w in transpose(columns))
         a, b = p.numerator, p.denominator
         bound = min(bound, root_upper(col**b * row ** (a - b), a))
     return bound

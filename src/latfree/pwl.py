@@ -5,15 +5,18 @@ composition rows; its value at x is the expression evaluated at the row
 products.  Such functions are positively homogeneous and piecewise linear,
 with linear candidate pieces obtained structurally from the expression.
 
-Add the coordinate normals to the hyperplanes where two pieces meet, and
-every closed cell of the arrangement is a pointed cone on which f is
-linear, generated by its extreme rays.  `rays` returns that finite ray
-set; equality, every extremum that is linear or linear-fractional per
-cell, and the min-groups of the max-min normal form are decided on it.
-`build_arrangement` enumerates the full-dimensional cells with one
-feasible-start LP per probed sign vector; it stays independent of `rays`,
-so the two check each other, and it serves the max-min form and the
-cell-assignment norm oracle.
+f can bend only where a join node switches operands, so its kinks are read
+off the program in the same fold as its pieces: at each Sup or Inf node, the
+differences of a piece of one operand and a piece of the other.  Add the
+coordinate normals to the kinks, and every closed cell of the arrangement is
+a pointed cone on which f is linear, generated by its extreme rays.  `rays`
+returns that finite ray set; equality, every extremum that is linear or
+linear-fractional per cell, and the min-groups of the max-min normal form
+are decided on it, with no sampling.  `build_arrangement` enumerates the
+full-dimensional cells with one feasible-start LP per probed sign vector;
+it stays independent of `rays` and of the kink fold, so they check each
+other: `arrangement_for` takes the differences of all pairs of pieces, and
+it serves the max-min form and the cell-assignment norm oracle.
 
 The exact kernel runs on Python ints: `PwlFunction.eval_many` evaluates a
 whole batch of points in one fold with integral values as int, and each
@@ -24,10 +27,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb
 
 from .errors import CapacityError, DimensionError, InternalFaultError
@@ -201,26 +203,53 @@ def pwl_abs(f: PwlFunction) -> PwlFunction:
 # ---------------------------------------------------------------------------
 
 
-def linear_pieces(f: PwlFunction) -> frozenset[LinFunc]:
-    """Closure of candidate linear pieces; f agrees with one on every cell."""
+def pieces_and_kinks(f: PwlFunction) -> tuple[frozenset[LinFunc], frozenset[Vec]]:
+    """f's candidate pieces and kinks, from one fold over its program.
+
+    A slot carries (pieces, kinks).  A Sup or Inf node adds the primitive
+    normals of p - q for p a piece of its left operand and q a piece of its
+    right operand; Var, Scale and Add add no kinks.  On each closed cell of
+    the kinks, both operands of every join are linear and the sign of p - q
+    is fixed, so by induction f is linear on the cell and equals one of its
+    pieces there.
+    """
 
     def add(left, right):
         out = frozenset(
-            tuple(a + b for a, b in zip(ta, tb)) for ta in left for tb in right
+            tuple(a + b for a, b in zip(ta, tb)) for ta in left[0] for tb in right[0]
         )
         if len(out) > _MAX_PIECES:
             raise CapacityError("candidate pieces", _MAX_PIECES, len(out))
-        return out
+        return out, left[1] | right[1]
 
-    pieces = fold(
+    def join(left, right):
+        bends = {
+            primitive_normal(tuple(a - b for a, b in zip(p, q)))
+            for p in left[0]
+            for q in right[0]
+            if p != q
+        }
+        return left[0] | right[0], left[1] | right[1] | bends
+
+    pieces, bends = fold(
         f.program,
-        lambda i: frozenset((tuple(f.comp[i - 1]),)),
-        lambda c, s: frozenset(tuple(c * v for v in t) for t in s),
+        lambda i: (frozenset((tuple(f.comp[i - 1]),)), frozenset()),
+        lambda c, s: (frozenset(tuple(c * v for v in t) for t in s[0]), s[1]),
         add,
-        operator.or_,
-        operator.or_,
+        join,
+        join,
     )
-    return frozenset(LinFunc(t) for t in pieces)
+    return frozenset(LinFunc(t) for t in pieces), bends
+
+
+def linear_pieces(f: PwlFunction) -> frozenset[LinFunc]:
+    """Closure of candidate linear pieces; f agrees with one on every cell."""
+    return pieces_and_kinks(f)[0]
+
+
+def kinks(f: PwlFunction) -> frozenset[Vec]:
+    """Normals of the hyperplanes where f may bend (see pieces_and_kinks)."""
+    return pieces_and_kinks(f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +296,9 @@ def difference_normals(pieces) -> list[Vec]:
 # in dimension 5, and a whole equivalence check about 20 us per subset in
 # dimension 4, so the cap admits a few seconds of either.  The cap does
 # not bound the exact norm's vertex LP, which costs its ray columns times
-# its pivots: on the same box its integer simplex takes about 1 us per
-# column per pivot, 0.15 s for the 2,238 columns and 73 pivots of the
-# fvl:4 norm of |t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|.
+# its pivots: on the same box its integer simplex takes 1-2 us per
+# column per pivot, 0.12 s for the 538 columns, 8 rows and 102 pivots of
+# the seq:inf:4 norm of |t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|.
 _MAX_RAY_SUBSETS = 150_000
 
 
@@ -425,48 +454,20 @@ def active_piece(
 # equivalence
 # ---------------------------------------------------------------------------
 
-_SAMPLE_COUNT = 48
-_SAMPLE_SEED = 0x1A7F4EE
-
-
-@lru_cache(maxsize=None)
-def _sample_points(dim: int) -> tuple[tuple[int, ...], ...]:
-    rng = random.Random(_SAMPLE_SEED + dim)
-    return tuple(
-        tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(_SAMPLE_COUNT)
-    )
-
-
-def _ray_witness(f: PwlFunction, g: PwlFunction) -> Vec | None:
-    """First ray of the joint arrangement where f and g differ, or None.
-
-    On every closed cell of the arrangement of all piece differences both
-    functions are linear, so they agree on the cell exactly when they agree
-    on its extreme rays.
-    """
-    normals = difference_normals(linear_pieces(f) | linear_pieces(g))
-    return _first_difference(f, g, rays(f.dim, normals))
-
-
-def _first_difference(f: PwlFunction, g: PwlFunction, points):
-    """The first of `points` where f and g differ, or None."""
-    pairs = zip(points, f.eval_many(points), g.eval_many(points))
-    return next((p for p, a, b in pairs if a != b), None)
-
 
 def equivalent(f: PwlFunction, g: PwlFunction):
     """Decide pointwise equality; returns (True, None) or (False, witness).
 
-    A fixed integer sample is tried first purely as a shortcut for the
-    unequal branch; the equal verdict always comes from comparing the two
-    functions on every ray of the joint arrangement of piece differences.
+    Both functions are linear on every closed cell of the arrangement of
+    their kinks and the coordinate normals, so they agree everywhere exactly
+    when they agree on its extreme rays; the witness is the first ray where
+    they differ.
     """
     if f.dim != g.dim:
         raise DimensionError("cannot compare functions over different dimensions")
-    witness = _first_difference(f, g, _sample_points(f.dim))
-    if witness is not None:
-        return False, vec(witness)
-    witness = _ray_witness(f, g)
+    points = rays(f.dim, kinks(f) | kinks(g))
+    pairs = zip(points, f.eval_many(points), g.eval_many(points))
+    witness = next((p for p, a, b in pairs if a != b), None)
     return witness is None, witness
 
 

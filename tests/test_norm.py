@@ -157,7 +157,8 @@ class TestVertexLpCertificate:
         "tamper,message",
         [
             (lambda r: LpResult(status="unbounded"), "ended unbounded"),
-            (lambda r: replace(r, value=-r.value), "nonpositive norm"),
+            (lambda r: replace(r, value=-r.value), "negative norm"),
+            (lambda r: replace(r, value=0), "does not match"),
             (lambda r: replace(r, duals=None), "no usable duals"),
             (lambda r: replace(r, duals=tuple(y / 2 for y in r.duals)), "does not match"),
             (lambda r: replace(r, duals=(-r.duals[0],) + r.duals[1:]), "negative LP dual"),
@@ -168,6 +169,7 @@ class TestVertexLpCertificate:
         ids=[
             "unbounded",
             "value_negated",
+            "value_zeroed",
             "duals_missing",
             "duals_halved",
             "dual_negative",
@@ -208,15 +210,14 @@ class TestVertexLpWork:
     """Bland's rule fixes the pivot sequence, so the vertex LP's pivot and
     column counts are deterministic; a changed count flags a regression."""
 
-    @pytest.mark.parametrize(
-        "space,text,pivots,columns",
-        [
-            ("fvl:4", "|t1|+|t2|+|t3|+|t4|", 14, 1360),
-            ("fvl:4", "|t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|", 73, 2238),
-            ("seq:inf:3", "|t1|+|t2|+|t3|", 5, 50),
-        ],
-    )
-    def test_pivot_and_column_counts(self, monkeypatch, space, text, pivots, columns):
+    COUNTS = {  # (space, expression): (pivots, columns)
+        ("fvl:4", "|t1|+|t2|+|t3|+|t4|"): (5, 48),
+        ("fvl:4", "|t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|"): (25, 134),
+        ("seq:inf:3", "|t1|+|t2|+|t3|"): (5, 18),
+    }
+
+    @pytest.mark.parametrize("space,text", list(COUNTS))
+    def test_pivot_and_column_counts(self, monkeypatch, space, text):
         import latfree.norm as norm_module
 
         counted = []
@@ -237,6 +238,7 @@ class TestVertexLpWork:
         monkeypatch.setattr(norm_module, "simplex_standard", simplex)
         spec = parse_space(space)
         norm_exact_polyhedral(pw(text, spec.dim), spec)
+        pivots, columns = self.COUNTS[space, text]
         assert lengths == [columns]
         assert len(counted) == pivots
 

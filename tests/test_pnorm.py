@@ -193,8 +193,9 @@ class TestOperatorUpper:
         assert operator_upper(diag, seq_space(2, 2), seq_space(2, 2)) == 2
 
     def test_hoelder_bound_when_it_is_smaller(self):
-        # [[1, 1], [0, 1]] on l2: Hoelder sqrt 3, Riesz-Thorin 2
-        m = ((F(1), F(1)), (F(0), F(1)))
+        # [[1, 1], [0, 1]] on l2, given by its columns: Hoelder sqrt 3,
+        # Riesz-Thorin 2
+        m = ((F(1), F(0)), (F(1), F(1)))
         bound = operator_upper(m, seq_space(2, 2), seq_space(2, 2))
         assert bound == root_upper(F(3), 2)
 
@@ -203,5 +204,5 @@ class TestOperatorUpper:
         ident = ((F(1), F(0)), (F(0), F(1)))
         bound = operator_upper(ident, seq_space(F(3, 2), 2), seq_space(1, 2))
         assert bound == root_upper(F(2), 3)
-        # x -> (x, x) from l_2 to l_1 has norm 2
-        assert operator_upper(((F(1),), (F(1),)), seq_space(2, 1), seq_space(1, 2)) == 2
+        # x -> (x, x) from l_2 to l_1 has norm 2; its one column is (1, 1)
+        assert operator_upper(((F(1), F(1)),), seq_space(2, 1), seq_space(1, 2)) == 2

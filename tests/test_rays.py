@@ -27,13 +27,14 @@ from latfree.norm import (
 )
 from latfree.pwl import (
     PwlFunction,
-    _ray_witness,
     active_piece,
     build_arrangement,
     canonical_normals,
     difference_normals,
     equivalent,
+    kinks,
     linear_pieces,
+    make_pwl,
     rays,
 )
 from latfree.sampling import random_expr, random_pair
@@ -186,6 +187,20 @@ def _cell_verdict(f: PwlFunction, g: PwlFunction) -> bool:
     )
 
 
+def _points_in_cell(rng, arr, cell):
+    """Interior + t v for a random v: t at half the exit step and at the
+    exit step itself (a boundary point), or t = 1 and 5 if v never exits."""
+    p = cell.interior
+    v = tuple(F(rng.randint(-3, 3)) for _ in p)
+    exits = []
+    for h, s in zip(arr.hyperplanes, cell.signs):
+        slope = s * h(v)
+        if slope < 0:
+            exits.append(s * h(p) / -slope)
+    steps = (min(exits) / 2, min(exits)) if exits else (F(1), F(5))
+    return [tuple(a + t * b for a, b in zip(p, v)) for t in steps]
+
+
 class TestDifferential:
     def test_ray_verdicts_match_the_cell_reference(self):
         # the cell reference costs seconds per pair in dimension 3, so the
@@ -195,7 +210,7 @@ class TestDifferential:
         for _ in range(100):
             fe, ge, surely_equal = random_pair(rng, 2)
             f, g = PwlFunction.from_expr(fe, 2), PwlFunction.from_expr(ge, 2)
-            witness = _ray_witness(f, g)
+            _, witness = equivalent(f, g)
             assert (witness is None) == _cell_verdict(f, g)
             if surely_equal:
                 assert witness is None
@@ -203,6 +218,41 @@ class TestDifferential:
                 unequal += 1
                 assert f.eval(witness) != g.eval(witness)
         assert 20 <= unequal <= 80
+
+    def test_verdicts_match_the_all_pairs_rays(self):
+        # reference: the rays of the differences of all pairs of pieces, a
+        # superset of the kinks, on which both functions are linear as well
+        rng = random.Random(20261019)
+        unequal = 0
+        for i in range(300):
+            dim = 2 + i % 3
+            fe, ge, surely_equal = random_pair(rng, dim)
+            f, g = PwlFunction.from_expr(fe, dim), PwlFunction.from_expr(ge, dim)
+            normals = difference_normals(linear_pieces(f) | linear_pieces(g))
+            want = all(f.eval(r) == g.eval(r) for r in rays(dim, normals))
+            eq, witness = equivalent(f, g)
+            assert eq == want
+            assert eq or not surely_equal
+            if not eq:
+                unequal += 1
+                assert f.eval(witness) != g.eval(witness)
+        assert 60 <= unequal <= 240
+
+    def test_functions_are_linear_on_every_kink_cell(self):
+        # on each cell of the kink arrangement alone, f equals one candidate
+        # piece at the interior, at seeded points inside and on the boundary
+        rng = random.Random(515)
+        for i in range(60):
+            dim = 1 + i % 3
+            arity = rng.randint(1, 3)
+            rows = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(arity)]
+            f = make_pwl(random_expr(rng, arity), rows)
+            arr = build_arrangement(dim, kinks(f))
+            for cell in arr.cells:
+                piece = active_piece(f, arr, cell)
+                for _ in range(3):
+                    points = _points_in_cell(rng, arr, cell)
+                    assert f.eval_many(points) == [piece(x) for x in points]
 
     def test_exact_norms_match_the_cell_assignment_oracle(self):
         rng = random.Random(60)
@@ -234,7 +284,8 @@ class TestDifferential:
             assert sorted(cells) == [c.signs for c in arr.cells]
 
     def test_thin_cone_is_found_past_the_sample(self):
-        # the bump lives on 6*t2 < t1 < 7*t2, which holds no sample point
+        # the bump lives on 6*t2 < t1 < 7*t2, where small random integer
+        # points rarely fall; its kinks bound the cone, so a ray finds it
         f = pw(r"2*t1 \/ 3*t2", 2)
         g = pw(r"2*t1 \/ 3*t2 + ((t1 - 6*t2) /\ (7*t2 - t1))^+", 2)
         eq, witness = equivalent(f, g)
@@ -272,3 +323,34 @@ class TestDimensionFour:
         eq, witness = equivalent(f, g)
         assert not eq and f.eval(witness) != g.eval(witness)
 
+
+ABS_SUM_5 = "|t1| + |t2| + |t3| + |t4| + |t5|"
+FOUR_ABS = "|t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|"
+
+
+class TestKinkCapacity:
+    """Inputs past the arrangement of all pairs of pieces: there fvl:5
+    |t1|+..+|t5| had 121 hyperplanes and 8,495,410 ray subsets, and was
+    refused, and the seq:inf:4 norm took about 4 s.  On the kinks each
+    takes at most 0.15 s on a 2-core x86 box with Python 3.11."""
+
+    def test_abs_sum_norm_in_dimension_five(self):
+        f = pw(ABS_SUM_5, 5)
+        cert = timed(lambda: norm_exact_polyhedral(f, fvl_space(5)), 5)
+        assert cert.exact and cert.lower == 5 == cert.upper
+        assert tuple_admissible(cert.witness)
+        assert tuple_seminorm_value(f, cert.witness) == 5
+
+    def test_abs_sum_equals_a_rewrite_in_dimension_five(self):
+        f = pw(ABS_SUM_5, 5)
+        g = pw(r"-1*((-1*t5) /\ t5) + |t4| + (t3 \/ -1*t3) + |t2| + |t1|", 5)
+        assert timed(lambda: equivalent(f, g), 2) == (True, None)
+        h = pw(r"|t1| + |t2| + |t3| + |t4| + (t5 \/ -1*t5 \/ 2*t1)", 5)
+        eq, witness = timed(lambda: equivalent(f, h), 2)
+        assert not eq and f.eval(witness) != h.eval(witness)
+
+    def test_four_abs_norm_on_seq_inf_four(self):
+        f = pw(FOUR_ABS, 4)
+        cert = timed(lambda: norm_exact_polyhedral(f, seq_space("inf", 4)), 5)
+        assert cert.exact and cert.lower == 5 == cert.upper
+        assert tuple_seminorm_value(f, cert.witness) == 5
