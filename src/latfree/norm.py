@@ -18,6 +18,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     InternalFaultError,
     UnsupportedSpaceError,
 )
-from .expr import fold
+from .expr import Program, Scale, fold
 from .lp import simplex_standard
 from .pnorm import (  # the space constructors are re-exported from here
     SpaceSpec,
@@ -87,6 +88,10 @@ class FunctionalTuple:
                     f"tuple point of length {len(x)} in space {self.space}"
                 )
 
+    @cached_property
+    def _admissibility(self) -> Fraction:
+        return admissibility_upper(self.points, self.space)
+
 
 def functional_tuple(space: SpaceSpec, points) -> FunctionalTuple:
     return FunctionalTuple(space=space, points=tuple(vec(x) for x in points))
@@ -121,8 +126,9 @@ class NormCertificate:
 
 def constraint_norm(tup: FunctionalTuple) -> Fraction:
     """sup over the unit ball of the space of Sum_i |x_i(v)|, as pnorm's
-    certified upper bound (exact on polyhedral spaces)."""
-    return admissibility_upper(tup.points, tup.space)
+    certified upper bound (exact on polyhedral spaces), computed once per
+    tuple."""
+    return tup._admissibility
 
 
 def tuple_admissible(tup: FunctionalTuple) -> bool:
@@ -328,22 +334,26 @@ def strong_unit_factor(f: PwlFunction):
     return lam, tuple(f.comp)
 
 
-def _float_evaluator(f: PwlFunction) -> Callable[[list[float]], float]:
-    """x -> f(x) in floats, with the float composition matrix built once."""
-    comp = [[float(v) for v in row] for row in f.comp]
+def _float_evaluator(f: PwlFunction) -> Callable[[list], list[float]]:
+    """points -> [f(x) for x in points] in floats, one fold over the batch; a
+    float row e_j reads x_j, any other row sums c * x_j from the left."""
 
-    def value(x) -> float:
-        ys = [sum(c * xi for c, xi in zip(row, x)) for row in comp]
-        return fold(
-            f.program,
-            lambda i: ys[i - 1],
-            lambda c, v: float(c) * v,
-            operator.add,
-            max,
-            min,
-        )
+    def reader(row):
+        if row.count(0.0) == len(row) - 1 and 1.0 in row:
+            return operator.itemgetter(row.index(1.0))
+        return lambda x: sum(map(operator.mul, row, x))
 
-    return value
+    readers = [reader([float(v) for v in row]) for row in f.comp]
+    slots = tuple((t, float(a) if t is Scale else a, b) for t, a, b in f.program.slots)
+    program = Program(slots, f.program.max_var)
+    return lambda points: fold(
+        program,
+        lambda i: list(map(readers[i - 1], points)),
+        lambda c, v: [c * u for u in v],
+        lambda u, v: list(map(operator.add, u, v)),
+        lambda u, v: list(map(max, u, v)),
+        lambda u, v: list(map(min, u, v)),
+    )
 
 
 def _sweep_candidates(f: PwlFunction, space: SpaceSpec) -> list[FunctionalTuple]:
@@ -376,43 +386,33 @@ def _sweep_candidates(f: PwlFunction, space: SpaceSpec) -> list[FunctionalTuple]
     out.append(tuple(e if size[i] >= size[d + i] else negated[i] for i, e in enumerate(basis)))
     out.append(tuple(basis))
 
-    tuples = []
-    seen = set()
+    # each distinct tuple once, first seen first, plus a copy scaled to admissibility ~1
+    tuples: dict[tuple[Vec, ...], FunctionalTuple] = {}
     for points in out:
-        for variant in _admissible_variants(points, space):
-            if variant not in seen:
-                seen.add(variant)
-                tuples.append(FunctionalTuple(space=space, points=variant))
-    return tuples
-
-
-def _admissible_variants(points: tuple[Vec, ...], space: SpaceSpec):
-    """The tuple as given plus a copy rescaled to admissibility value ~1."""
-    yield points
-    cn = constraint_norm(FunctionalTuple(space=space, points=points))
-    if cn > 0 and cn != 1:
-        yield tuple(vec_scale(1 / cn, x) for x in points)
+        cn = constraint_norm(tuples.setdefault(points, FunctionalTuple(space, points)))
+        if cn > 0 and cn != 1:
+            scaled = tuple(vec_scale(1 / cn, x) for x in points)
+            tuples.setdefault(scaled, FunctionalTuple(space, scaled))
+    return list(tuples.values())
 
 
 def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
-    """One deterministic hill-climbing run; returns float points, or None
-    when f's coefficients or the starting budget do not fit in a float.
-    A step whose budget overflows counts as no better."""
+    """One deterministic hill-climbing run: float points, or None when f's
+    coefficients or the starting budget overflow a float (an overflowing
+    step counts as no better).  Bit-identical by rule: a rewrite keeps the
+    draws and the float operations, each in its order, and returns == points."""
     rng = random.Random((seed * 1_000_003 + r) & 0xFFFFFFFF)
     d = space.dim
     k = 1 + r % 3
     budget = admissibility_float(space)
 
-    def score(ps) -> float:
-        cn = budget(ps)
-        if cn < 1e-12:
-            return 0.0
-        return sum(abs(value(x)) for x in ps) / max(1.0, cn)
+    def score(ps, cn) -> float:
+        return 0.0 if cn < 1e-12 else sum(map(abs, values(ps))) / max(1.0, cn)
 
     pts = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(k)]
     try:
-        value = _float_evaluator(f)
-        best = score(pts)
+        values = _float_evaluator(f)
+        best = score(pts, budget(pts))
     except OverflowError:
         return None
     step = 0.6
@@ -423,9 +423,10 @@ def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
         cand[i][j] += step * (2.0 * rng.random() - 1.0)
         try:
             cn = budget(cand)
-            if cn > 1e-12:
-                cand = [[v / max(1.0, cn) for v in x] for x in cand]
-            s = score(cand)
+            if cn > 1:  # at cn <= 1, dividing by max(1.0, cn) changes nothing
+                cand = [[v / cn for v in x] for x in cand]
+                cn = budget(cand)
+            s = score(cand, cn)
         except OverflowError:  # a q-th power past the float range
             s = best
         if s > best:

@@ -9,8 +9,10 @@ for the ascent heuristic, is the one float function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -190,17 +192,17 @@ def norm_leq(v, p: Fraction | str, bound) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def sign_patterns(k: int):
+@functools.cache
+def sign_patterns(k: int) -> tuple[tuple[int, ...], ...]:
     """Representatives of {+-1}^k modulo global sign (first entry +1)."""
-    for rest in itertools.product((1, -1), repeat=k - 1):
-        yield (1,) + rest
+    return tuple((1,) + rest for rest in itertools.product((1, -1), repeat=k - 1))
 
 
 def _signed_sums(points):
-    """Sum_i s_i x_i for every sign pattern s."""
+    """Sum_i s_i x_i for every sign pattern s, summed from the left."""
     columns = list(zip(*points))
     for s in sign_patterns(len(points)):
-        yield tuple(sum(si * v for si, v in zip(s, col)) for col in columns)
+        yield [sum(map(operator.mul, s, col)) for col in columns]
 
 
 def budget_directions(space: SpaceSpec) -> tuple[Vec, ...]:
@@ -248,7 +250,8 @@ def admissibility_upper(points, space: SpaceSpec) -> Fraction:
 
 def admissibility_float(space: SpaceSpec) -> Callable[[list], float]:
     """points -> max_s ||Sum_i s_i x_i||_q in floats, which is the
-    admissibility value on every space; for the ascent heuristic only."""
+    admissibility value on every space; for the ascent heuristic only, and
+    bit-identical by rule: a rewrite keeps the float operations in order."""
     q = dual_exponent(space.exponent)
     if q == INF_P:
         def norm(c):

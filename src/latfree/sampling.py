@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .expr import Add, Expr, Inf, Scale, Sup, Var
+from .expr import Add, Expr, Inf, Scale, Sup, Var, pos_part
 from .free import LatticeMap
 from .norm import FunctionalTuple, SpaceSpec, constraint_norm
 from .pwl import PwlFunction, linear_pieces
@@ -126,6 +126,17 @@ def random_pair(rng: random.Random, arity: int):
     if rng.random() < 0.5:
         return f, equivalent_variant(rng, f), True
     return f, random_expr(rng, arity), False
+
+
+def thin_cone_pair(rng: random.Random, arity: int):
+    """(f, f + c*((u - k*w) /\\ ((k+1)*w - u))^+), u, w = +-t_i, +-t_j, k in 5..9:
+    they differ only on a thin cone, seen only on its meet's kink 2u = (2k+1)w."""
+    f = random_expr(rng, arity)
+    i, j = rng.sample(range(1, arity + 1), 2)
+    u, w = (Scale(Fraction(rng.choice((1, -1))), Var(t)) for t in (i, j))
+    k = Fraction(rng.randint(5, 9))
+    meet = Inf(Add(u, Scale(-k, w)), Add(Scale(k + 1, w), Scale(Fraction(-1), u)))
+    return f, Add(f, Scale(Fraction(rng.choice((1, 2, 3))), pos_part(meet)))
 
 
 # ---------------------------------------------------------------------------

@@ -259,13 +259,14 @@ def test_fold_matches_recursive_reference():
     for n, e in _differential_inputs():
         f = PwlFunction.from_expr(e, n)
         points = [tuple(F(rng.randint(-6, 6)) for _ in range(n)) for _ in range(4)]
-        floats = _float_evaluator(f)
-        mc = _mc_eval(f, np.array([[float(v) for v in x] for x in points]))
-        for x, mc_value in zip(points, mc):
+        float_points = [[float(v) for v in x] for x in points]
+        floats = _float_evaluator(f)(float_points)
+        mc = _mc_eval(f, np.array(float_points))
+        for x, float_value, mc_value in zip(points, floats, mc):
             expected = ref_eval(e, x)
             assert eval_expr(e, x) == expected
             assert f.eval(x) == expected
-            assert floats([float(v) for v in x]) == float(expected)
+            assert float_value == float(expected)
             assert mc_value == float(expected)
         vectors = [tuple(x[j] for x in points) for j in range(n)]
         phi = LatticeMap(fvl_space(n), seq_space(1, len(points)), images=vectors)

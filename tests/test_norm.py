@@ -1,4 +1,7 @@
+import itertools
 import math
+import operator
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,9 +9,10 @@ import pytest
 
 from latfree import lp
 from latfree.errors import DimensionError, InternalFaultError, UnsupportedSpaceError
-from latfree.expr import parse
+from latfree.expr import fold, parse
 from latfree.lp import LpResult
 from latfree.norm import (
+    _ascent_restart,
     _sweep_candidates,
     budget_directions,
     constraint_norm,
@@ -26,7 +30,9 @@ from latfree.norm import (
     tuple_admissible,
     tuple_seminorm_value,
 )
+from latfree.pnorm import dual_exponent
 from latfree.pwl import PwlFunction, make_pwl
+from latfree.sampling import random_expr
 
 F = Fraction
 
@@ -360,6 +366,120 @@ class TestNormBounds:
         monkeypatch.setattr(norm_module, "strong_unit_factor", halved)
         with pytest.raises(InternalFaultError):
             norm_bounds(pw("t1 + t2", 2), seq_space(F(3, 2), 2), restarts=2)
+
+
+def _reference_float_evaluator(f):
+    """The one-point float evaluator the batched fold replaced, kept here
+    as the reference."""
+    comp = [[float(v) for v in row] for row in f.comp]
+
+    def value(x):
+        ys = [sum(c * xi for c, xi in zip(row, x)) for row in comp]
+        return fold(f.program, lambda i: ys[i - 1], lambda c, v: float(c) * v,
+                    operator.add, max, min)
+
+    return value
+
+
+def _reference_admissibility_float(space):
+    q = dual_exponent(space.exponent)
+    if q == "inf":
+        def norm(c):
+            return max(abs(v) for v in c)
+    else:
+        q = float(q)
+
+        def norm(c):
+            return sum(abs(v) ** q for v in c) ** (1.0 / q)
+
+    def signed_sums(points):
+        columns = list(zip(*points))
+        for rest in itertools.product((1, -1), repeat=len(points) - 1):
+            s = (1,) + rest
+            yield tuple(sum(si * v for si, v in zip(s, col)) for col in columns)
+
+    return lambda points: max(map(norm, signed_sums(points)))
+
+
+def _reference_ascent_restart(f, space, seed, r):
+    """The hill-climb as it ran before, with a second budget on every step."""
+    rng = random.Random((seed * 1_000_003 + r) & 0xFFFFFFFF)
+    d = space.dim
+    k = 1 + r % 3
+    budget = _reference_admissibility_float(space)
+
+    def score(ps):
+        cn = budget(ps)
+        if cn < 1e-12:
+            return 0.0
+        return sum(abs(value(x)) for x in ps) / max(1.0, cn)
+
+    pts = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(k)]
+    try:
+        value = _reference_float_evaluator(f)
+        best = score(pts)
+    except OverflowError:
+        return None
+    step = 0.6
+    for _ in range(240):
+        i = rng.randrange(k)
+        j = rng.randrange(d)
+        cand = [list(x) for x in pts]
+        cand[i][j] += step * (2.0 * rng.random() - 1.0)
+        try:
+            cn = budget(cand)
+            if cn > 1e-12:
+                cand = [[v / max(1.0, cn) for v in x] for x in cand]
+            s = score(cand)
+        except OverflowError:
+            s = best
+        if s > best:
+            best, pts = s, cand
+        else:
+            step *= 0.985
+    return pts
+
+
+ASCENT_SPACES = ["seq:2:2", "seq:3/2:2", "seq:2:3", "seq:3:2", "seq:7/3:3", "fvl:2",
+                 "seq:inf:2"]
+
+
+class TestAscentRestart:
+    @pytest.mark.parametrize("text", ASCENT_SPACES)
+    def test_points_equal_the_reference(self, text):
+        space = parse_space(text)
+        d = space.dim
+        rng = random.Random(text)
+        functions = [PwlFunction.from_expr(random_expr(rng, d, lattice_ops=3), d)]
+        for _ in range(3):
+            # fractional composition rows next to one coordinate row
+            arity = rng.randint(1, 3)
+            rows = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
+                    for _ in range(arity - 1)]
+            rows.append([F(int(j == 0)) for j in range(d)])
+            functions.append(make_pwl(random_expr(rng, arity, lattice_ops=2), rows))
+        for f in functions:
+            for seed in (0, 1):
+                for r in range(6):
+                    got = _ascent_restart(f, space, seed, r)
+                    assert got is not None
+                    assert got == _reference_ascent_restart(f, space, seed, r)
+
+    @pytest.mark.parametrize(
+        "text, expr, fits",
+        [
+            ("seq:2:2", "1" + "0" * 400 + "*t2", False),
+            ("seq:2:2", r"t1 \/ 1" + "0" * 200 + "*t2", True),
+            # the budget raises sums to the power q = 1000, past the float range
+            ("seq:1000/999:2", r"t1 \/ 2*t2 - t1", True),
+        ],
+    )
+    def test_overflow_matches_the_reference(self, text, expr, fits):
+        space, f = parse_space(text), pw(expr, 2)
+        for r in range(6):
+            got = _ascent_restart(f, space, 1, r)
+            assert got == _reference_ascent_restart(f, space, 1, r)
+            assert (got is not None) == fits
 
 
 class TestNormCertificateDispatch:

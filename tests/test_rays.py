@@ -37,7 +37,7 @@ from latfree.pwl import (
     make_pwl,
     rays,
 )
-from latfree.sampling import random_expr, random_pair
+from latfree.sampling import random_expr, random_pair, thin_cone_pair
 
 F = Fraction
 
@@ -218,6 +218,13 @@ class TestDifferential:
                 unequal += 1
                 assert f.eval(witness) != g.eval(witness)
         assert 20 <= unequal <= 80
+        # a bump on a thin cone shows only on the kink of its meet
+        for _ in range(6):
+            fe, ge = thin_cone_pair(rng, 2)
+            f, g = PwlFunction.from_expr(fe, 2), PwlFunction.from_expr(ge, 2)
+            _, witness = equivalent(f, g)
+            assert witness is not None and not _cell_verdict(f, g)
+            assert f.eval(witness) != g.eval(witness)
 
     def test_verdicts_match_the_all_pairs_rays(self):
         # reference: the rays of the differences of all pairs of pieces, a
@@ -237,6 +244,14 @@ class TestDifferential:
                 unequal += 1
                 assert f.eval(witness) != g.eval(witness)
         assert 60 <= unequal <= 240
+        for i in range(12):
+            dim = 2 + i % 3
+            fe, ge = thin_cone_pair(rng, dim)
+            f, g = PwlFunction.from_expr(fe, dim), PwlFunction.from_expr(ge, dim)
+            normals = difference_normals(linear_pieces(f) | linear_pieces(g))
+            assert not all(f.eval(r) == g.eval(r) for r in rays(dim, normals))
+            eq, witness = equivalent(f, g)
+            assert not eq and f.eval(witness) != g.eval(witness)
 
     def test_functions_are_linear_on_every_kink_cell(self):
         # on each cell of the kink arrangement alone, f equals one candidate
