@@ -3,8 +3,8 @@ admissibility value of a tuple of dual points, operator norms.
 
 Each is an exact rational or a certified rational upper bound, computed
 with `int` and `Fraction` only: p = 1 and p = inf need no root, other
-rational p round k-th roots up (`root_upper`).  `admissibility_float`,
-for the ascent heuristic, is the one float function.
+rational p round k-th roots up (`root_upper`).  `admissibility_columns`,
+the ascent heuristic's budget, is the one float function.
 """
 
 from __future__ import annotations
@@ -15,10 +15,18 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import UnsupportedSpaceError
-from .qmath import Vec, dot, format_fraction, identity, to_fraction, transpose, vec
+from .qmath import (
+    Vec,
+    clear_denominators,
+    dot,
+    format_fraction,
+    identity,
+    to_fraction,
+    transpose,
+    vec,
+)
 
 INF_P = "inf"
 
@@ -240,29 +248,46 @@ def admissibility_upper(points, space: SpaceSpec) -> Fraction:
         )
     q = dual_exponent(space.exponent)
     if q.denominator == 1:
+        # on ints: the points times the lcm s of their denominators
+        k, d = q.numerator, len(points[0])
+        flat, s = clear_denominators([x for point in points for x in point])
+        scaled = [flat[h : h + d] for h in range(0, len(flat), d)]
         power = max(
-            sum((abs(c) ** q.numerator for c in combined), Fraction(0))
-            for combined in _signed_sums(points)
+            sum(abs(c) ** k for c in combined) for combined in _signed_sums(scaled)
         )
-        return root_upper(power, q.numerator)
+        return root_upper(Fraction(power, s**k), k)
     return max(norm_upper(combined, q) for combined in _signed_sums(points))
 
 
-def admissibility_float(space: SpaceSpec) -> Callable[[list], float]:
-    """points -> max_s ||Sum_i s_i x_i||_q in floats, which is the
-    admissibility value on every space; for the ascent heuristic only, and
-    bit-identical by rule: a rewrite keeps the float operations in order."""
+def admissibility_columns(space: SpaceSpec, k: int):
+    """(column, budget) for the float admissibility value of k points, the
+    ascent heuristic's budget, kept as a table of one row per coordinate.
+
+    column(xs), for the coordinate column xs = (x_1j, .., x_kj), gives the
+    terms |Sum_i s_i x_ij| ** q, one per sign pattern s (just |.| when
+    q = inf); budget(table) is max_s ||Sum_i s_i x_i||_q from the d columns'
+    terms.  A step that moves one coordinate recomputes one column.  Bit-
+    identical by rule: every term and norm is the same float expression,
+    summed in the same order, as on the whole tuple at once.
+    """
+    patterns = sign_patterns(k)
     q = dual_exponent(space.exponent)
     if q == INF_P:
-        def norm(c):
-            return max(abs(v) for v in c)
+        def column(xs):
+            return [abs(sum(map(operator.mul, s, xs))) for s in patterns]
+
+        def budget(table):
+            return max(map(max, zip(*table)))
     else:
         q = float(q)
 
-        def norm(c):
-            return sum(abs(v) ** q for v in c) ** (1.0 / q)
+        def column(xs):
+            return [abs(sum(map(operator.mul, s, xs))) ** q for s in patterns]
 
-    return lambda points: max(map(norm, _signed_sums(points)))
+        def budget(table):
+            return max(sum(terms) ** (1.0 / q) for terms in zip(*table))
+
+    return column, budget
 
 
 def peak_point(a: Vec, space: SpaceSpec) -> Vec:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,14 @@ class TestExitCodes:
         code, _, err = run_main(["norm", "--space", "fvl:3", "--expr", joins], capsys)
         assert code == 4
         assert "candidate pieces: 729 exceeds the cap of 256" in err
+
+    def test_sweep_sign_vector_cap_exits_four(self, capsys):
+        # 2^29 sign vectors would take days; the cap refuses them up front
+        start = time.perf_counter()
+        code, out, err = run_main(["norm", "--space", "seq:2:30", "--expr", "t1"], capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 4 and out == ""
+        assert "sweep sign vectors: 536870912 exceeds the cap of 131072" in err
 
     @pytest.mark.parametrize("command", ["norm", "audit"])
     @pytest.mark.parametrize("space", ["fvl:2", "seq:1:2", "seq:inf:2", "seq:2:2"])

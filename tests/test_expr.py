@@ -260,7 +260,8 @@ def test_fold_matches_recursive_reference():
         f = PwlFunction.from_expr(e, n)
         points = [tuple(F(rng.randint(-6, 6)) for _ in range(n)) for _ in range(4)]
         float_points = [[float(v) for v in x] for x in points]
-        floats = _float_evaluator(f)(float_points)
+        value = _float_evaluator(f)
+        floats = [value(x) for x in float_points]
         mc = _mc_eval(f, np.array(float_points))
         for x, float_value, mc_value in zip(points, floats, mc):
             expected = ref_eval(e, x)

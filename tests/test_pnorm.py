@@ -35,6 +35,17 @@ def _random_points(rng, dim):
     ]
 
 
+def _mixed_points(rng):
+    """1-3 points in dimension 1-3, with denominators of up to 64 bits."""
+
+    def rational():
+        den = rng.choice([1, 2, 3, 12, 10**6, 1 << 64, rng.getrandbits(64) | 1])
+        return F(rng.randint(-3 * den, 3 * den), den)
+
+    dim = rng.randint(1, 3)
+    return [tuple(rational() for _ in range(dim)) for _ in range(rng.randint(1, 3))]
+
+
 class TestRoots:
     # high degrees arise from exponents like 1000/999
     @pytest.mark.parametrize("k", [2, 3, 7, 999, 1000])
@@ -152,7 +163,7 @@ class TestAdmissibility:
         pts = [(F(1), F(-2)), (F(-3), F(1, 2))]
         assert admissibility_upper(pts, fvl_space(2)) == 4
 
-    @pytest.mark.parametrize("p,q", [(F(2), 2), (F(3, 2), 3)])
+    @pytest.mark.parametrize("p,q", [(F(2), 2), (F(3, 2), 3), (F(4, 3), 4)])
     def test_integer_dual_exponent_compares_powers(self, p, q):
         rng = random.Random(13)
         space = seq_space(p, 2)
@@ -163,6 +174,19 @@ class TestAdmissibility:
             assert up == root_upper(power, q)
             # the rounded root is at most 1 exactly when the power is
             assert (up <= 1) == (power <= 1)
+        # mixed denominators, and the sweep's copies scaled by a rounded
+        # root, whose denominators have 64 bits
+        rng = random.Random(f"mixed {q}")
+        for _ in range(35):
+            pts = _mixed_points(rng)
+            space = seq_space(p, len(pts[0]))
+            up = admissibility_upper(pts, space)
+            scaled = [tuple(x / up for x in point) for point in pts] if up else pts
+            for points in (pts, scaled):
+                power = _signed_power(points, q)
+                up = admissibility_upper(points, space)
+                assert up == root_upper(power, q)
+                assert (up <= 1) == (power <= 1)
 
     def test_non_integer_dual_exponent(self):
         # seq:3 budgets dual points in l_{3/2}
@@ -171,6 +195,17 @@ class TestAdmissibility:
         # ||(a, a)||_{3/2} = a * 2^(2/3) = a * 1.5874...
         assert admissibility_upper([(F(1, 2), F(1, 2))], space) < F(7938, 10000)
         assert admissibility_upper([(F(1, 2), F(1, 2))], space) > F(7937, 10000)
+        # the fractional q keeps the max of the rounded-up q-norms
+        rng = random.Random(3)
+        for _ in range(10):
+            pts = _mixed_points(rng)
+            combined = [
+                [sum(si * x[j] for si, x in zip(s, pts)) for j in range(len(pts[0]))]
+                for s in sign_patterns(len(pts))
+            ]
+            assert admissibility_upper(pts, seq_space(3, len(pts[0]))) == max(
+                norm_upper(c, F(3, 2)) for c in combined
+            )
 
 
 class TestOperatorUpper:
