@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -68,16 +67,6 @@ def _frac_list(text: str) -> Vec:
     if not parts:
         raise ValueError(f"empty vector: {text!r}")
     return tuple(Fraction(p) for p in parts)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("LATFREE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"LATFREE_SEED must be an integer, got {env!r}") from exc
-    return 0
 
 
 def _json_frac(q: Fraction) -> str:
@@ -193,13 +182,7 @@ def _cmd_norm(args):
     space = parse_space(args.space)
     expr = parse(_one_expr(args), space.dim)
     f = PwlFunction.from_expr(expr, space.dim)
-    cert = norm_certificate(
-        f,
-        space,
-        restarts=args.restarts,
-        seed=args.seed,
-        max_denominator=args.max_denominator,
-    )
+    cert = norm_certificate(f, space, restarts=args.restarts, seed=args.seed)
     report = {
         "command": "norm",
         "space": str(space),
@@ -260,13 +243,7 @@ def _cmd_audit(args):
     space = parse_space(args.space)
     expr = parse(_one_expr(args), space.dim)
     f = PwlFunction.from_expr(expr, space.dim)
-    cert = norm_certificate(
-        f,
-        space,
-        restarts=args.restarts,
-        seed=args.seed,
-        max_denominator=args.max_denominator,
-    )
+    cert = norm_certificate(f, space, restarts=args.restarts, seed=args.seed)
     family = [evaluation_seminorm(cert.witness, name="witness")]
     for i, axis in enumerate(identity(space.dim)):
         family.append(
@@ -357,24 +334,11 @@ def _build_parser() -> _Parser:
             )
         p.add_argument("--format", choices=("json", "table"), default=None)
         p.add_argument("--out", default=None, help="write the report to FILE")
-        p.add_argument(
-            "--seed", type=int, default=None, help="default: $LATFREE_SEED or 0"
-        )
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--timing",
             action="store_true",
             help="include wall times (breaks byte-for-byte reproducibility)",
-        )
-
-    def search(p):
-        """The float search settings, read only by norm and audit."""
-        p.add_argument("--restarts", type=int, default=16)
-        p.add_argument(
-            "--max-denominator",
-            dest="max_denominator",
-            type=int,
-            default=10**6,
-            help="denominator cap when rationalizing float search points",
         )
 
     p_eval = sub.add_parser("eval", help="evaluate an expression at a point")
@@ -390,7 +354,7 @@ def _build_parser() -> _Parser:
 
     p_norm = sub.add_parser("norm", help="certified norm of an expression")
     common(p_norm, needs_space="required")
-    search(p_norm)
+    p_norm.add_argument("--restarts", type=int, default=16)
     p_norm.set_defaults(handler=_cmd_norm)
 
     p_ext = sub.add_parser(
@@ -410,7 +374,7 @@ def _build_parser() -> _Parser:
         "audit", help="check admissible seminorms against the certificate"
     )
     common(p_audit, needs_space="required")
-    search(p_audit)
+    p_audit.add_argument("--restarts", type=int, default=16)
     p_audit.set_defaults(handler=_cmd_audit)
 
     p_self = sub.add_parser("selftest", help="run the built-in acceptance suite")
@@ -428,8 +392,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         if args.format is None:
             args.format = "table" if args.command == "selftest" else "json"
         t0 = time.perf_counter()

@@ -6,9 +6,12 @@ over finite tuples of dual points whose admissibility value
 is an exact rational, computed by one LP whose columns are the extreme
 rays (pwl.rays) of f's kink and budget arrangement; the LP duals certify
 optimality.  For the remaining spaces certified lower/upper bounds are
-produced instead; the exact unit factor behind the upper bound is a
-maximum over rays too.  Every l_p quantity comes from pnorm as a
-rational, so no float enters a certificate on any space.
+produced instead from one ray table of f's own: the rays of its kinks,
+its composition rows and the coordinate normals.  The exact unit factor
+behind the upper bound is a maximum over that table, it vanishes exactly
+when f does, and the table's rays are the sweep's single points.  Every
+l_p quantity comes from pnorm as a rational, so no float enters a
+certificate on any space.
 """
 
 from __future__ import annotations
@@ -45,22 +48,18 @@ from .pwl import (
     PwlFunction,
     active_piece,
     arrangement_for,
-    equivalent,
     is_zero,
     kinks,
     linear_pieces,
     pieces_and_kinks,
     rays,
-    zero_pwl,
 )
 from .qmath import (
     Vec,
     clear_denominators,
+    dot,
     format_fraction,
     identity,
-    null_space_basis,
-    rationalize_vec,
-    transpose,
     vec,
     vec_add,
     vec_scale,
@@ -310,28 +309,26 @@ def norm_by_cell_assignment(
 # ---------------------------------------------------------------------------
 
 
-def strong_unit_factor(f: PwlFunction):
+def strong_unit_factor(f: PwlFunction, table: tuple[Vec, ...] | None = None):
     """(lam, unit_rows) with |f| <= lam * Sum_j |<x_j, .>| everywhere.
 
-    lam is the exact sup of |f| rewritten over its composition values y,
-    restricted to the image subspace of the composition matrix and the
-    l1 ball Sum_j |y_j| <= 1; f depends on its argument only through y,
-    and a vanishing budget forces a vanishing value, so the bound is tight
-    and always finite.  On each cell of the arrangement of f's kinks and
-    the coordinate normals, f and ||y||_1 are linear, so splitting y over
-    the cell's extreme rays r gives |f(y)| <= Sum_r mu_r |f(r)|: the ratio
-    |f(y)| / ||y||_1 peaks on a ray inside the image subspace.
+    lam is the exact max of |f(r)| / Sum_j |<x_j, r>| over the rays r of
+    `table` where some <x_j, r> is nonzero.  The table is f's ray table:
+    the rays of the arrangement of f's kinks, its composition rows x_j and
+    the coordinate normals, built here unless the caller has it.  On each
+    closed cell of that arrangement the numerator and the denominator are
+    linear, so splitting x over the cell's rays bounds the ratio at x by
+    its largest value on a ray.  A ray where every <x_j, r> vanishes adds
+    nothing: f reads x only through the <x_j, x>, so f(r) = 0 there.
+    Hence lam is tight, and lam = 0 exactly when f vanishes.
     """
-    n = len(f.comp)
-    shadow = PwlFunction.from_expr(f.expr, n)
-    generators = rays(n, kinks(shadow), subspace=null_space_basis(transpose(f.comp)))
-    lam = max(
-        (
-            abs(v) / norm_upper(r, 1)
-            for r, v in zip(generators, shadow.eval_many(generators))
-        ),
-        default=Fraction(0),
-    )
+    if table is None:
+        table = rays(f.dim, [*kinks(f), *f.comp])
+    lam = Fraction(0)
+    for r, v in zip(table, f.eval_many(table)):
+        weight = sum(abs(dot(row, r)) for row in f.comp)
+        if weight:
+            lam = max(lam, abs(v) / weight)
     return lam, tuple(f.comp)
 
 
@@ -359,23 +356,28 @@ def _float_evaluator(f: PwlFunction) -> Callable[[list], float]:
 _MAX_SWEEP_SIGNS = 1 << 17
 
 
-def _sweep_candidates(f: PwlFunction, space: SpaceSpec) -> list[FunctionalTuple]:
-    d = space.dim
-    if 2 ** (d - 1) > _MAX_SWEEP_SIGNS:
-        raise CapacityError("sweep sign vectors", _MAX_SWEEP_SIGNS, 2 ** (d - 1))
-    pieces, bends = pieces_and_kinks(f)
+def _budget_rays(space: SpaceSpec, bends) -> tuple[Vec, ...]:
+    """Single sweep points for a polyhedral space (norm_bounds on fvl, seq:1
+    and seq:inf, an API-only path).  The single-point budget max_b |<x, b>|
+    is linear wherever the signs of <x, b> and of |<x, b_i>| - |<x, b_j>|
+    are fixed, so with f's kinks these normals make |f(x)| / budget peak on
+    a ray."""
+    budget = budget_directions(space)
+    normals = [*bends, *budget]
+    for bi, bj in itertools.combinations(budget, 2):
+        normals.append(vec_add(bi, bj))
+        normals.append(tuple(x - y for x, y in zip(bi, bj)))
+    return rays(space.dim, normals)
 
-    # On polyhedral spaces the single-point budget max_b |<x, b>| is linear
-    # wherever the signs of <x, b> and of |<x, b_i>| - |<x, b_j>| are fixed,
-    # so these normals make |f(x)| / budget peak on a ray.
-    normals = list(bends)
-    if space.is_polyhedral:
-        budget = budget_directions(space)
-        normals += list(budget)
-        for bi, bj in itertools.combinations(budget, 2):
-            normals.append(vec_add(bi, bj))
-            normals.append(tuple(x - y for x, y in zip(bi, bj)))
-    out: list[tuple[Vec, ...]] = [(r,) for r in rays(d, normals)]
+
+def _sweep_candidates(
+    f: PwlFunction, space: SpaceSpec, pieces, singles
+) -> list[FunctionalTuple]:
+    """The sweep's deterministic tuples: each ray of `singles` alone, the
+    Hoelder peaks of f's pieces off the polyhedral spaces, the sign
+    vectors, and two bases; each also scaled to admissibility about 1."""
+    d = space.dim
+    out: list[tuple[Vec, ...]] = [(r,) for r in singles]
     if not space.is_polyhedral:
         # |piece| peaks on the dual ball where Hoelder's inequality is tight
         for piece in sorted(pieces, key=lambda p: p.coeffs):
@@ -399,6 +401,10 @@ def _sweep_candidates(f: PwlFunction, space: SpaceSpec) -> list[FunctionalTuple]
             scaled = tuple(vec_scale(1 / cn, x) for x in points)
             tuples.setdefault(scaled, FunctionalTuple(space, scaled))
     return list(tuples.values())
+
+
+# the denominator cap when the ascent's float points are rationalized
+_MAX_DENOMINATOR = 10**6
 
 
 def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
@@ -459,12 +465,10 @@ def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
     return pts
 
 
-def check_search_settings(restarts: int, max_denominator: int) -> None:
-    """Raise ValueError unless restarts >= 0 and max_denominator >= 1."""
+def check_search_settings(restarts: int) -> None:
+    """Raise ValueError unless restarts >= 0."""
     if restarts < 0:
         raise ValueError(f"restarts must be at least 0, got {restarts}")
-    if max_denominator < 1:
-        raise ValueError(f"the denominator cap must be at least 1, got {max_denominator}")
 
 
 def norm_bounds(
@@ -473,25 +477,30 @@ def norm_bounds(
     *,
     restarts: int = 16,
     seed: int = 0,
-    max_denominator: int = 10**6,
 ) -> NormCertificate:
     """Certified sandwich for any space: sweep + ascent lower, strong-unit upper.
 
-    The lower bound is the best exact re-score over deterministic candidate
-    tuples and rationalized hill-climbing results (restarts are keyed by
-    (seed, index) and merged by value then lexicographic witness, so a
-    fixed seed gives the same certificate).  The upper bound is
-    lam * Sum_j ||x_j|| over the composition rows, with lam exact from
-    strong_unit_factor.
+    One pieces_and_kinks fold and one ray table (see strong_unit_factor)
+    serve the whole op: the table gives lam, the zero test (lam = 0 exactly
+    when f vanishes, checked ahead of the sweep's cap) and, off the
+    polyhedral spaces, the sweep's single points.  The lower bound is the
+    best exact re-score over the sweep's tuples and the rationalized
+    hill-climbing results (restarts are keyed by (seed, index) and merged
+    by value then lexicographic witness, so a fixed seed gives the same
+    certificate).  The upper bound is lam * Sum_j ||x_j|| over the
+    composition rows.
     """
-    check_search_settings(restarts, max_denominator)
+    check_search_settings(restarts)
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
-    eq_zero, _ = equivalent(f, zero_pwl(f.dim))
-    if eq_zero:
+    pieces, bends = pieces_and_kinks(f)
+    table = rays(f.dim, [*bends, *f.comp])
+    lam, unit_rows = strong_unit_factor(f, table)
+    if lam == 0:
         return _zero_certificate(space, "strong_unit_lambda_n")
-
-    lam, unit_rows = strong_unit_factor(f)
+    signs = 2 ** (space.dim - 1)
+    if signs > _MAX_SWEEP_SIGNS:
+        raise CapacityError("sweep sign vectors", _MAX_SWEEP_SIGNS, signs)
     unit_sum = sum(norm_upper(row, space.exponent) for row in unit_rows)
     upper = lam * unit_sum
 
@@ -499,12 +508,16 @@ def norm_bounds(
         for r in range(restarts):
             float_pts = _ascent_restart(f, space, seed, r)
             if float_pts is not None:
-                points = tuple(rationalize_vec(x, max_denominator) for x in float_pts)
+                points = tuple(
+                    tuple(Fraction(v).limit_denominator(_MAX_DENOMINATOR) for v in x)
+                    for x in float_pts
+                )
                 yield FunctionalTuple(space=space, points=points)
 
     best_value = Fraction(0)
     best_witness = functional_tuple(space, (zero_vec(space.dim),))
-    sweep = _sweep_candidates(f, space)
+    singles = _budget_rays(space, bends) if space.is_polyhedral else table
+    sweep = _sweep_candidates(f, space, pieces, singles)
     for tup in itertools.chain(sweep, ascent_tuples()):
         value = tuple_seminorm_value(f, tup)
         if value > best_value or (
@@ -532,19 +545,16 @@ def norm_certificate(
     *,
     restarts: int = 16,
     seed: int = 0,
-    max_denominator: int = 10**6,
 ) -> NormCertificate:
     """Exact norm when the space is polyhedral, else certified bounds.
 
     The search settings are checked on every space, though only
     norm_bounds reads them.
     """
-    check_search_settings(restarts, max_denominator)
+    check_search_settings(restarts)
     if space.is_polyhedral:
         return norm_exact_polyhedral(f, space)
-    return norm_bounds(
-        f, space, restarts=restarts, seed=seed, max_denominator=max_denominator
-    )
+    return norm_bounds(f, space, restarts=restarts, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .qmath import (
     identity,
     int_or_fraction,
     is_zero_vec,
-    matrix_rank,
     null_line,
     primitive_normal,
     to_fraction,
@@ -302,36 +301,29 @@ def difference_normals(pieces) -> list[Vec]:
 _MAX_RAY_SUBSETS = 150_000
 
 
-def rays(dim: int, normals, subspace=()) -> tuple[Vec, ...]:
-    """Extreme rays of the cells of a central arrangement, inside a subspace.
+def rays(dim: int, normals) -> tuple[Vec, ...]:
+    """Extreme rays of the cells of a central arrangement.
 
     The hyperplanes are the canonical `normals` plus the coordinate
-    normals; the subspace is {x : c.x = 0 for every row c of `subspace`},
-    of dimension k.  Every closed cell, cut down to the subspace, is then a
-    pointed cone, the conic hull of its extreme rays, and the extreme rays
-    of all cells are the rays on the lines where k - 1 independent
-    hyperplanes meet inside the subspace.  So each (k - 1)-subset whose
-    null space (with the subspace rows) is a line gives two of them; the
-    line comes from one fraction-free integer elimination of the primitive
+    normals.  Every closed cell is then a pointed cone, the conic hull of
+    its extreme rays, and the extreme rays of all cells are the rays on the
+    lines where dim - 1 independent hyperplanes meet.  So each
+    (dim - 1)-subset whose null space is a line gives two of them; the line
+    comes from one fraction-free integer elimination of the primitive
     integer normals (`null_line`).  Returns the primitive integer rays as
     Fraction vectors, closed under sign, sorted.
     """
     planes = canonical_normals(list(normals) + list(identity(dim)))
-    fixed = canonical_normals(subspace)
-    if any(len(n) != dim for n in planes + fixed):
+    if any(len(n) != dim for n in planes):
         raise DimensionError("hyperplane normal has wrong length")
-    k = dim - matrix_rank(fixed) if fixed else dim
-    if k == 0:
-        return ()
-    subsets = comb(len(planes), k - 1)
+    subsets = comb(len(planes), dim - 1)
     if subsets > _MAX_RAY_SUBSETS:
         raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, subsets)
     # canonical normals are primitive integer vectors
     planes = [[c.numerator for c in n] for n in planes]
-    fixed = [[c.numerator for c in n] for n in fixed]
     lines = set()
-    for subset in itertools.combinations(planes, k - 1):
-        line = null_line(fixed + list(subset), dim)
+    for subset in itertools.combinations(planes, dim - 1):
+        line = null_line(subset, dim)
         if line is not None:
             lines.add(line)
     lines |= {tuple(-v for v in r) for r in lines}

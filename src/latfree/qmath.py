@@ -1,4 +1,4 @@
-"""Exact rational helpers: vectors, rationalization, exact linear algebra."""
+"""Exact rational helpers: vectors and exact linear algebra."""
 
 from __future__ import annotations
 
@@ -81,17 +81,6 @@ def primitive_normal(a: Vec) -> Vec:
     return tuple(Fraction(v) for v in ints)
 
 
-def rationalize(x: float, max_den: int = 10**6) -> Fraction:
-    """Nearest rational with bounded denominator (continued fractions)."""
-    if not math.isfinite(x):
-        raise ValueError("cannot rationalize a non-finite float")
-    return Fraction(x).limit_denominator(max_den)
-
-
-def rationalize_vec(xs, max_den: int = 10**6) -> Vec:
-    return tuple(rationalize(float(x), max_den) for x in xs)
-
-
 def format_fraction(q: Fraction) -> str:
     return str(Fraction(q))
 
@@ -106,54 +95,6 @@ def transpose(rows) -> tuple[Vec, ...]:
     if not rows:
         return ()
     return tuple(tuple(r[j] for r in rows) for j in range(len(rows[0])))
-
-
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    a = [list(vec(r)) for r in rows]
-    pivots: list[int] = []
-    if not a:
-        return a, pivots
-    ncols = len(a[0])
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(a):
-            break
-    return a, pivots
-
-
-def matrix_rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
-def null_space_basis(rows) -> list[Vec]:
-    """Basis of {x : Mx = 0}, one vector per free column of the RREF."""
-    rows = [vec(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            x[pc] = -reduced[r][fc]
-        basis.append(tuple(x))
-    return basis
 
 
 def null_line(rows, dim: int) -> tuple[int, ...] | None:

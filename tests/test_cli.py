@@ -208,10 +208,18 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert "sweep sign vectors: 536870912 exceeds the cap of 131072" in err
 
+    def test_zero_element_is_answered_ahead_of_the_sweep_cap(self, capsys):
+        code, out, err = run_main(
+            ["norm", "--space", "seq:2:30", "--expr", "t1 - t1"], capsys
+        )
+        assert code == 0 and err == ""
+        cert = json.loads(out)["certificate"]
+        assert cert["lower"] == "0" == cert["upper"] and cert["lambda"] == "0"
+
     @pytest.mark.parametrize("command", ["norm", "audit"])
     @pytest.mark.parametrize("space", ["fvl:2", "seq:1:2", "seq:inf:2", "seq:2:2"])
     @pytest.mark.parametrize(
-        "settings", [["--restarts", "-3"], ["--restarts", "0", "--max-denominator", "0"]]
+        "settings", [["--restarts", "-3"], ["--restarts", "-1"]]
     )
     def test_invalid_search_settings_are_usage(self, capsys, command, space, settings):
         code, out, err = run_main(
@@ -236,6 +244,15 @@ class TestExitCodes:
         code, out, err = run_main(argv + flag, capsys)
         assert code == 1 and out == ""
         assert "unrecognized arguments" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["norm", "audit"])
+    def test_max_denominator_is_unrecognized(self, capsys, command):
+        code, out, err = run_main(
+            [command, "--space", "seq:2:2", "--expr", "t1", "--max-denominator", "5"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --max-denominator 5" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -322,12 +339,15 @@ class TestDeepInput:
 
 class TestSeedHandling:
     def test_env_fallback(self, capsys, monkeypatch):
+        """Without --seed the seed falls back to 0, never to LATFREE_SEED."""
+        argv = ["norm", "--space", "seq:2:2", "--expr", r"t1 \/ t2", "--restarts", "4"]
+        monkeypatch.delenv("LATFREE_SEED", raising=False)
+        code, plain, _ = run_main(argv, capsys)
         monkeypatch.setenv("LATFREE_SEED", "99")
-        code, out, _ = run_main(
-            ["eval", "--arity", "1", "--expr", "t1", "--at", "1"], capsys
-        )
-        assert code == 0
-        assert json.loads(out)["seed"] == 99
+        code_env, with_env, _ = run_main(argv, capsys)
+        assert code == 0 == code_env
+        assert with_env == plain
+        assert json.loads(plain)["seed"] == 0
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LATFREE_SEED", "99")
@@ -339,11 +359,16 @@ class TestSeedHandling:
         assert json.loads(out)["seed"] == 3
 
     def test_bad_env_is_usage_error(self, capsys, monkeypatch):
+        """A malformed seed is a usage error where a seed is read, on --seed;
+        a malformed LATFREE_SEED is not read at all."""
+        argv = ["eval", "--arity", "1", "--expr", "t1", "--at", "1"]
         monkeypatch.setenv("LATFREE_SEED", "not-a-number")
-        code, _, err = run_main(
-            ["eval", "--arity", "1", "--expr", "t1", "--at", "1"], capsys
-        )
-        assert code == 1
+        code, out, err = run_main(argv, capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["seed"] == 0
+        code, out, err = run_main(argv + ["--seed", "not-a-number"], capsys)
+        assert code == 1 and out == ""
+        assert "--seed: invalid int value" in err and "Traceback" not in err
 
 
 class TestOutFile(object):

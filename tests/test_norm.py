@@ -13,6 +13,7 @@ from latfree.expr import fold, parse
 from latfree.lp import LpResult
 from latfree.norm import (
     _ascent_restart,
+    _budget_rays,
     _sweep_candidates,
     budget_directions,
     constraint_norm,
@@ -31,7 +32,7 @@ from latfree.norm import (
     tuple_seminorm_value,
 )
 from latfree.pnorm import dual_exponent
-from latfree.pwl import PwlFunction, make_pwl
+from latfree.pwl import PwlFunction, make_pwl, pieces_and_kinks
 from latfree.sampling import random_expr
 
 F = Fraction
@@ -249,6 +250,34 @@ class TestVertexLpWork:
         assert len(counted) == pivots
 
 
+class TestSandwichWork:
+    """A sandwich builds one ray table from one pieces-and-kinks fold, and
+    reads lam, the zero test and the sweep's single points off it."""
+
+    @pytest.mark.parametrize("text", [r"(1*t3) /\ (2*t2)", "t1 - t1"])
+    def test_one_ray_table_per_cli_sandwich(self, monkeypatch, capsys, text):
+        import latfree.norm as norm_module
+        import latfree.pwl as pwl_module
+        from latfree import cli
+
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapper
+
+        for module in (norm_module, pwl_module):
+            for name in ("rays", "pieces_and_kinks"):
+                monkeypatch.setattr(module, name, counted(name, getattr(pwl_module, name)))
+        argv = ["norm", "--space", "seq:2:3", "--expr", text, "--restarts", "4", "--seed", "1"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert sorted(calls) == ["pieces_and_kinks", "rays"]
+
+
 class TestCellAssignment:
     def test_duplicate_slots_never_improve(self):
         f = pw(r"t1 \/ t2", 2)
@@ -312,8 +341,10 @@ class TestNormBounds:
         # single fvl:2 points are budgeted by the box max_j |x_j| <= 1, on
         # which |t1 - t2| peaks at 2 on the corners (1, -1) and (-1, 1)
         f = pw("t1 - t2", 2)
+        pieces, bends = pieces_and_kinks(f)
+        sweep = _sweep_candidates(f, fvl_space(2), pieces, _budget_rays(fvl_space(2), bends))
         best = max(
-            (tup for tup in _sweep_candidates(f, fvl_space(2)) if len(tup.points) == 1),
+            (tup for tup in sweep if len(tup.points) == 1),
             key=lambda tup: tuple_seminorm_value(f, tup),
         )
         assert tuple_seminorm_value(f, best) == 2
@@ -325,6 +356,15 @@ class TestNormBounds:
     def test_zero_function(self):
         cert = norm_bounds(pw("0*t1", 2), fvl_space(2))
         assert cert.lower == 0 == cert.upper and cert.exact
+
+    @pytest.mark.parametrize("space", ["seq:3/2:2", "fvl:2"])
+    def test_zero_element_gets_the_zero_certificate(self, space):
+        # kinks but no value: lam = 0 on every ray is the zero test
+        spec = parse_space(space)
+        cert = norm_bounds(pw(r"t1 \/ t2 - t2 \/ t1", 2), spec, restarts=2)
+        assert cert.lower == 0 == cert.upper and cert.lam == 0
+        assert cert.witness.points == ((F(0), F(0)),)
+        assert cert.unit_support == ()
 
     def test_nondegeneracy_of_small_elements(self):
         cert = norm_bounds(pw(r"1/7*(t1 /\ t2)", 2), fvl_space(2), restarts=4, seed=2)
@@ -348,7 +388,7 @@ class TestNormBounds:
         assert not cert.exact
 
     @pytest.mark.parametrize(
-        "settings", [{"restarts": -3}, {"restarts": 0, "max_denominator": 0}]
+        "settings", [{"restarts": -3}, {"restarts": -1}]
     )
     def test_invalid_search_settings_are_refused(self, settings):
         with pytest.raises(ValueError):
@@ -359,8 +399,8 @@ class TestNormBounds:
 
         real = norm_module.strong_unit_factor
 
-        def halved(f):
-            lam, rows = real(f)
+        def halved(f, table):
+            lam, rows = real(f, table)
             return lam / 2, rows
 
         monkeypatch.setattr(norm_module, "strong_unit_factor", halved)

@@ -12,16 +12,17 @@ from latfree.expr import parse
 from latfree.qmath import (
     dot,
     identity,
-    matrix_rank,
     null_line,
-    null_space_basis,
     primitive_normal,
+    transpose,
+    vec,
 )
 from latfree.norm import (
     fvl_space,
     norm_by_cell_assignment,
     norm_exact_polyhedral,
     seq_space,
+    strong_unit_factor,
     tuple_admissible,
     tuple_seminorm_value,
 )
@@ -63,24 +64,6 @@ class TestRays:
             (-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)
         ]
 
-    def test_plane_subspace(self):
-        # inside x1 + x2 + x3 = 0 each coordinate plane cuts out one line
-        got = ints(rays(3, [], subspace=[(1, 1, 1)]))
-        assert got == sorted(
-            [(0, 1, -1), (0, -1, 1), (1, 0, -1), (-1, 0, 1), (1, -1, 0), (-1, 1, 0)]
-        )
-
-    def test_line_and_point_subspaces(self):
-        assert ints(rays(3, [(1, 2, 3)], subspace=[(1, 0, 0), (0, 2, 0)])) == [
-            (0, 0, -1), (0, 0, 1)
-        ]
-        assert rays(2, [(1, 1)], subspace=[(1, 0), (0, 1)]) == ()
-
-    def test_fractional_subspace_rows(self):
-        assert rays(2, [], subspace=[(F(1, 2), F(-1, 3))]) == rays(
-            2, [], subspace=[(3, -2)]
-        )
-
     @pytest.mark.parametrize("seed", range(12))
     def test_sorted_primitive_sign_closed_with_axes(self, seed):
         rng = random.Random(seed)
@@ -118,9 +101,57 @@ class TestRays:
         assert info.value.cap == 10 and info.value.measured == math.comb(6, 2)
 
 
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot column indices, in Fractions."""
+    a = [list(vec(r)) for r in rows]
+    pivots: list[int] = []
+    if not a:
+        return a, pivots
+    ncols = len(a[0])
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [v * inv for v in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [v - factor * w for v, w in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(a):
+            break
+    return a, pivots
+
+
+def matrix_rank(rows) -> int:
+    return len(rref(rows)[1])
+
+
+def null_space_basis(rows) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : Mx = 0}, one vector per free column of the RREF."""
+    rows = [vec(r) for r in rows]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    reduced, pivots = rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            x[pc] = -reduced[r][fc]
+        basis.append(tuple(x))
+    return basis
+
+
 def _fraction_rays(dim, normals, subspace=()):
     """Reference: the Fraction null-space loop `rays` ran before its
-    integer elimination, without the subset cap."""
+    integer elimination, without the subset cap; the rays of the cells cut
+    down to {x : c.x = 0 for every row c of `subspace`}."""
     axes = identity(dim)
     planes = canonical_normals(list(normals) + list(axes))
     fixed = canonical_normals(subspace)
@@ -169,12 +200,64 @@ class TestIntegerNullLine:
     def test_rays_match_the_fraction_loop(self, dim):
         rng = random.Random(1000 + dim)
         most = {2: 7, 3: 5, 4: 4, 5: 3}[dim]
-        for i in range(75):
+        for _ in range(75):
             normals = _random_normals(rng, dim, rng.randint(0, most))
-            subspace = []
-            if i % 2:
-                subspace = _random_normals(rng, dim, rng.randint(1, dim))
-            assert rays(dim, normals, subspace) == _fraction_rays(dim, normals, subspace)
+            assert rays(dim, normals) == _fraction_rays(dim, normals)
+
+
+def _image_subspace_lam(f: PwlFunction) -> Fraction:
+    """Reference: lam as computed before it read f's own rays, from a
+    shadow function over Q^n (n composition rows) whose rays are cut down
+    to the image of the composition matrix."""
+    n = len(f.comp)
+    shadow = PwlFunction.from_expr(f.expr, n)
+    generators = _fraction_rays(n, kinks(shadow), null_space_basis(transpose(f.comp)))
+    return max(
+        (
+            abs(v) / sum(abs(c) for c in r)
+            for r, v in zip(generators, shadow.eval_many(generators))
+        ),
+        default=Fraction(0),
+    )
+
+
+class TestStrongUnitFactorReference:
+    def test_lambda_matches_the_image_subspace_reference(self):
+        rng = random.Random(4242)
+        kinds = {"identity": 0, "fractional": 0, "repeated": 0, "zero": 0, "dependent": 0}
+        vanishing = 0
+        for i in range(400):
+            n = rng.randint(1, 4)
+            kind = list(kinds)[i % len(kinds)]
+            d = n if kind == "identity" else rng.randint(1, 3)
+            if i % 20 == 0 and n >= 2:
+                expr = parse(r"t1 \/ t2 - t2 \/ t1", n)  # the zero element
+            else:
+                expr = random_expr(rng, n, max_pieces=3)
+            rows = []
+            for j in range(n):
+                if kind == "identity":
+                    row = [int(a == j) for a in range(d)]
+                elif kind == "fractional":
+                    row = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(d)]
+                elif rows and kind == "repeated" and rng.random() < 0.5:
+                    row = list(rng.choice(rows))
+                elif kind == "zero" and rng.random() < 0.4:
+                    row = [0] * d
+                elif rows and kind == "dependent" and rng.random() < 0.6:
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    row = [x + rng.choice((-2, -1, 1, 3)) * y for x, y in zip(a, b)]
+                else:
+                    row = [rng.randint(-3, 3) for _ in range(d)]
+                rows.append(row)
+            f = make_pwl(expr, rows)
+            lam, unit_rows = strong_unit_factor(f)
+            assert lam == _image_subspace_lam(f)
+            assert unit_rows == f.comp
+            kinds[kind] += 1
+            vanishing += lam == 0
+        assert set(kinds.values()) == {80}
+        assert 10 <= vanishing <= 100
 
 
 def _cell_verdict(f: PwlFunction, g: PwlFunction) -> bool:
