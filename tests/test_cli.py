@@ -228,6 +228,19 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "latfree: error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["norm", "audit"])
+    @pytest.mark.parametrize("space", ["fvl:2", "seq:1:2", "seq:inf:2", "seq:2:2"])
+    def test_restarts_above_the_cap_exit_four(self, capsys, command, space):
+        # the cap refuses 10^9 restarts before any norm work, on every space
+        start = time.perf_counter()
+        code, out, err = run_main(
+            [command, "--space", space, "--expr", "t1 - t2", "--restarts", "1000000000"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert "ascent restarts: 1000000000 exceeds the cap of 1024" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

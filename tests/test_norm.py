@@ -8,10 +8,17 @@ from fractions import Fraction
 import pytest
 
 from latfree import lp
-from latfree.errors import DimensionError, InternalFaultError, UnsupportedSpaceError
+from latfree.errors import (
+    CapacityError,
+    DimensionError,
+    InternalFaultError,
+    UnsupportedSpaceError,
+)
 from latfree.expr import fold, parse
 from latfree.lp import LpResult
 from latfree.norm import (
+    _MAX_RESTARTS,
+    _ascent_draws,
     _ascent_restart,
     _budget_rays,
     _sweep_candidates,
@@ -40,6 +47,16 @@ F = Fraction
 
 def pw(text: str, n: int) -> PwlFunction:
     return PwlFunction.from_expr(parse(text, n), n)
+
+
+def counting(calls, name, real):
+    """real, counting each call in calls[name]."""
+
+    def wrapper(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args)
+
+    return wrapper
 
 
 class TestSpaceSpec:
@@ -254,28 +271,47 @@ class TestSandwichWork:
     """A sandwich builds one ray table from one pieces-and-kinks fold, and
     reads lam, the zero test and the sweep's single points off it."""
 
+    ARGV = ["norm", "--space", "seq:2:3", "--restarts", "4", "--seed", "1", "--expr"]
+
     @pytest.mark.parametrize("text", [r"(1*t3) /\ (2*t2)", "t1 - t1"])
     def test_one_ray_table_per_cli_sandwich(self, monkeypatch, capsys, text):
         import latfree.norm as norm_module
         import latfree.pwl as pwl_module
         from latfree import cli
 
-        calls = []
-
-        def counted(name, real):
-            def wrapper(*args):
-                calls.append(name)
-                return real(*args)
-
-            return wrapper
-
+        calls = {}
         for module in (norm_module, pwl_module):
             for name in ("rays", "pieces_and_kinks"):
-                monkeypatch.setattr(module, name, counted(name, getattr(pwl_module, name)))
-        argv = ["norm", "--space", "seq:2:3", "--expr", text, "--restarts", "4", "--seed", "1"]
-        assert cli.main(argv) == 0
+                monkeypatch.setattr(
+                    module, name, counting(calls, name, getattr(pwl_module, name))
+                )
+        assert cli.main(self.ARGV + [text]) == 0
         capsys.readouterr()
-        assert sorted(calls) == ["pieces_and_kinks", "rays"]
+        assert calls == {"pieces_and_kinks": 1, "rays": 1}
+
+    def test_ascent_work_of_the_cli_sandwich(self, monkeypatch, capsys):
+        # a rescaled candidate gets its column table only when its values
+        # can beat the best score
+        import latfree.norm as norm_module
+        from latfree import cli
+
+        calls = {}
+        real_columns, real_evaluator = (
+            norm_module.admissibility_columns, norm_module._float_evaluator
+        )
+
+        def columns(space, k):
+            column, budget = real_columns(space, k)
+            return counting(calls, "column", column), budget
+
+        def evaluator(f):
+            return counting(calls, "value", real_evaluator(f))
+
+        monkeypatch.setattr(norm_module, "admissibility_columns", columns)
+        monkeypatch.setattr(norm_module, "_float_evaluator", evaluator)
+        assert cli.main(self.ARGV + [r"(1*t3) /\ (2*t2)"]) == 0
+        capsys.readouterr()
+        assert calls == {"column": 1347, "value": 1463}
 
 
 class TestCellAssignment:
@@ -393,6 +429,10 @@ class TestNormBounds:
     def test_invalid_search_settings_are_refused(self, settings):
         with pytest.raises(ValueError):
             norm_bounds(pw("t1 - t2", 2), seq_space(2, 2), **settings)
+
+    def test_restarts_above_the_cap_are_refused(self):
+        with pytest.raises(CapacityError, match="ascent restarts: 1025 exceeds the cap of 1024"):
+            norm_bounds(pw("t1 - t2", 2), seq_space(2, 2), restarts=_MAX_RESTARTS + 1)
 
     def test_crossed_bounds_are_a_fault(self, monkeypatch):
         import latfree.norm as norm_module
@@ -521,6 +561,23 @@ class TestAscentRestart:
             assert got == _reference_ascent_restart(f, space, 1, r)
             assert (got is not None) == fits
 
+    def test_cold_and_warm_draws_give_the_same_points(self):
+        # one (seed, r) in two dimensions: the draws are keyed by d as well
+        cases = [
+            (pw(r"t1 \/ 2*t2 - t1", 2), parse_space("seq:2:2")),
+            (pw(r"(1*t3) /\ (2*t2)", 3), parse_space("seq:2:3")),
+            (pw(r"(1*t3) /\ (2*t2)", 3), parse_space("seq:3/2:3")),
+        ]
+        for r in range(4):
+            _ascent_draws.cache_clear()
+            cold = [_ascent_restart(f, space, 1, r) for f, space in cases]
+            warm = [_ascent_restart(f, space, 1, r) for f, space in cases]
+            assert cold == warm == [
+                _reference_ascent_restart(f, space, 1, r) for f, space in cases
+            ]
+            # dealt once per (seed, r, d): two misses, then four hits
+            assert _ascent_draws.cache_info()[:2] == (4, 2)
+
 
 class TestNormCertificateDispatch:
     def test_polyhedral_goes_exact(self):
@@ -536,6 +593,9 @@ class TestNormCertificateDispatch:
     def test_search_settings_checked_on_polyhedral_spaces(self):
         with pytest.raises(ValueError):
             norm_certificate(pw("t1", 1), fvl_space(1), restarts=-1)
+        with pytest.raises(CapacityError):
+            norm_certificate(pw("t1", 1), fvl_space(1), restarts=_MAX_RESTARTS + 1)
+        assert norm_certificate(pw("t1", 1), fvl_space(1), restarts=_MAX_RESTARTS).exact
 
 
 class TestMaximalityAudit:
