@@ -61,7 +61,6 @@ from .qmath import (
     format_fraction,
     identity,
     vec,
-    vec_add,
     vec_scale,
     zero_vec,
 )
@@ -163,19 +162,22 @@ def _zero_certificate(space: SpaceSpec, method: str) -> NormCertificate:
 def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     """Exact norm for fvl / seq:1 / seq:inf, with an LP-dual optimality proof.
 
-    The arrangement of f's kinks (from its join nodes), its pieces (zero
-    sets of f) and the budget directions b makes |f| and every |<., b>|
-    linear on each closed cell.  Splitting any admissible tuple point over
-    the extreme rays of its cell therefore preserves the objective and every
-    budget row, so the supremum equals
+    On each closed cell of the arrangement of f's kinks (from its join
+    nodes) and the budget directions b, f equals one linear piece and every
+    |<., b>| is linear.  Split a tuple point x of a cell over the cell's
+    extreme rays, x = Sum_v mu_v v with mu >= 0: every budget row keeps its
+    value, and |f(x)| <= Sum_v mu_v |f(v)| by the triangle inequality, so
+    the objective cannot fall.  Hence the supremum equals
 
         max { Sum_v lam_v |f(v)| : Sum_v lam_v |<v,b>| <= 1 for all b }
 
     over the finite set of rays v.  The optimal basis gives the witness
-    tuple {lam_v * v}; the exact dual y gives Sum_b y_b |<v,b>| >= |f(v)| on
-    every ray, hence by homogeneity on the whole space, so value = Sum_b y_b
-    is also an upper bound.  The zero element needs no separate test: its
-    LP has value 0, and duals summing to 0 certify |f| <= 0 on every ray.
+    tuple {lam_v * v}.  The exact dual y gives Sum_b y_b |<v,b>| >= |f(v)|
+    on every ray, and on the same split Sum_b y_b |<x,b>| =
+    Sum_v mu_v Sum_b y_b |<v,b>| >= Sum_v mu_v |f(v)| >= |f(x)| at every x,
+    so value = Sum_b y_b is also an upper bound.  The zero element needs no
+    separate test: its LP has value 0, and duals summing to 0 certify
+    |f| <= 0 on every ray.
     """
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
@@ -184,8 +186,7 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
             f"space {space} is not polyhedral; use norm_bounds"
         )
     budget = budget_directions(space)
-    pieces, bends = pieces_and_kinks(f)
-    columns = rays(f.dim, list(bends) + [p.coeffs for p in pieces] + list(budget))
+    columns = rays(f.dim, [*kinks(f), *budget])
     objective = [abs(v) for v in f.eval_many(columns)]
     # rays and budget directions are integral, so |<v,b>| is taken on ints
     int_columns = [[x.numerator for x in v] for v in columns]
@@ -356,33 +357,19 @@ def _float_evaluator(f: PwlFunction) -> Callable[[list], float]:
 _MAX_SWEEP_SIGNS = 1 << 17
 
 
-def _budget_rays(space: SpaceSpec, bends) -> tuple[Vec, ...]:
-    """Single sweep points for a polyhedral space (norm_bounds on fvl, seq:1
-    and seq:inf, an API-only path).  The single-point budget max_b |<x, b>|
-    is linear wherever the signs of <x, b> and of |<x, b_i>| - |<x, b_j>|
-    are fixed, so with f's kinks these normals make |f(x)| / budget peak on
-    a ray."""
-    budget = budget_directions(space)
-    normals = [*bends, *budget]
-    for bi, bj in itertools.combinations(budget, 2):
-        normals.append(vec_add(bi, bj))
-        normals.append(tuple(x - y for x, y in zip(bi, bj)))
-    return rays(space.dim, normals)
-
-
 def _sweep_candidates(
     f: PwlFunction, space: SpaceSpec, pieces, singles
 ) -> list[FunctionalTuple]:
-    """The sweep's deterministic tuples: each ray of `singles` alone, the
-    Hoelder peaks of f's pieces off the polyhedral spaces, the sign
-    vectors, and two bases; each also scaled to admissibility about 1."""
+    """The sweep's deterministic tuples on a non-polyhedral space: each ray
+    of `singles` (f's ray table) alone, the Hoelder peaks of f's pieces,
+    the sign vectors, and two bases; each also scaled to admissibility
+    about 1."""
     d = space.dim
     out: list[tuple[Vec, ...]] = [(r,) for r in singles]
-    if not space.is_polyhedral:
-        # |piece| peaks on the dual ball where Hoelder's inequality is tight
-        for piece in sorted(pieces, key=lambda p: p.coeffs):
-            peak = peak_point(piece.coeffs, space)
-            out.extend(((peak,), (vec_scale(-1, peak),)))
+    # |piece| peaks on the dual ball where Hoelder's inequality is tight
+    for piece in sorted(pieces, key=lambda p: p.coeffs):
+        peak = peak_point(piece.coeffs, space)
+        out.extend(((peak,), (vec_scale(-1, peak),)))
 
     for s in sign_patterns(d):
         out.append((vec(s),))
@@ -509,21 +496,26 @@ def norm_bounds(
     restarts: int = 16,
     seed: int = 0,
 ) -> NormCertificate:
-    """Certified sandwich for any space: sweep + ascent lower, strong-unit upper.
+    """Certified sandwich for a non-polyhedral space: sweep + ascent lower,
+    strong-unit upper.  A polyhedral space raises UnsupportedSpaceError:
+    its norm is exact, from norm_certificate.
 
     One pieces_and_kinks fold and one ray table (see strong_unit_factor)
     serve the whole op: the table gives lam, the zero test (lam = 0 exactly
-    when f vanishes, checked ahead of the sweep's cap) and, off the
-    polyhedral spaces, the sweep's single points.  The lower bound is the
-    best exact re-score over the sweep's tuples and the rationalized
-    hill-climbing results (restarts are keyed by (seed, index) and merged
-    by value then lexicographic witness, so a fixed seed gives the same
-    certificate).  The upper bound is lam * Sum_j ||x_j|| over the
-    composition rows.
+    when f vanishes, checked ahead of the sweep's cap) and the sweep's
+    single points.  The lower bound is the best exact re-score over the
+    sweep's tuples and the rationalized hill-climbing results (restarts
+    are keyed by (seed, index) and merged by value then lexicographic
+    witness, so a fixed seed gives the same certificate).  The upper bound
+    is lam * Sum_j ||x_j|| over the composition rows.
     """
     check_search_settings(restarts)
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
+    if space.is_polyhedral:
+        raise UnsupportedSpaceError(
+            f"space {space} is polyhedral; its exact norm comes from norm_certificate"
+        )
     pieces, bends = pieces_and_kinks(f)
     table = rays(f.dim, [*bends, *f.comp])
     lam, unit_rows = strong_unit_factor(f, table)
@@ -547,8 +539,7 @@ def norm_bounds(
 
     best_value = Fraction(0)
     best_witness = functional_tuple(space, (zero_vec(space.dim),))
-    singles = _budget_rays(space, bends) if space.is_polyhedral else table
-    sweep = _sweep_candidates(f, space, pieces, singles)
+    sweep = _sweep_candidates(f, space, pieces, table)
     for tup in itertools.chain(sweep, ascent_tuples()):
         value = tuple_seminorm_value(f, tup)
         if value > best_value or (

@@ -4,7 +4,8 @@ admissibility value of a tuple of dual points, operator norms.
 Each is an exact rational or a certified rational upper bound, computed
 with `int` and `Fraction` only: p = 1 and p = inf need no root, other
 rational p round k-th roots up (`root_upper`).  `admissibility_columns`,
-the ascent heuristic's budget, is the one float function.
+the ascent heuristic's budget on the non-polyhedral spaces, is the one
+float function.
 """
 
 from __future__ import annotations
@@ -262,30 +263,24 @@ def admissibility_upper(points, space: SpaceSpec) -> Fraction:
 def admissibility_columns(space: SpaceSpec, k: int):
     """(column, budget) for the float admissibility value of k points, the
     ascent heuristic's budget, kept as a table of one row per coordinate.
+    The ascent runs on the non-polyhedral spaces only, so the dual exponent
+    q is a finite rational above 1.
 
     column(xs), for the coordinate column xs = (x_1j, .., x_kj), gives the
-    terms |Sum_i s_i x_ij| ** q, one per sign pattern s (just |.| when
-    q = inf); budget(table) is max_s ||Sum_i s_i x_i||_q from the d columns'
-    terms.  A step that moves one coordinate recomputes one column.  Bit-
-    identical by rule: every term and norm is the same float expression,
-    summed in the same order, as on the whole tuple at once.
+    terms |Sum_i s_i x_ij| ** q, one per sign pattern s; budget(table) is
+    max_s ||Sum_i s_i x_i||_q from the d columns' terms.  A step that moves
+    one coordinate recomputes one column.  Bit-identical by rule: every
+    term and norm is the same float expression, summed in the same order,
+    as on the whole tuple at once.
     """
     patterns = sign_patterns(k)
-    q = dual_exponent(space.exponent)
-    if q == INF_P:
-        def column(xs):
-            return [abs(sum(map(operator.mul, s, xs))) for s in patterns]
+    q = float(dual_exponent(space.exponent))
 
-        def budget(table):
-            return max(map(max, zip(*table)))
-    else:
-        q = float(q)
+    def column(xs):
+        return [abs(sum(map(operator.mul, s, xs))) ** q for s in patterns]
 
-        def column(xs):
-            return [abs(sum(map(operator.mul, s, xs))) ** q for s in patterns]
-
-        def budget(table):
-            return max(sum(terms) ** (1.0 / q) for terms in zip(*table))
+    def budget(table):
+        return max(sum(terms) ** (1.0 / q) for terms in zip(*table))
 
     return column, budget
 

@@ -27,6 +27,7 @@ from .norm import (
     maximality_audit,
     norm_bounds,
     norm_by_cell_assignment,
+    norm_certificate,
     norm_exact_polyhedral,
     seq_space,
     tuple_seminorm_value,
@@ -265,7 +266,7 @@ def _c7_sandwich(seed: int):
     for i in range(100):
         space = spaces[i % len(spaces)]
         f = PwlFunction.from_expr(random_expr(rng, space.dim, max_pieces=3), space.dim)
-        cert = norm_bounds(f, space, restarts=4, seed=seed + i)
+        cert = norm_certificate(f, space, restarts=4, seed=seed + i)
         ok &= cert.lower <= cert.upper
         ok &= tuple_seminorm_value(f, cert.witness) == cert.lower
         if cert.lam is not None:
@@ -325,7 +326,7 @@ def _c9_slot_sufficiency(seed: int):
 
 def _c10_determinism(seed: int):
     f = PwlFunction.from_expr(parse(r"t1 /\ t2 + t1 \/ (2*t3)", 3), 3)
-    space = fvl_space(3)
+    space = seq_space(2, 3)
     b1 = norm_bounds(f, space, restarts=8, seed=seed)
     b2 = norm_bounds(f, space, restarts=8, seed=seed)
     same_bounds = (

@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,8 +21,6 @@ from latfree.norm import (
     _MAX_RESTARTS,
     _ascent_draws,
     _ascent_restart,
-    _budget_rays,
-    _sweep_candidates,
     budget_directions,
     constraint_norm,
     evaluation_seminorm,
@@ -39,7 +38,7 @@ from latfree.norm import (
     tuple_seminorm_value,
 )
 from latfree.pnorm import dual_exponent
-from latfree.pwl import PwlFunction, make_pwl, pieces_and_kinks
+from latfree.pwl import PwlFunction, make_pwl
 from latfree.sampling import random_expr
 
 F = Fraction
@@ -235,10 +234,16 @@ class TestVertexLpWork:
     column counts are deterministic; a changed count flags a regression."""
 
     COUNTS = {  # (space, expression): (pivots, columns)
-        ("fvl:4", "|t1|+|t2|+|t3|+|t4|"): (5, 48),
-        ("fvl:4", "|t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|"): (25, 134),
+        ("fvl:4", "|t1|+|t2|+|t3|+|t4|"): (4, 8),
+        ("fvl:4", "|t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|"): (10, 32),
         ("seq:inf:3", "|t1|+|t2|+|t3|"): (5, 18),
+        ("fvl:6", "|t1|+|t2|+|t3|+|t4|+|t5|+|t6|"): (6, 12),
+        ("seq:inf:5", "|t1-t2|+|t2-t3|+|t3-t4|+|t4-t5|"): (525, 450),
     }
+
+    # about ten times the 1.75-2.0 s of the seq:inf:5 path-sum on a 2-core
+    # x86 box with Python 3.11
+    BUDGET_S = 20
 
     @pytest.mark.parametrize("space,text", list(COUNTS))
     def test_pivot_and_column_counts(self, monkeypatch, space, text):
@@ -261,7 +266,10 @@ class TestVertexLpWork:
         monkeypatch.setattr(lp._Tableau, "pivot", pivot)
         monkeypatch.setattr(norm_module, "simplex_standard", simplex)
         spec = parse_space(space)
+        t0 = time.perf_counter()
         norm_exact_polyhedral(pw(text, spec.dim), spec)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < self.BUDGET_S, f"{elapsed:.1f}s exceeded {self.BUDGET_S}s"
         pivots, columns = self.COUNTS[space, text]
         assert lengths == [columns]
         assert len(counted) == pivots
@@ -355,10 +363,14 @@ class TestStrongUnitFactor:
 
 class TestNormBounds:
     def test_exact_on_polyhedral_space(self):
-        cert = norm_bounds(pw(r"t1 \/ t2", 2), fvl_space(2), restarts=8, seed=7)
-        assert cert.exact and cert.lower == 2 == cert.upper
-        assert cert.lam == 1
-        assert cert.upper_method == "strong_unit_lambda_n"
+        # a polyhedral norm is exact: norm_bounds refuses it and names
+        # norm_certificate, which returns it
+        f = pw(r"t1 \/ t2", 2)
+        for spec in (fvl_space(2), seq_space(1, 2), seq_space("inf", 2)):
+            with pytest.raises(UnsupportedSpaceError, match="norm_certificate"):
+                norm_bounds(f, spec, restarts=8, seed=7)
+            cert = norm_certificate(f, spec, restarts=8, seed=7)
+            assert cert.exact and cert.upper_method == "exact_match"
 
     def test_euclidean_pythagorean_vector_is_exact(self):
         xhat = make_pwl(parse("t1", 1), [(3, 4)])
@@ -373,27 +385,11 @@ class TestNormBounds:
         assert abs(float(cert.lower) - math.sqrt(2)) < 1e-9
         assert float(cert.upper - cert.lower) < 1e-9
 
-    def test_box_region_single_point_sweep(self):
-        # single fvl:2 points are budgeted by the box max_j |x_j| <= 1, on
-        # which |t1 - t2| peaks at 2 on the corners (1, -1) and (-1, 1)
-        f = pw("t1 - t2", 2)
-        pieces, bends = pieces_and_kinks(f)
-        sweep = _sweep_candidates(f, fvl_space(2), pieces, _budget_rays(fvl_space(2), bends))
-        best = max(
-            (tup for tup in sweep if len(tup.points) == 1),
-            key=lambda tup: tuple_seminorm_value(f, tup),
-        )
-        assert tuple_seminorm_value(f, best) == 2
-        (x,) = best.points
-        assert abs(x[0] - x[1]) == 2 and constraint_norm(best) == 1
-        cert = norm_bounds(f, fvl_space(2), restarts=0)
-        assert cert.lower == 2
-
     def test_zero_function(self):
-        cert = norm_bounds(pw("0*t1", 2), fvl_space(2))
+        cert = norm_bounds(pw("0*t1", 2), seq_space(2, 2))
         assert cert.lower == 0 == cert.upper and cert.exact
 
-    @pytest.mark.parametrize("space", ["seq:3/2:2", "fvl:2"])
+    @pytest.mark.parametrize("space", ["seq:3/2:2"])
     def test_zero_element_gets_the_zero_certificate(self, space):
         # kinks but no value: lam = 0 on every ray is the zero test
         spec = parse_space(space)
@@ -403,14 +399,8 @@ class TestNormBounds:
         assert cert.unit_support == ()
 
     def test_nondegeneracy_of_small_elements(self):
-        cert = norm_bounds(pw(r"1/7*(t1 /\ t2)", 2), fvl_space(2), restarts=4, seed=2)
+        cert = norm_bounds(pw(r"1/7*(t1 /\ t2)", 2), seq_space(2, 2), restarts=4, seed=2)
         assert cert.lower > 0
-
-    def test_lower_reaches_known_values(self):
-        for text, n, expected in EXACT_CASES:
-            cert = norm_bounds(pw(text, n), fvl_space(n), restarts=6, seed=3)
-            assert cert.lower == expected
-            assert cert.upper >= expected
 
     def test_witness_rescoring_matches_lower(self):
         f = pw(r"t1 - 2*t2", 2)
@@ -462,15 +452,10 @@ def _reference_float_evaluator(f):
 
 
 def _reference_admissibility_float(space):
-    q = dual_exponent(space.exponent)
-    if q == "inf":
-        def norm(c):
-            return max(abs(v) for v in c)
-    else:
-        q = float(q)
+    q = float(dual_exponent(space.exponent))
 
-        def norm(c):
-            return sum(abs(v) ** q for v in c) ** (1.0 / q)
+    def norm(c):
+        return sum(abs(v) ** q for v in c) ** (1.0 / q)
 
     def signed_sums(points):
         columns = list(zip(*points))
@@ -520,8 +505,7 @@ def _reference_ascent_restart(f, space, seed, r):
     return pts
 
 
-ASCENT_SPACES = ["seq:2:2", "seq:3/2:2", "seq:2:3", "seq:3:2", "seq:7/3:3", "fvl:2",
-                 "seq:inf:2"]
+ASCENT_SPACES = ["seq:2:2", "seq:3/2:2", "seq:2:3", "seq:3:2", "seq:7/3:3"]
 
 
 class TestAscentRestart:

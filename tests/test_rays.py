@@ -17,7 +17,9 @@ from latfree.qmath import (
     transpose,
     vec,
 )
+from latfree.lp import simplex_standard
 from latfree.norm import (
+    budget_directions,
     fvl_space,
     norm_by_cell_assignment,
     norm_exact_polyhedral,
@@ -36,6 +38,7 @@ from latfree.pwl import (
     kinks,
     linear_pieces,
     make_pwl,
+    pieces_and_kinks,
     rays,
 )
 from latfree.sampling import random_expr, random_pair, thin_cone_pair
@@ -284,6 +287,20 @@ def _points_in_cell(rng, arr, cell):
     return [tuple(a + t * b for a, b in zip(p, v)) for t in steps]
 
 
+def _zero_set_lp_norm(f: PwlFunction, space) -> Fraction:
+    """The exact norm's LP over the rays of f's kinks, the zero sets of its
+    candidate pieces and the budget directions, a finer arrangement than
+    the kinks and the budget on which |f| itself is linear per cell."""
+    budget = budget_directions(space)
+    pieces, bends = pieces_and_kinks(f)
+    columns = rays(f.dim, [*bends, *(p.coeffs for p in pieces), *budget])
+    objective = [abs(v) for v in f.eval_many(columns)]
+    rows = [([abs(dot(v, b)) for v in columns], 1) for b in budget]
+    res = simplex_standard(objective, rows)
+    assert res.status == "optimal"
+    return res.value
+
+
 class TestDifferential:
     def test_ray_verdicts_match_the_cell_reference(self):
         # the cell reference costs seconds per pair in dimension 3, so the
@@ -354,13 +371,30 @@ class TestDifferential:
 
     def test_exact_norms_match_the_cell_assignment_oracle(self):
         rng = random.Random(60)
+        cases = []
         for i in range(60):
             n = rng.randint(1, 3)
             space = fvl_space(n) if i % 2 == 0 else seq_space(1, n)
-            f = PwlFunction.from_expr(random_expr(rng, n), n)
+            cases.append((PwlFunction.from_expr(random_expr(rng, n), n), space))
+        # each changes sign inside a cell of its kinks; t1 + t2 has no kinks
+        for text in ("t1 + t2", r"(t1 + t2) \/ (2*t1 - t3)"):
+            f = pw(text, 3)
+            cases += [(f, fvl_space(3)), (f, seq_space(1, 3))]
+        for f, space in cases:
             cert = norm_exact_polyhedral(f, space)
             assert cert.lower == norm_by_cell_assignment(f, space)
             assert tuple_admissible(cert.witness)
+            assert tuple_seminorm_value(f, cert.witness) == cert.lower
+
+    def test_exact_norms_match_the_zero_set_lp(self):
+        # seq:inf, past the cell-assignment oracle's per-coordinate budget
+        rng = random.Random(61)
+        for i in range(45):
+            dim = 2 + i % 3
+            f = PwlFunction.from_expr(random_expr(rng, dim), dim)
+            space = seq_space("inf", dim)
+            cert = norm_exact_polyhedral(f, space)
+            assert cert.lower == _zero_set_lp_norm(f, space)
             assert tuple_seminorm_value(f, cert.witness) == cert.lower
 
     def test_cell_lp_matches_ray_sums(self):
