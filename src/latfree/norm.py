@@ -21,7 +21,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 from .errors import (
@@ -30,14 +30,16 @@ from .errors import (
     InternalFaultError,
     UnsupportedSpaceError,
 )
-from .expr import Program, Scale, fold
+from .expr import Add, Inf, Scale, Sup, Var
 from .lp import simplex_standard
 from .pnorm import (  # the space constructors are re-exported from here
     SpaceSpec,
     admissibility_columns,
     admissibility_upper,
     budget_directions,
+    float_kernel,
     fvl_space,
+    left_sum,
     norm_upper,
     parse_space,
     peak_point,
@@ -333,21 +335,32 @@ def strong_unit_factor(f: PwlFunction, table: tuple[Vec, ...] | None = None):
     return lam, tuple(f.comp)
 
 
+# the generated statement of a program slot that combines slots a and b
+_SLOT_TEXT = {Add: "s{a} + s{b}", Sup: "max(s{a}, s{b})", Inf: "min(s{a}, s{b})"}
+
+
 def _float_evaluator(f: PwlFunction) -> Callable[[list], float]:
-    """x -> f(x) in floats, one fold; a float row e_j reads x_j, any other
-    row sums c * x_j from the left."""
-
-    def reader(row):
+    """x -> f(x) in floats, one generated straight-line function with a
+    statement per program slot: a Var slot reads x_j for a float row e_j
+    and else sums its row's c * x_j from the left, starting at 0; the other
+    slots are c * s, s + u, max(s, u) and min(s, u).  Raises OverflowError
+    when a coefficient is past the float range."""
+    reads = []
+    for row in ([float(v) for v in row] for row in f.comp):
         if row.count(0.0) == len(row) - 1 and 1.0 in row:
-            return operator.itemgetter(row.index(1.0))
-        return lambda x: sum(map(operator.mul, row, x))
-
-    readers = [reader([float(v) for v in row]) for row in f.comp]
-    slots = tuple((t, float(a) if t is Scale else a, b) for t, a, b in f.program.slots)
-    program = Program(slots, f.program.max_var)
-    return lambda x: fold(
-        program, lambda i: readers[i - 1](x), operator.mul, operator.add, max, min
-    )
+            reads.append(f"x[{row.index(1.0)}]")
+        else:
+            reads.append(left_sum(f"({c!r}) * x[{j}]" for j, c in enumerate(row)))
+    body = []
+    for n, (kind, a, b) in enumerate(f.program.slots):
+        if kind is Var:
+            rhs = reads[a - 1]
+        elif kind is Scale:
+            rhs = f"({float(a)!r}) * s{b}"
+        else:
+            rhs = _SLOT_TEXT[kind].format(a=a, b=b)
+        body.append(f"s{n} = {rhs}")
+    return float_kernel("value", "x", [*body, f"return s{len(body) - 1}"])
 
 
 # sign vectors (+-1, .., +-1) modulo sign, 2**(d-1), that the sweep scores.
@@ -413,12 +426,17 @@ def _ascent_draws(seed: int, r: int, d: int):
     return start, steps
 
 
-def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
-    """One deterministic hill-climbing run: float points, or None when f's
-    coefficients or the starting budget overflow a float (an overflowing
-    step counts as no better).  Bit-identical by rule: a rewrite keeps the
-    draws and the float expression of every value, each in its order, and
-    returns == points.
+def _abs_total(vals) -> float:
+    """Sum_i |v_i| as a left fold from 0, the same float on every Python."""
+    return reduce(operator.add, map(abs, vals), 0)
+
+
+def _ascent_restart(value, space: SpaceSpec, seed: int, r: int):
+    """One deterministic hill-climbing run on the float kernel value =
+    _float_evaluator(f): float points, or None when the starting budget
+    overflows a float (an overflowing step counts as no better).
+    Bit-identical by rule: a rewrite keeps the draws and the float
+    expression of every value, each in its order, and returns == points.
 
     The run keeps the points' admissibility_columns table and their values.
     A step moves one coordinate x_ij, so its budget needs column j only,
@@ -433,10 +451,9 @@ def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
 
     pts = [list(x) for x in start]
     try:
-        value = _float_evaluator(f)
         table = [column(xs) for xs in zip(*pts)]
         vals = list(map(value, pts))
-        best = score(sum(map(abs, vals)), budget(table))
+        best = score(_abs_total(vals), budget(table))
     except OverflowError:
         return None
     step = 0.6
@@ -451,7 +468,7 @@ def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
             if cn > 1:
                 cand = [[v / cn for v in x] for x in cand]
                 cand_vals = list(map(value, cand))
-                s = sum(map(abs, cand_vals))
+                s = _abs_total(cand_vals)
                 # The score is 0.0 or s / max(1.0, cn'), and a float divided
                 # by a value >= 1 never rounds above it, so s <= best already
                 # rejects the candidate and its table would go unread.  The
@@ -463,7 +480,7 @@ def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
             else:  # at cn <= 1, dividing by max(1.0, cn) changes nothing
                 cand_vals = vals.copy()
                 cand_vals[i] = value(moved)
-                s = score(sum(map(abs, cand_vals)), cn)
+                s = score(_abs_total(cand_vals), cn)
         except OverflowError:  # a q-th power past the float range
             s = best
         if s > best:
@@ -474,9 +491,9 @@ def _ascent_restart(f: PwlFunction, space: SpaceSpec, seed: int, r: int):
 
 
 # restarts of the ascent one sandwich may run, 64 times the default 16.
-# Measured on a 2-core x86 box with Python 3.11: a restart and its exact
-# re-score take 2.4 ms on seq:2:3 to 9 ms on seq:2:16, so the cap adds 2.5
-# to 9 s to a sandwich.
+# Measured on a 2-core x86 box with Python 3.11, for (1*t3) /\ (2*t2): a
+# restart and its exact re-score take 1.7 ms on seq:2:3 to 2.8 ms on
+# seq:2:16, so the cap adds about 1.7 to 2.9 s to a sandwich.
 _MAX_RESTARTS = 1024
 
 
@@ -528,8 +545,12 @@ def norm_bounds(
     upper = lam * unit_sum
 
     def ascent_tuples():
+        try:
+            value = _float_evaluator(f)  # one kernel for every restart
+        except OverflowError:  # a coefficient past the float range: no ascent
+            return
         for r in range(restarts):
-            float_pts = _ascent_restart(f, space, seed, r)
+            float_pts = _ascent_restart(value, space, seed, r)
             if float_pts is not None:
                 points = tuple(
                     tuple(Fraction(v).limit_denominator(_MAX_DENOMINATOR) for v in x)

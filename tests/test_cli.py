@@ -101,6 +101,19 @@ class TestNorm:
         assert cert["method"] == "strong_unit_lambda_n"
         assert cert["lambda"] is not None
 
+    def test_seeded_sandwich_is_pinned(self, capsys):
+        # the ascent sums its floats from the left, so every Python gives
+        # these bounds; a compensated sum (Python 3.12+'s builtin) climbs
+        # to another witness and a lower bound above 2
+        code, out, _ = run_main(
+            ["norm", "--space", "seq:2:3", "--expr", r"(-2*t3) /\ (1*t2)",
+             "--restarts", "4", "--seed", "1"],
+            capsys,
+        )
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert (cert["lower"], cert["upper"]) == ("2", "6")
+
     @pytest.mark.parametrize(
         "space,expr",
         [

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import operator
@@ -21,6 +22,7 @@ from latfree.norm import (
     _MAX_RESTARTS,
     _ascent_draws,
     _ascent_restart,
+    _float_evaluator,
     budget_directions,
     constraint_norm,
     evaluation_seminorm,
@@ -46,6 +48,12 @@ F = Fraction
 
 def pw(text: str, n: int) -> PwlFunction:
     return PwlFunction.from_expr(parse(text, n), n)
+
+
+def fold_sum(terms):
+    """0 + t_1 + t_2 + ..., summed from the left: Python 3.11's float sum,
+    which 3.12's compensated builtin sum no longer gives."""
+    return functools.reduce(operator.add, terms, 0)
 
 
 def counting(calls, name, real):
@@ -321,6 +329,24 @@ class TestSandwichWork:
         capsys.readouterr()
         assert calls == {"column": 1347, "value": 1463}
 
+    def test_one_value_kernel_per_cli_sandwich(self, monkeypatch, capsys):
+        # the float kernel is built once and shared by the four restarts
+        import latfree.norm as norm_module
+        from latfree import cli
+
+        calls = {}
+        monkeypatch.setattr(
+            norm_module, "_float_evaluator",
+            counting(calls, "kernel", norm_module._float_evaluator),
+        )
+        monkeypatch.setattr(
+            norm_module, "_ascent_restart",
+            counting(calls, "restart", norm_module._ascent_restart),
+        )
+        assert cli.main(self.ARGV + [r"(1*t3) /\ (2*t2)"]) == 0
+        capsys.readouterr()
+        assert calls == {"kernel": 1, "restart": 4}
+
 
 class TestCellAssignment:
     def test_duplicate_slots_never_improve(self):
@@ -444,7 +470,7 @@ def _reference_float_evaluator(f):
     comp = [[float(v) for v in row] for row in f.comp]
 
     def value(x):
-        ys = [sum(c * xi for c, xi in zip(row, x)) for row in comp]
+        ys = [fold_sum(c * xi for c, xi in zip(row, x)) for row in comp]
         return fold(f.program, lambda i: ys[i - 1], lambda c, v: float(c) * v,
                     operator.add, max, min)
 
@@ -455,13 +481,13 @@ def _reference_admissibility_float(space):
     q = float(dual_exponent(space.exponent))
 
     def norm(c):
-        return sum(abs(v) ** q for v in c) ** (1.0 / q)
+        return fold_sum(abs(v) ** q for v in c) ** (1.0 / q)
 
     def signed_sums(points):
         columns = list(zip(*points))
         for rest in itertools.product((1, -1), repeat=len(points) - 1):
             s = (1,) + rest
-            yield tuple(sum(si * v for si, v in zip(s, col)) for col in columns)
+            yield tuple(fold_sum(si * v for si, v in zip(s, col)) for col in columns)
 
     return lambda points: max(map(norm, signed_sums(points)))
 
@@ -477,7 +503,7 @@ def _reference_ascent_restart(f, space, seed, r):
         cn = budget(ps)
         if cn < 1e-12:
             return 0.0
-        return sum(abs(value(x)) for x in ps) / max(1.0, cn)
+        return fold_sum(abs(value(x)) for x in ps) / max(1.0, cn)
 
     pts = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(k)]
     try:
@@ -525,7 +551,7 @@ class TestAscentRestart:
         for f in functions:
             for seed in (0, 1):
                 for r in range(6):
-                    got = _ascent_restart(f, space, seed, r)
+                    got = _ascent_restart(_float_evaluator(f), space, seed, r)
                     assert got is not None
                     assert got == _reference_ascent_restart(f, space, seed, r)
 
@@ -539,11 +565,18 @@ class TestAscentRestart:
         ],
     )
     def test_overflow_matches_the_reference(self, text, expr, fits):
+        # a coefficient past the float range fails the kernel's build, and
+        # norm_bounds then runs no restart
         space, f = parse_space(text), pw(expr, 2)
-        for r in range(6):
-            got = _ascent_restart(f, space, 1, r)
-            assert got == _reference_ascent_restart(f, space, 1, r)
-            assert (got is not None) == fits
+        expected = [_reference_ascent_restart(f, space, 1, r) for r in range(6)]
+        if fits:
+            value = _float_evaluator(f)
+            assert [_ascent_restart(value, space, 1, r) for r in range(6)] == expected
+            assert None not in expected
+        else:
+            with pytest.raises(OverflowError):
+                _float_evaluator(f)
+            assert expected == [None] * 6
 
     def test_cold_and_warm_draws_give_the_same_points(self):
         # one (seed, r) in two dimensions: the draws are keyed by d as well
@@ -552,10 +585,11 @@ class TestAscentRestart:
             (pw(r"(1*t3) /\ (2*t2)", 3), parse_space("seq:2:3")),
             (pw(r"(1*t3) /\ (2*t2)", 3), parse_space("seq:3/2:3")),
         ]
+        kernels = [(_float_evaluator(f), space) for f, space in cases]
         for r in range(4):
             _ascent_draws.cache_clear()
-            cold = [_ascent_restart(f, space, 1, r) for f, space in cases]
-            warm = [_ascent_restart(f, space, 1, r) for f, space in cases]
+            cold = [_ascent_restart(value, space, 1, r) for value, space in kernels]
+            warm = [_ascent_restart(value, space, 1, r) for value, space in kernels]
             assert cold == warm == [
                 _reference_ascent_restart(f, space, 1, r) for f, space in cases
             ]

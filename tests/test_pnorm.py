@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -6,7 +8,9 @@ import pytest
 from latfree.errors import UnsupportedSpaceError
 from latfree.pnorm import (
     _BITS,
+    admissibility_columns,
     admissibility_upper,
+    dual_exponent,
     fvl_space,
     iroot,
     norm_leq,
@@ -206,6 +210,48 @@ class TestAdmissibility:
             assert admissibility_upper(pts, seq_space(3, len(pts[0]))) == max(
                 norm_upper(c, F(3, 2)) for c in combined
             )
+
+
+def _left_fold(terms):
+    return functools.reduce(operator.add, terms, 0)
+
+
+class TestFloatAdmissibility:
+    """The generated column and budget functions against a loop over the
+    whole tuple, both summing from the left."""
+
+    @pytest.mark.parametrize("p", [F(2), F(3, 2), F(3), F(7, 3)])
+    def test_matches_the_whole_tuple_loop(self, p):
+        rng = random.Random(f"columns {p}")
+        q = float(dual_exponent(p))
+        extremes = [0.0, -0.0, 1e100, -3e-200, 0.5]
+        for d in (1, 2, 4):
+            space = seq_space(p, d)
+            for k in (1, 2, 3):
+                column, budget = admissibility_columns(space, k)
+                for trial in range(12):
+                    pts = [
+                        [rng.choice(extremes) if trial % 3 == 0 else rng.uniform(-2, 2)
+                         for _ in range(d)]
+                        for _ in range(k)
+                    ]
+                    table = [column(xs) for xs in zip(*pts)]
+                    combined = [
+                        [_left_fold(map(operator.mul, s, col)) for col in zip(*pts)]
+                        for s in sign_patterns(k)
+                    ]
+                    for terms, c in zip(zip(*table), combined):
+                        assert list(terms) == [abs(v) ** q for v in c]
+                    assert budget(table) == max(
+                        _left_fold(abs(v) ** q for v in c) ** (1.0 / q) for c in combined
+                    )
+                assert admissibility_columns(space, k) == (column, budget)
+
+    def test_a_power_past_the_float_range_raises(self):
+        column, _ = admissibility_columns(seq_space(F(1000, 999), 2), 2)
+        with pytest.raises(OverflowError):
+            column([2.0, 0.5])
+        assert column([1.0, 0.0]) == [1.0, 1.0]
 
 
 class TestOperatorUpper:
