@@ -21,7 +21,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .errors import (
@@ -34,12 +34,10 @@ from .expr import Add, Inf, Scale, Sup, Var
 from .lp import simplex_standard
 from .pnorm import (  # the space constructors are re-exported from here
     SpaceSpec,
-    admissibility_columns,
     admissibility_upper,
     budget_directions,
-    float_kernel,
+    dual_exponent,
     fvl_space,
-    left_sum,
     norm_upper,
     parse_space,
     peak_point,
@@ -138,12 +136,16 @@ def tuple_admissible(tup: FunctionalTuple) -> bool:
     return constraint_norm(tup) <= 1
 
 
+def _tuple_total(f: PwlFunction, tup: FunctionalTuple) -> Fraction:
+    """Sum_i |f(x_i)|, exactly."""
+    return sum((abs(v) for v in f.eval_many(tup.points)), Fraction(0))
+
+
 def tuple_seminorm_value(f: PwlFunction, tup: FunctionalTuple) -> Fraction:
     """Sum_i |f(x_i)| normalized by max(1, constraint_norm) — a sound lower bound."""
     if f.dim != tup.space.dim:
         raise DimensionError("function and tuple live in different dimensions")
-    total = sum((abs(v) for v in f.eval_many(tup.points)), Fraction(0))
-    return total / max(Fraction(1), constraint_norm(tup))
+    return _tuple_total(f, tup) / max(Fraction(1), constraint_norm(tup))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +337,21 @@ def strong_unit_factor(f: PwlFunction, table: tuple[Vec, ...] | None = None):
     return lam, tuple(f.comp)
 
 
+def float_kernel(name: str, params: str, body: list[str]):
+    """The function `def name(params)` with the given body lines, compiled
+    once.  Callers build the lines from reprs of finite floats, integer
+    indices and fixed operators only, so no input text reaches exec."""
+    namespace: dict = {}
+    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, f"<latfree {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def left_sum(terms) -> str:
+    """Source of 0 + t_1 + t_2 + ..., summed from the left as written."""
+    return " + ".join(["0", *terms])
+
+
 # the generated statement of a program slot that combines slots a and b
 _SLOT_TEXT = {Add: "s{a} + s{b}", Sup: "max(s{a}, s{b})", Inf: "min(s{a}, s{b})"}
 
@@ -364,9 +381,10 @@ def _float_evaluator(f: PwlFunction) -> Callable[[list], float]:
 
 
 # sign vectors (+-1, .., +-1) modulo sign, 2**(d-1), that the sweep scores.
-# Measured on a 2-core x86 box with Python 3.11: each costs 0.3-0.5 ms (two
-# exact admissibilities and two exact re-scores), so the cap admits
-# seq:2:18, whose norm of t1 takes about a minute; seq:2:16 takes 10 s.
+# Measured on a 2-core x86 box with Python 3.11: each costs about 0.2 ms
+# (an exact admissibility, two exact totals, and an admissibility of its
+# scaled copy only when that can win), so the cap admits seq:2:18, whose
+# norm of t1 takes 35 s and 615 MB; seq:2:16 takes 6 s.
 _MAX_SWEEP_SIGNS = 1 << 17
 
 
@@ -407,9 +425,9 @@ def _sweep_candidates(
 _MAX_DENOMINATOR = 10**6
 
 
-# the restarts' draws kept per process: an entry of at most 3 start points
-# and 240 steps takes about 24 KB, and 64 entries (1.5 MB) hold the default
-# 16 restarts in four dimensions
+# the restarts' draws kept per process: an entry of 3 start points and 240
+# steps in four dimensions takes 24 KB (tracemalloc, Python 3.11), and 64
+# entries (1.5 MB) hold the default 16 restarts in four dimensions
 @lru_cache(maxsize=64)
 def _ascent_draws(seed: int, r: int, d: int):
     """The draws of restart r in dimension d, made once: the k = 1 + r % 3
@@ -426,74 +444,145 @@ def _ascent_draws(seed: int, r: int, d: int):
     return start, steps
 
 
-def _abs_total(vals) -> float:
-    """Sum_i |v_i| as a left fold from 0, the same float on every Python."""
-    return reduce(operator.add, map(abs, vals), 0)
+# an entry is one generated function, 18 KB for k = 3 in four dimensions and
+# 42 KB in sixteen (tracemalloc, Python 3.11); a space asks for k = 1..3
+@lru_cache(maxsize=64)
+def _climb(space: SpaceSpec, k: int):
+    """climb(value, start, steps): the hill-climb of k points on a
+    non-polyhedral space, one straight-line function generated once per
+    (space, k) and run on the draws of _ascent_draws and the value kernel
+    of _float_evaluator.  It returns the float points, or None when the
+    starting budget overflows a float; an overflowing step is rejected.
+
+    The points p0..p(k-1), their float values V and their budget table are
+    kept in place: the table holds T_s[j] = |Sum_i s_i x_ij| ** q for each
+    sign pattern s and coordinate j (q dual to p), and the budget is
+    max_s (Sum_j T_s[j]) ** (1/q).  A step moves one coordinate x_ij, so it
+    rewrites the entries of column j, and a rejected step restores every
+    entry it touched.  A candidate inside the ball needs the value at point
+    i only.  A candidate rescaled onto the ball by its budget cn gets all
+    its values first, and its own table only when the sum S of their
+    absolute values beats the best score: that score is 0 or
+    S / max(1, cn'), and a float divided by a value >= 1 never rounds
+    above S.  Accepted, it keeps the values it was scored with.
+
+    Every sum is written out as a left fold from 0, and every float is the
+    expression of the loop this replaced, in its order, so the climb gives
+    the same points on every Python from 3.10 on.
+    """
+    d, patterns = space.dim, range(len(sign_patterns(k)))
+    q = float(dual_exponent(space.exponent))
+    points = [f"p{i}" for i in range(k)]
+
+    def terms(column):  # |Sum_i s_i x_i| ** q per sign pattern s
+        return [
+            f"abs({left_sum(x if s > 0 else f'-{x}' for s, x in zip(signs, column))})"
+            f" ** {q!r}"
+            for signs in sign_patterns(k)
+        ]
+
+    def table(rows, name):  # the lists name_s of every column's terms
+        columns = [terms([f"{x}[{j}]" for x in rows]) for j in range(d)]
+        return [f"{name}{s} = [{', '.join(c[s] for c in columns)}]" for s in patterns]
+
+    def budget(name):  # max over s of the table's q-norms; max(a, b) == max([a, b])
+        norms = [
+            f"({left_sum(f'{name}{s}[{j}]' for j in range(d))}) ** {1.0 / q!r}"
+            for s in patterns
+        ]
+        return norms[0] if len(norms) == 1 else f"max({', '.join(norms)})"
+
+    def total(values):
+        return left_sum(f"abs({v})" for v in values)
+
+    def each(texts):
+        return ", ".join(texts)
+
+    saved, fresh = [f"o{s}" for s in patterns], [f"w{i}" for i in range(k)]
+    body = [
+        f"{each(points)}, = map(list, start)",
+        "try:",
+        *(f"    {line}" for line in table(points, "T")),
+        f"    V = [{each(f'value({x})' for x in points)}]",
+        f"    cn = {budget('T')}",
+        "except OverflowError:",
+        "    return None",
+        f"best = 0.0 if cn < 1e-12 else ({total(f'V[{i}]' for i in range(k))}) / max(1.0, cn)",
+        f"P = [{each(points)}]",
+        "step = 0.6",
+        "for i, j, u in steps:",
+        "    p = P[i]",
+        "    old = p[j]",
+        f"    {each(saved)}, = {each(f'T{s}[j]' for s in patterns)},",
+        "    p[j] = old + step * u",
+        "    try:",
+        f"        {each(f'a{i}' for i in range(k))}, = {each(f'{x}[j]' for x in points)},",
+        *(f"        T{s}[j] = {t}" for s, t in enumerate(terms([f"a{i}" for i in range(k)]))),
+        f"        cn = {budget('T')}",
+        "        if cn > 1:",
+        *(f"            c{i} = [{each(f'{x}[{j}] / cn' for j in range(d))}]"
+          for i, x in enumerate(points)),
+        *(f"            {w} = value(c{i})" for i, w in enumerate(fresh)),
+        f"            s = {total(fresh)}",
+        "            if s > best:",
+        *(f"                {line}" for line in table([f"c{i}" for i in range(k)], "N")),
+        f"                cn = {budget('N')}",
+        "                s = 0.0 if cn < 1e-12 else s / max(1.0, cn)",
+        "                if s > best:",
+        f"                    best, {each(points)} = s, {each(f'c{i}' for i in range(k))}",
+        f"                    P, V = [{each(points)}], [{each(fresh)}]",
+        f"                    {each(f'T{s}' for s in patterns)}, = "
+        f"{each(f'N{s}' for s in patterns)},",
+        "                    continue",
+        "        else:",
+        "            w = V[i]",
+        "            V[i] = value(p)",
+        # at cn <= 1 the old score's division by max(1.0, cn) is by 1.0, exact
+        f"            s = 0.0 if cn < 1e-12 else {total(f'V[{i}]' for i in range(k))}",
+        "            if s > best:",
+        "                best = s",
+        "                continue",
+        "            V[i] = w",
+        "    except OverflowError:  # a q-th power past the float range",
+        "        pass",
+        "    p[j] = old",
+        f"    {each(f'T{s}[j]' for s in patterns)}, = {each(saved)},",
+        "    step *= 0.985",
+        "return P",
+    ]
+    return float_kernel("climb", "value, start, steps", body)
 
 
 def _ascent_restart(value, space: SpaceSpec, seed: int, r: int):
     """One deterministic hill-climbing run on the float kernel value =
-    _float_evaluator(f): float points, or None when the starting budget
-    overflows a float (an overflowing step counts as no better).
+    _float_evaluator(f): the generated _climb of its k points on its draws.
     Bit-identical by rule: a rewrite keeps the draws and the float
-    expression of every value, each in its order, and returns == points.
-
-    The run keeps the points' admissibility_columns table and their values.
-    A step moves one coordinate x_ij, so its budget needs column j only,
-    and a candidate inside the ball needs the value at point i only; a
-    candidate rescaled onto the ball needs all its values, and its table
-    only when those can beat the best score."""
+    expression of every value, each in its order, and returns == points."""
     start, steps = _ascent_draws(seed, r, space.dim)
-    column, budget = admissibility_columns(space, len(start))
+    return _climb(space, len(start))(value, start, steps)
 
-    def score(total, cn) -> float:
-        return 0.0 if cn < 1e-12 else total / max(1.0, cn)
 
-    pts = [list(x) for x in start]
+def _ascent_tuples(f: PwlFunction, space: SpaceSpec, restarts: int, seed: int):
+    """The rationalized points of restarts 0..restarts-1, each a tuple; none
+    when a coefficient of f is past the float range."""
     try:
-        table = [column(xs) for xs in zip(*pts)]
-        vals = list(map(value, pts))
-        best = score(_abs_total(vals), budget(table))
+        value = _float_evaluator(f)  # one kernel for every restart
     except OverflowError:
-        return None
-    step = 0.6
-    for i, j, u in steps:
-        cand = pts.copy()
-        cand[i] = moved = pts[i].copy()
-        moved[j] += step * u
-        try:
-            cand_table = table.copy()
-            cand_table[j] = column([x[j] for x in cand])
-            cn = budget(cand_table)
-            if cn > 1:
-                cand = [[v / cn for v in x] for x in cand]
-                cand_vals = list(map(value, cand))
-                s = _abs_total(cand_vals)
-                # The score is 0.0 or s / max(1.0, cn'), and a float divided
-                # by a value >= 1 never rounds above it, so s <= best already
-                # rejects the candidate and its table would go unread.  The
-                # values cannot raise; an OverflowError in the table still
-                # rejects below.
-                if s > best:
-                    cand_table = [column(xs) for xs in zip(*cand)]
-                    s = score(s, budget(cand_table))
-            else:  # at cn <= 1, dividing by max(1.0, cn) changes nothing
-                cand_vals = vals.copy()
-                cand_vals[i] = value(moved)
-                s = score(_abs_total(cand_vals), cn)
-        except OverflowError:  # a q-th power past the float range
-            s = best
-        if s > best:
-            best, pts, table, vals = s, cand, cand_table, cand_vals
-        else:
-            step *= 0.985
-    return pts
+        return
+    for r in range(restarts):
+        float_pts = _ascent_restart(value, space, seed, r)
+        if float_pts is not None:
+            points = tuple(
+                tuple(Fraction(v).limit_denominator(_MAX_DENOMINATOR) for v in x)
+                for x in float_pts
+            )
+            yield FunctionalTuple(space=space, points=points)
 
 
 # restarts of the ascent one sandwich may run, 64 times the default 16.
 # Measured on a 2-core x86 box with Python 3.11, for (1*t3) /\ (2*t2): a
-# restart and its exact re-score take 1.7 ms on seq:2:3 to 2.8 ms on
-# seq:2:16, so the cap adds about 1.7 to 2.9 s to a sandwich.
+# restart and its exact re-score take 1.0 ms on seq:2:3 to 1.9 ms on
+# seq:2:16, so the cap adds about 1.0 to 1.9 s to a sandwich.
 _MAX_RESTARTS = 1024
 
 
@@ -520,11 +609,14 @@ def norm_bounds(
     One pieces_and_kinks fold and one ray table (see strong_unit_factor)
     serve the whole op: the table gives lam, the zero test (lam = 0 exactly
     when f vanishes, checked ahead of the sweep's cap) and the sweep's
-    single points.  The lower bound is the best exact re-score over the
+    single points.  The lower bound is the best exact value over the
     sweep's tuples and the rationalized hill-climbing results (restarts
     are keyed by (seed, index) and merged by value then lexicographic
-    witness, so a fixed seed gives the same certificate).  The upper bound
-    is lam * Sum_j ||x_j|| over the composition rows.
+    witness, so a fixed seed gives the same certificate).  A tuple's exact
+    total Sum_i |f(x_i)| bounds its value from above, so a tuple whose
+    total cannot beat the best so far, by value then witness, skips its
+    admissibility; the certificate is the one a full re-score gives.  The
+    upper bound is lam * Sum_j ||x_j|| over the composition rows.
     """
     check_search_settings(restarts)
     if f.dim != space.dim:
@@ -544,25 +636,18 @@ def norm_bounds(
     unit_sum = sum(norm_upper(row, space.exponent) for row in unit_rows)
     upper = lam * unit_sum
 
-    def ascent_tuples():
-        try:
-            value = _float_evaluator(f)  # one kernel for every restart
-        except OverflowError:  # a coefficient past the float range: no ascent
-            return
-        for r in range(restarts):
-            float_pts = _ascent_restart(value, space, seed, r)
-            if float_pts is not None:
-                points = tuple(
-                    tuple(Fraction(v).limit_denominator(_MAX_DENOMINATOR) for v in x)
-                    for x in float_pts
-                )
-                yield FunctionalTuple(space=space, points=points)
-
     best_value = Fraction(0)
     best_witness = functional_tuple(space, (zero_vec(space.dim),))
     sweep = _sweep_candidates(f, space, pieces, table)
-    for tup in itertools.chain(sweep, ascent_tuples()):
-        value = tuple_seminorm_value(f, tup)
+    for tup in itertools.chain(sweep, _ascent_tuples(f, space, restarts, seed)):
+        # value <= total, so a total below the best, or equal to it with a
+        # witness no smaller, cannot win and needs no admissibility
+        total = _tuple_total(f, tup)
+        if total < best_value or (
+            total == best_value and tup.points >= best_witness.points
+        ):
+            continue
+        value = total / max(Fraction(1), constraint_norm(tup))
         if value > best_value or (
             value == best_value and tup.points < best_witness.points
         ):

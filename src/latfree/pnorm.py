@@ -3,10 +3,9 @@ admissibility value of a tuple of dual points, operator norms.
 
 Each is an exact rational or a certified rational upper bound, computed
 with `int` and `Fraction` only: p = 1 and p = inf need no root, other
-rational p round k-th roots up (`root_upper`).  `admissibility_columns`,
-the ascent heuristic's budget on the non-polyhedral spaces, is the one
-float function: a pair of straight-line functions generated once per
-(q, k, d) by `float_kernel`, every float sum written out as a left fold.
+rational p round k-th roots up (`root_upper`).  No float enters this
+module; the ascent heuristic's float budget is written out inside the
+climb that norm generates.
 """
 
 from __future__ import annotations
@@ -259,61 +258,6 @@ def admissibility_upper(points, space: SpaceSpec) -> Fraction:
         )
         return root_upper(Fraction(power, s**k), k)
     return max(norm_upper(combined, q) for combined in _signed_sums(points))
-
-
-def float_kernel(name: str, params: str, body: list[str]):
-    """The function `def name(params)` with the given body lines, compiled
-    once.  Callers build the lines from reprs of finite floats, integer
-    indices and fixed operators only, so no input text reaches exec."""
-    namespace: dict = {}
-    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
-    exec(compile(source, f"<latfree {name}>", "exec"), namespace)
-    return namespace[name]
-
-
-def left_sum(terms) -> str:
-    """Source of 0 + t_1 + t_2 + ..., summed from the left as written."""
-    return " + ".join(["0", *terms])
-
-
-# an entry is two small generated functions; the ascent asks for k = 1..3
-@functools.lru_cache(maxsize=64)
-def admissibility_columns(space: SpaceSpec, k: int):
-    """(column, budget) for the float admissibility value of k points, the
-    ascent heuristic's budget, kept as a table of one row per coordinate.
-    The ascent runs on the non-polyhedral spaces only, so the dual exponent
-    q is a finite rational above 1.
-
-    column(xs), for the coordinate column xs = (x_1j, .., x_kj), gives the
-    terms |Sum_i s_i x_ij| ** q, one per sign pattern s; budget(table) is
-    max_s ||Sum_i s_i x_i||_q from the d columns' terms.  A step that moves
-    one coordinate recomputes one column.  Both are generated once per
-    (q, k, d): column unpacks x0..x(k-1) and writes abs(0 + x0 + -x1 ...)
-    ** q per pattern, budget unpacks the columns c0..c(d-1) and writes
-    max([(0 + c0[p] + c1[p] ...) ** (1/q), ...]) over the patterns p.
-    Bit-identical by rule: every term and norm is the same float
-    expression, summed from the left in the same order, as on the whole
-    tuple at once.
-    """
-    q = float(dual_exponent(space.exponent))
-    xs = [f"x{i}" for i in range(k)]
-    terms = [
-        f"abs({left_sum(x if s > 0 else f'-{x}' for s, x in zip(signs, xs))}) ** {q!r}"
-        for signs in sign_patterns(k)
-    ]
-    column = float_kernel(
-        "column", "xs", [f"{', '.join(xs)}, = xs", f"return [{', '.join(terms)}]"]
-    )
-    cs = [f"c{j}" for j in range(space.dim)]
-    norms = [
-        f"({left_sum(f'{c}[{p}]' for c in cs)}) ** {1.0 / q!r}"
-        for p in range(len(terms))
-    ]
-    budget = float_kernel(
-        "budget", "table",
-        [f"{', '.join(cs)}, = table", f"return max([{', '.join(norms)}])"],
-    )
-    return column, budget
 
 
 def peak_point(a: Vec, space: SpaceSpec) -> Vec:

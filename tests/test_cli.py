@@ -114,6 +114,22 @@ class TestNorm:
         cert = json.loads(out)["certificate"]
         assert (cert["lower"], cert["upper"]) == ("2", "6")
 
+    def test_ascent_sandwich_is_pinned(self, capsys):
+        # the lower bound is the exact value of restart 2's three points,
+        # rationalized: a float that drifts anywhere in the climb moves it
+        code, out, _ = run_main(
+            ["norm", "--space", "seq:2:3", "--expr", r"(1*t3) /\ (2*t2)",
+             "--restarts", "4", "--seed", "1"],
+            capsys,
+        )
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert cert["lower"] == (
+            "1454972970351193044403439560655110144/668791157657401406599464064000262229"
+        )
+        assert cert["witness"][0] == ["-130690/890289", "-148183/266398", "32727/927949"]
+        assert (len(cert["witness"]), cert["upper"]) == (3, "6")
+
     @pytest.mark.parametrize(
         "space,expr",
         [

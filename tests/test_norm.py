@@ -22,7 +22,9 @@ from latfree.norm import (
     _MAX_RESTARTS,
     _ascent_draws,
     _ascent_restart,
+    _ascent_tuples,
     _float_evaluator,
+    _sweep_candidates,
     budget_directions,
     constraint_norm,
     evaluation_seminorm,
@@ -40,7 +42,7 @@ from latfree.norm import (
     tuple_seminorm_value,
 )
 from latfree.pnorm import dual_exponent
-from latfree.pwl import PwlFunction, make_pwl
+from latfree.pwl import PwlFunction, make_pwl, pieces_and_kinks, rays
 from latfree.sampling import random_expr
 
 F = Fraction
@@ -306,28 +308,27 @@ class TestSandwichWork:
         assert calls == {"pieces_and_kinks": 1, "rays": 1}
 
     def test_ascent_work_of_the_cli_sandwich(self, monkeypatch, capsys):
-        # a rescaled candidate gets its column table only when its values
-        # can beat the best score
+        # the climb evaluates a point only where its value is read, and an
+        # accepted rescaled candidate keeps the values it was scored with;
+        # only the 17 re-scored tuples whose exact total can still win get
+        # an exact admissibility, of 28 when every tuple got one
         import latfree.norm as norm_module
         from latfree import cli
 
         calls = {}
-        real_columns, real_evaluator = (
-            norm_module.admissibility_columns, norm_module._float_evaluator
-        )
-
-        def columns(space, k):
-            column, budget = real_columns(space, k)
-            return counting(calls, "column", column), budget
+        real_evaluator = norm_module._float_evaluator
 
         def evaluator(f):
             return counting(calls, "value", real_evaluator(f))
 
-        monkeypatch.setattr(norm_module, "admissibility_columns", columns)
         monkeypatch.setattr(norm_module, "_float_evaluator", evaluator)
+        monkeypatch.setattr(
+            norm_module, "admissibility_upper",
+            counting(calls, "admissibility", norm_module.admissibility_upper),
+        )
         assert cli.main(self.ARGV + [r"(1*t3) /\ (2*t2)"]) == 0
         capsys.readouterr()
-        assert calls == {"column": 1347, "value": 1463}
+        assert calls == {"value": 1463, "admissibility": 17}
 
     def test_one_value_kernel_per_cli_sandwich(self, monkeypatch, capsys):
         # the float kernel is built once and shared by the four restarts
@@ -531,7 +532,12 @@ def _reference_ascent_restart(f, space, seed, r):
     return pts
 
 
-ASCENT_SPACES = ["seq:2:2", "seq:3/2:2", "seq:2:3", "seq:3:2", "seq:7/3:3"]
+# every dual exponent q in {2, 3, 3/2, 7/4} and dimensions 1 to 8: the
+# generated climb writes out each coordinate, so its code grows with d
+ASCENT_SPACES = [
+    "seq:2:1", "seq:2:2", "seq:3/2:2", "seq:2:3", "seq:3:2", "seq:7/3:3",
+    "seq:7/3:4", "seq:2:6", "seq:3/2:8",
+]
 
 
 class TestAscentRestart:
@@ -578,6 +584,15 @@ class TestAscentRestart:
                 _float_evaluator(f)
             assert expected == [None] * 6
 
+    def test_an_overflowing_start_returns_none(self):
+        # at q = 1000 the three start points of restart 5 already overflow
+        # the budget, so that restart returns None before its first step
+        space, f = parse_space("seq:1000/999:3"), pw(r"t1 \/ 2*t2 - t3", 3)
+        expected = [_reference_ascent_restart(f, space, 1, r) for r in range(6)]
+        value = _float_evaluator(f)
+        assert [_ascent_restart(value, space, 1, r) for r in range(6)] == expected
+        assert [r for r, pts in enumerate(expected) if pts is None] == [5]
+
     def test_cold_and_warm_draws_give_the_same_points(self):
         # one (seed, r) in two dimensions: the draws are keyed by d as well
         cases = [
@@ -595,6 +610,58 @@ class TestAscentRestart:
             ]
             # dealt once per (seed, r, d): two misses, then four hits
             assert _ascent_draws.cache_info()[:2] == (4, 2)
+
+
+def _full_rescore(f, space, restarts, seed):
+    """(lower, witness, ties) of a full re-score: every sweep tuple and every
+    ascent tuple scored by tuple_seminorm_value, the best kept by value,
+    then by smaller points; ties counts the tuples that won on points."""
+    pieces, bends = pieces_and_kinks(f)
+    table = rays(f.dim, [*bends, *f.comp])
+    best_value, best_witness, ties = F(0), functional_tuple(space, [[0] * f.dim]), 0
+    sweep = _sweep_candidates(f, space, pieces, table)
+    for tup in itertools.chain(sweep, _ascent_tuples(f, space, restarts, seed)):
+        value = tuple_seminorm_value(f, tup)
+        if value > best_value or (value == best_value and tup.points < best_witness.points):
+            ties += value == best_value
+            best_value, best_witness = value, tup
+    return best_value, best_witness, ties
+
+
+class TestPrunedRescore:
+    """norm_bounds skips the admissibility of a tuple whose exact total
+    cannot win; its certificate is the full re-score's."""
+
+    @pytest.mark.parametrize("p", ["2", "3/2", "3", "7/3"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_full_rescore(self, p, d):
+        space = parse_space(f"seq:{p}:{d}")
+        rng = random.Random(f"rescore {p} {d}")
+        functions = [PwlFunction.from_expr(random_expr(rng, d, lattice_ops=2), d)
+                     for _ in range(5)]
+        functions += [make_pwl(parse("t1", 1), [[F(rng.randint(-4, 4)) for _ in range(d)]])
+                      for _ in range(3)]
+        for n, f in enumerate(functions):
+            seed = rng.randrange(100)
+            cert = norm_bounds(f, space, restarts=n % 4 + 1, seed=seed)
+            if cert.lam == 0:
+                continue
+            lower, witness, _ = _full_rescore(f, space, n % 4 + 1, seed)
+            assert (cert.lower, cert.witness) == (lower, witness)
+
+    @pytest.mark.parametrize(
+        "text, expr",
+        [("seq:2:1", "-2*t1"), ("seq:3:1", "-2*t1"), ("seq:2:2", r"t1 \/ t2"),
+         ("seq:3/2:2", "t1 - t2"), ("seq:7/3:3", "t1 - t2")],
+    )
+    def test_tied_values_keep_the_smaller_witness(self, text, expr):
+        # a later tuple of the same value and smaller points wins the tie
+        space = parse_space(text)
+        f = pw(expr, space.dim)
+        lower, witness, ties = _full_rescore(f, space, 4, 1)
+        assert ties > 0
+        cert = norm_bounds(f, space, restarts=4, seed=1)
+        assert (cert.lower, cert.witness) == (lower, witness)
 
 
 class TestNormCertificateDispatch:

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from latfree.errors import UnsupportedSpaceError
+from latfree.norm import _climb
 from latfree.pnorm import (
     _BITS,
-    admissibility_columns,
     admissibility_upper,
     dual_exponent,
     fvl_space,
@@ -216,9 +216,53 @@ def _left_fold(terms):
     return functools.reduce(operator.add, terms, 0)
 
 
+def _whole_tuple_climb(value, q, start, steps):
+    """The ascent's climb on given draws with the float budget of the whole
+    tuple on every step, all sums from the left."""
+    k = len(start)
+
+    def budget(ps):
+        combined = [
+            [_left_fold(map(operator.mul, s, col)) for col in zip(*ps)]
+            for s in sign_patterns(k)
+        ]
+        return max(_left_fold(abs(v) ** q for v in c) ** (1.0 / q) for c in combined)
+
+    def score(ps):
+        cn = budget(ps)
+        return 0.0 if cn < 1e-12 else _left_fold(abs(value(x)) for x in ps) / max(1.0, cn)
+
+    pts = [list(x) for x in start]
+    try:
+        best = score(pts)
+    except OverflowError:
+        return None
+    step = 0.6
+    for i, j, u in steps:
+        cand = [list(x) for x in pts]
+        cand[i][j] += step * u
+        try:
+            cn = budget(cand)
+            if cn > 1e-12:
+                cand = [[v / max(1.0, cn) for v in x] for x in cand]
+            s = score(cand)
+        except OverflowError:
+            s = best
+        if s > best:
+            best, pts = s, cand
+        else:
+            step *= 0.985
+    return pts
+
+
+def _bent(x):
+    return max(x) - 0.5 * min(x) + x[0]
+
+
 class TestFloatAdmissibility:
-    """The generated column and budget functions against a loop over the
-    whole tuple, both summing from the left."""
+    """The float budget the generated climb keeps as a table of columns,
+    against a climb that takes the budget of the whole tuple on every
+    step, on the same draws."""
 
     @pytest.mark.parametrize("p", [F(2), F(3, 2), F(3), F(7, 3)])
     def test_matches_the_whole_tuple_loop(self, p):
@@ -228,30 +272,29 @@ class TestFloatAdmissibility:
         for d in (1, 2, 4):
             space = seq_space(p, d)
             for k in (1, 2, 3):
-                column, budget = admissibility_columns(space, k)
+                climb = _climb(space, k)
                 for trial in range(12):
-                    pts = [
+                    start = [
                         [rng.choice(extremes) if trial % 3 == 0 else rng.uniform(-2, 2)
                          for _ in range(d)]
                         for _ in range(k)
                     ]
-                    table = [column(xs) for xs in zip(*pts)]
-                    combined = [
-                        [_left_fold(map(operator.mul, s, col)) for col in zip(*pts)]
-                        for s in sign_patterns(k)
-                    ]
-                    for terms, c in zip(zip(*table), combined):
-                        assert list(terms) == [abs(v) ** q for v in c]
-                    assert budget(table) == max(
-                        _left_fold(abs(v) ** q for v in c) ** (1.0 / q) for c in combined
-                    )
-                assert admissibility_columns(space, k) == (column, budget)
+                    steps = [(rng.randrange(k), rng.randrange(d), rng.uniform(-1, 1))
+                             for _ in range(40)]
+                    got = climb(_bent, start, steps)
+                    assert got is not None
+                    assert got == _whole_tuple_climb(_bent, q, start, steps)
+                assert _climb(space, k) is climb
 
     def test_a_power_past_the_float_range_raises(self):
-        column, _ = admissibility_columns(seq_space(F(1000, 999), 2), 2)
-        with pytest.raises(OverflowError):
-            column([2.0, 0.5])
-        assert column([1.0, 0.0]) == [1.0, 1.0]
+        # at q = 1000, |2.0 + 0.5| ** q overflows: at the start the climb
+        # returns None, and a step that reaches it is rejected
+        climb = _climb(seq_space(F(1000, 999), 2), 2)
+        assert climb(_bent, [[2.0, 1.0], [0.5, 0.0]], []) is None
+        steps = [(0, 0, 1.0)] * 3
+        start = [[1.9, 0.0], [0.0, 0.0]]
+        assert _whole_tuple_climb(_bent, 1000.0, start, steps) == start
+        assert climb(_bent, start, steps) == start
 
 
 class TestOperatorUpper:
