@@ -148,6 +148,11 @@ def _cmd_eval(args):
 
 def _resolve_arity(space: SpaceSpec | None, args) -> int:
     if space is not None:
+        if args.arity is not None and args.arity != space.dim:
+            raise ValueError(
+                f"--arity {args.arity} disagrees with --space {space}, "
+                f"of dimension {space.dim}"
+            )
         return space.dim
     if args.arity is not None:
         return args.arity

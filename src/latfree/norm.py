@@ -48,7 +48,6 @@ from .pwl import (
     PwlFunction,
     active_piece,
     arrangement_for,
-    is_zero,
     kinks,
     linear_pieces,
     pieces_and_kinks,
@@ -263,8 +262,6 @@ def norm_by_cell_assignment(
         raise UnsupportedSpaceError(
             "cell-assignment oracle requires a per-coordinate budget"
         )
-    if is_zero(f):
-        return Fraction(0)
     d = f.dim
     arr = arrangement_for(f)
     pieces = linear_pieces(f)

@@ -10,13 +10,14 @@ off the program in the same fold as its pieces: at each Sup or Inf node, the
 differences of a piece of one operand and a piece of the other.  Add the
 coordinate normals to the kinks, and every closed cell of the arrangement is
 a pointed cone on which f is linear, generated by its extreme rays.  `rays`
-returns that finite ray set; equality, every extremum that is linear or
-linear-fractional per cell, and the min-groups of the max-min normal form
-are decided on it, with no sampling.  `build_arrangement` enumerates the
-full-dimensional cells with one feasible-start LP per probed sign vector;
-it stays independent of `rays` and of the kink fold, so they check each
-other: `arrangement_for` takes the differences of all pairs of pieces, and
-it serves the max-min form and the cell-assignment norm oracle.
+returns that finite ray set; equality and every extremum that is linear or
+linear-fractional per cell are decided on it, with no sampling.
+
+`build_arrangement` enumerates the full-dimensional cells with one
+feasible-start LP per probed sign vector, and `arrangement_for` takes the
+differences of all pairs of pieces.  That arrangement serves only the
+cell-assignment norm oracle (`norm.norm_by_cell_assignment`), which reads
+no ray, so the oracle and `rays` check each other.
 
 The exact kernel runs on Python ints: `PwlFunction.eval_many` evaluates a
 whole batch of points in one fold with integral values as int, and each
@@ -282,7 +283,7 @@ def canonical_normals(vectors) -> list[Vec]:
 
 
 def difference_normals(pieces) -> list[Vec]:
-    plist = [p.coeffs if isinstance(p, LinFunc) else vec(p) for p in pieces]
+    plist = [p.coeffs for p in pieces]
     diffs = []
     for i in range(len(plist)):
         for j in range(i + 1, len(plist)):
@@ -390,15 +391,6 @@ def arrangement_for(f: PwlFunction) -> Arrangement:
     return build_arrangement(f.dim, difference_normals(linear_pieces(f)))
 
 
-def signs_at(arr: Arrangement, x) -> tuple[int, ...]:
-    xs = vec(x)
-    out = []
-    for h in arr.hyperplanes:
-        v = h(xs)
-        out.append(0 if v == 0 else (1 if v > 0 else -1))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # active pieces
 # ---------------------------------------------------------------------------
@@ -466,75 +458,3 @@ def equivalent(f: PwlFunction, g: PwlFunction):
 def is_zero(f: PwlFunction) -> bool:
     eq, _ = equivalent(f, zero_pwl(f.dim))
     return eq
-
-
-# ---------------------------------------------------------------------------
-# max-min normal form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MaxMinForm:
-    """f as a maximum of minima of linear pieces (not necessarily minimal)."""
-
-    dim: int
-    groups: tuple[tuple[LinFunc, ...], ...]
-
-    def as_pwl(self) -> PwlFunction:
-        pieces = sorted({p for g in self.groups for p in g}, key=lambda p: p.coeffs)
-        index = {p: i + 1 for i, p in enumerate(pieces)}
-
-        def tree(node_cls, leaves):
-            out = leaves[0]
-            for leaf in leaves[1:]:
-                out = node_cls(out, leaf)
-            return out
-
-        group_exprs = [
-            tree(Inf, [Var(index[p]) for p in g]) for g in self.groups
-        ]
-        expr = tree(Sup, group_exprs)
-        return PwlFunction(
-            dim=self.dim, expr=expr, comp=tuple(p.coeffs for p in pieces)
-        )
-
-    def eval(self, x) -> Fraction:
-        xs = vec(x)
-        return max(min(p(xs) for p in g) for g in self.groups)
-
-
-def max_min_form(f: PwlFunction) -> MaxMinForm:
-    """Max of min-groups over the cells; verified equivalent to f.
-
-    A cell's group holds the pieces p >= f on the closed cell.  With the
-    coordinate normals added, each closed cell is a union of pointed cones
-    generated by the rays of the arrangement that lie in it, so p >= f on
-    the cell exactly when p >= f on those rays.
-    """
-    pieces = sorted(linear_pieces(f), key=lambda p: p.coeffs)
-    arr = arrangement_for(f)
-    ray_list = rays(f.dim, [h.coeffs for h in arr.hyperplanes])
-    heights = [[dot(h.coeffs, r) for h in arr.hyperplanes] for r in ray_list]
-    values = {p: [p(r) for r in ray_list] for p in pieces}
-    groups = []
-    seen = set()
-    for cell in arr.cells:
-        act = values[active_piece(f, arr, cell, pieces)]
-        inside = [
-            k
-            for k, hs in enumerate(heights)
-            if all(s * v >= 0 for s, v in zip(cell.signs, hs))
-        ]
-        group = tuple(
-            p for p in pieces if all(values[p][k] >= act[k] for k in inside)
-        )
-        if group not in seen:
-            seen.add(group)
-            groups.append(group)
-    form = MaxMinForm(dim=f.dim, groups=tuple(groups))
-    eq, witness = equivalent(f, form.as_pwl())
-    if not eq:
-        raise InternalFaultError(
-            f"max-min form failed verification at witness {witness}"
-        )
-    return form

@@ -52,10 +52,6 @@ def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(c: Fraction, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 

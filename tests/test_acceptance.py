@@ -56,6 +56,11 @@ def test_02_equivalence_identity_and_monte_carlo():
     assert "0 contradictions" in details
 
 
+def test_02_negative_seed_passes():
+    passed, details = _c2_equivalence(-1)
+    assert passed, details
+
+
 def test_03_exact_norm_table():
     expectations = [
         (r"t1 \/ t2", 2, F(2)),

@@ -220,6 +220,15 @@ class TestExitCodes:
         code, _, _ = run_main(["norm", "--space", "fvl:1", "--expr", "t2"], capsys)
         assert code == 1
 
+    def test_arity_disagreeing_with_space_is_usage(self, capsys):
+        code, out, err = run_main(
+            ["equiv", "--arity", "2", "--space", "seq:2:3",
+             "--expr", "t1", "--expr", "t3"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "--arity 2" in err and "seq:2:3" in err
+
     def test_capacity_cap_exits_four(self, capsys):
         # six 3-way joins with distinct weights have 3^6 = 729 pieces
         joins = " + ".join(

@@ -18,14 +18,12 @@ from latfree.pwl import (
     kinks,
     linear_pieces,
     make_pwl,
-    max_min_form,
     pwl_abs,
     pwl_add,
     pwl_inf,
     pwl_scale,
     pwl_sup,
     rays,
-    signs_at,
     zero_pwl,
 )
 from latfree.qmath import dot, vec
@@ -36,6 +34,10 @@ F = Fraction
 
 def pw(text: str, n: int) -> PwlFunction:
     return PwlFunction.from_expr(parse(text, n), n)
+
+
+def signs_at(arr, x) -> tuple[int, ...]:
+    return tuple((v > 0) - (v < 0) for v in (h(x) for h in arr.hyperplanes))
 
 
 RUNNING = r"t1 /\ t2 + t1 \/ (2*t3)"
@@ -283,25 +285,3 @@ class TestCombinators:
         assert pwl_inf(f, g).eval(x) == min(f.eval(x), g.eval(x))
         assert pwl_abs(f).eval(x) == abs(f.eval(x))
         assert pwl_scale(F(-3, 2), f).eval(x) == F(-3, 2) * f.eval(x)
-
-
-class TestMaxMinForm:
-    def test_running_example_form(self):
-        f = pw(RUNNING, 3)
-        mm = max_min_form(f)
-        assert len(mm.groups) == 6
-        rng = random.Random(1)
-        for _ in range(150):
-            x = tuple(F(rng.randint(-20, 20)) for _ in range(3))
-            assert mm.eval(x) == f.eval(x)
-
-    def test_form_verifies_equivalent(self):
-        f = pw(r"|t1| \/ (t1 + t2)", 2)
-        mm = max_min_form(f)
-        eq, _ = equivalent(mm.as_pwl(), f)
-        assert eq
-
-    def test_linear_collapses_to_single_group(self):
-        mm = max_min_form(pw("3*t1 - t2", 2))
-        assert len(mm.groups) == 1
-        assert len(mm.groups[0]) == 1

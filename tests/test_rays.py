@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from latfree import pwl
+from latfree import norm, pwl
 from latfree.errors import CapacityError, DimensionError, InternalFaultError
 from latfree.expr import parse
 from latfree.qmath import (
@@ -385,6 +385,19 @@ class TestDifferential:
             assert cert.lower == norm_by_cell_assignment(f, space)
             assert tuple_admissible(cert.witness)
             assert tuple_seminorm_value(f, cert.witness) == cert.lower
+
+    def test_cell_assignment_oracle_reads_no_ray(self, monkeypatch):
+        def no_rays(*args):
+            raise AssertionError("the oracle must not call pwl.rays")
+
+        # norm imports rays by name, so both bindings go
+        monkeypatch.setattr(pwl, "rays", no_rays)
+        monkeypatch.setattr(norm, "rays", no_rays)
+        for n in (2, 3):
+            for space in (fvl_space(n), seq_space(1, n)):
+                for text in ("t1 - t1", r"t1 \/ t2 - t2 \/ t1", "|t1 - t2| - |t2 - t1|"):
+                    assert norm_by_cell_assignment(pw(text, n), space) == 0
+        assert norm_by_cell_assignment(pw(r"t1 \/ t2", 2), fvl_space(2)) == 2
 
     def test_exact_norms_match_the_zero_set_lp(self):
         # seq:inf, past the cell-assignment oracle's per-coordinate budget
