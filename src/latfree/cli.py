@@ -2,8 +2,10 @@
 
 Subcommands: eval, equiv, norm, extend, audit, selftest.  Reports are JSON
 by default (selftest defaults to a pass/fail table); every rational is
-serialized as an exact "p/q" string, never a float.  A fixed --seed yields
-byte-identical reports; wall times only appear with --timing.
+serialized as an exact "p/q" string, never a float.  Each subcommand takes
+only the flags it reads: --seed keys the seeded search of norm, audit and
+selftest, and is theirs alone.  The same arguments yield byte-identical
+reports; wall times only appear with --timing.
 
 Exit codes: 0 success, 1 usage or parse error, 2 computation fault,
 3 audit or selftest failure, 4 input beyond a capacity cap.
@@ -30,7 +32,6 @@ from .expr import parse, print_expr
 from .free import LatticeMap, extend_hom
 from .norm import (
     NormCertificate,
-    SpaceSpec,
     evaluation_seminorm,
     functional_tuple,
     maximality_audit,
@@ -66,25 +67,27 @@ def _frac_list(text: str) -> Vec:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError(f"empty vector: {text!r}")
-    return tuple(Fraction(p) for p in parts)
-
-
-def _json_frac(q: Fraction) -> str:
-    return format_fraction(q)
+    out = []
+    for p in parts:
+        try:
+            out.append(Fraction(p))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"entry {p!r} of {text!r} is not a rational") from None
+    return tuple(out)
 
 
 def _json_vec(v: Vec) -> list[str]:
-    return [_json_frac(x) for x in v]
+    return [format_fraction(x) for x in v]
 
 
 def _cert_payload(cert: NormCertificate) -> dict:
     return {
-        "lower": _json_frac(cert.lower),
-        "upper": _json_frac(cert.upper),
+        "lower": format_fraction(cert.lower),
+        "upper": format_fraction(cert.upper),
         "exact": cert.exact,
         "witness": [_json_vec(p) for p in cert.witness.points],
         "method": cert.upper_method,
-        "lambda": None if cert.lam is None else _json_frac(cert.lam),
+        "lambda": None if cert.lam is None else format_fraction(cert.lam),
         "k": len(cert.witness.points),
     }
 
@@ -140,40 +143,22 @@ def _cmd_eval(args):
         "command": "eval",
         "inputs": {"expr": [print_expr(expr)], "at": _json_vec(at)},
         "arity": args.arity,
-        "value": _json_frac(value),
-        "seed": args.seed,
+        "value": format_fraction(value),
     }
     return 0, report, [f"value    {format_fraction(value)}"]
-
-
-def _resolve_arity(space: SpaceSpec | None, args) -> int:
-    if space is not None:
-        if args.arity is not None and args.arity != space.dim:
-            raise ValueError(
-                f"--arity {args.arity} disagrees with --space {space}, "
-                f"of dimension {space.dim}"
-            )
-        return space.dim
-    if args.arity is not None:
-        return args.arity
-    raise ValueError("either --space or --arity is required")
 
 
 def _cmd_equiv(args):
     if len(args.expr) != 2:
         raise ValueError("equiv needs exactly two --expr arguments")
-    space = parse_space(args.space) if args.space else None
-    arity = _resolve_arity(space, args)
-    f = PwlFunction.from_expr(parse(args.expr[0], arity), arity)
-    g = PwlFunction.from_expr(parse(args.expr[1], arity), arity)
+    n = args.arity
+    f, g = (PwlFunction.from_expr(parse(e, n), n) for e in args.expr)
     equal, witness = equivalent(f, g)
     report = {
         "command": "equiv",
-        "space": str(space) if space else None,
         "inputs": {"expr": list(args.expr)},
         "equal": equal,
         "witness": None if witness is None else _json_vec(witness),
-        "seed": args.seed,
     }
     lines = [f"equal    {'yes' if equal else 'no'}"]
     if witness is not None:
@@ -183,11 +168,17 @@ def _cmd_equiv(args):
     return 0, report, lines
 
 
-def _cmd_norm(args):
+def _certify(args):
+    """(space, expr, f, certificate): the prologue of norm and audit."""
     space = parse_space(args.space)
     expr = parse(_one_expr(args), space.dim)
     f = PwlFunction.from_expr(expr, space.dim)
     cert = norm_certificate(f, space, restarts=args.restarts, seed=args.seed)
+    return space, expr, f, cert
+
+
+def _cmd_norm(args):
+    space, expr, _, cert = _certify(args)
     report = {
         "command": "norm",
         "space": str(space),
@@ -234,8 +225,7 @@ def _cmd_extend(args):
             "images": [_json_vec(v) for v in images],
         },
         "image": _json_vec(image),
-        "map_scale": _json_frac(scale),
-        "seed": args.seed,
+        "map_scale": format_fraction(scale),
     }
     lines = [
         f"image    ({', '.join(format_fraction(c) for c in image)})",
@@ -245,10 +235,7 @@ def _cmd_extend(args):
 
 
 def _cmd_audit(args):
-    space = parse_space(args.space)
-    expr = parse(_one_expr(args), space.dim)
-    f = PwlFunction.from_expr(expr, space.dim)
-    cert = norm_certificate(f, space, restarts=args.restarts, seed=args.seed)
+    space, expr, f, cert = _certify(args)
     family = [evaluation_seminorm(cert.witness, name="witness")]
     for i, axis in enumerate(identity(space.dim)):
         family.append(
@@ -322,70 +309,60 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_space: bool, exprs: bool = True):
-        if exprs:
-            p.add_argument(
-                "--expr",
-                action="append",
-                required=True,
-                help="lattice-linear expression over t1..tn",
-            )
-        if needs_space:
-            p.add_argument(
-                "--space",
-                required=needs_space == "required",
-                default=None,
-                help="fvl:n or seq:p:m (p a rational >= 1 or inf)",
-            )
+    def subcommand(name, handler, text, **flags):
+        """The subcommand with the flags its handler reads, then --format,
+        --out and --timing."""
+        p = sub.add_parser(name, help=text)
+        for flag, settings in flags.items():
+            p.add_argument(f"--{flag}", **settings)
         p.add_argument("--format", choices=("json", "table"), default=None)
         p.add_argument("--out", default=None, help="write the report to FILE")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--timing",
             action="store_true",
             help="include wall times (breaks byte-for-byte reproducibility)",
         )
+        p.set_defaults(handler=handler)
 
-    p_eval = sub.add_parser("eval", help="evaluate an expression at a point")
-    p_eval.add_argument("--arity", type=int, required=True)
-    p_eval.add_argument("--at", required=True, help="comma-separated rationals")
-    common(p_eval, needs_space=False)
-    p_eval.set_defaults(handler=_cmd_eval)
-
-    p_equiv = sub.add_parser("equiv", help="decide whether two expressions agree")
-    p_equiv.add_argument("--arity", type=int, default=None)
-    common(p_equiv, needs_space=True)
-    p_equiv.set_defaults(handler=_cmd_equiv)
-
-    p_norm = sub.add_parser("norm", help="certified norm of an expression")
-    common(p_norm, needs_space="required")
-    p_norm.add_argument("--restarts", type=int, default=16)
-    p_norm.set_defaults(handler=_cmd_norm)
-
-    p_ext = sub.add_parser(
-        "extend", help="apply the extension determined by generator images"
+    arity = dict(type=int, required=True)
+    expr = dict(
+        action="append", required=True, help="lattice-linear expression over t1..tn"
     )
-    p_ext.add_argument("--target", required=True, help="target space, seq:p:m")
-    p_ext.add_argument(
-        "--vector",
-        action="append",
-        default=[],
-        help="image of the next generator (comma-separated rationals)",
+    space = dict(required=True, help="fvl:n or seq:p:m (p a rational >= 1 or inf)")
+    seed = dict(type=int, default=0)  # keys the searches of norm, audit and selftest
+    restarts = dict(type=int, default=16)
+    subcommand(
+        "eval", _cmd_eval, "evaluate an expression at a point",
+        arity=arity,
+        at=dict(required=True, help="comma-separated rationals"),
+        expr=expr,
     )
-    common(p_ext, needs_space="required")
-    p_ext.set_defaults(handler=_cmd_extend)
-
-    p_audit = sub.add_parser(
-        "audit", help="check admissible seminorms against the certificate"
+    subcommand(
+        "equiv", _cmd_equiv, "decide whether two expressions agree",
+        arity=arity, expr=expr,
     )
-    common(p_audit, needs_space="required")
-    p_audit.add_argument("--restarts", type=int, default=16)
-    p_audit.set_defaults(handler=_cmd_audit)
-
-    p_self = sub.add_parser("selftest", help="run the built-in acceptance suite")
-    common(p_self, needs_space=False, exprs=False)
-    p_self.set_defaults(handler=_cmd_selftest)
-
+    subcommand(
+        "norm", _cmd_norm, "certified norm of an expression",
+        expr=expr, space=space, seed=seed, restarts=restarts,
+    )
+    subcommand(
+        "extend", _cmd_extend, "apply the extension determined by generator images",
+        target=dict(required=True, help="target space, seq:p:m"),
+        vector=dict(
+            action="append",
+            default=[],
+            help="image of the next generator (comma-separated rationals)",
+        ),
+        expr=expr,
+        space=space,
+    )
+    subcommand(
+        "audit", _cmd_audit, "check admissible seminorms against the certificate",
+        expr=expr, space=space, seed=seed, restarts=restarts,
+    )
+    subcommand(
+        "selftest", _cmd_selftest, "run the built-in acceptance suite", seed=seed
+    )
     return parser
 
 

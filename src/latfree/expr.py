@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ArityError, DimensionError, ExprSyntaxError
-from .qmath import to_fraction
+from .errors import ArityError, CapacityError, DimensionError, ExprSyntaxError
+from .qmath import MAX_DIM, to_fraction
 
 
 class _Node:
@@ -377,6 +377,8 @@ def parse(text: str, arity: int) -> Expr:
     """Parse expression text; every variable index must be <= arity."""
     if arity < 1:
         raise ArityError("arity must be at least 1")
+    if arity > MAX_DIM:
+        raise CapacityError("arity", MAX_DIM, arity)
     tokens = _tokenize(text)
     parser = _Parser(tokens)
     node = parser.parse_expr()

@@ -104,7 +104,6 @@ class NormCertificate:
     witness: FunctionalTuple
     upper_method: str  # "exact_match" | "strong_unit_lambda_n"
     lam: Fraction | None = None
-    unit_support: tuple[Vec, ...] = ()
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -267,7 +266,7 @@ def norm_by_cell_assignment(
     pieces = linear_pieces(f)
     slots = []
     for cell in arr.cells:
-        act = active_piece(f, arr, cell, pieces)
+        act = active_piece(f, cell, pieces)
         for sign in (1, -1):
             slots.append((cell, act, sign))
     if duplicate_slot is not None:
@@ -281,12 +280,12 @@ def norm_by_cell_assignment(
     objective = [Fraction(0)] * nvars
     rows = []
     for s, (cell, act, sign) in enumerate(slots):
-        for i, c in enumerate(act.coeffs):
+        for i, c in enumerate(act):
             objective[var_index(s, i, True)] = sign * c
             objective[var_index(s, i, False)] = -sign * c
         constraints = [
-            (h.coeffs, -chi) for h, chi in zip(arr.hyperplanes, cell.signs)
-        ] + [(act.coeffs, -sign)]
+            (h, -chi) for h, chi in zip(arr.hyperplanes, cell.signs)
+        ] + [(act, -sign)]
         for coeffs, factor in constraints:
             row = [Fraction(0)] * nvars
             for i, c in enumerate(coeffs):
@@ -311,8 +310,11 @@ def norm_by_cell_assignment(
 # ---------------------------------------------------------------------------
 
 
-def strong_unit_factor(f: PwlFunction, table: tuple[Vec, ...] | None = None):
-    """(lam, unit_rows) with |f| <= lam * Sum_j |<x_j, .>| everywhere.
+def strong_unit_factor(
+    f: PwlFunction, table: tuple[Vec, ...] | None = None
+) -> Fraction:
+    """lam with |f| <= lam * Sum_j |<x_j, .>| everywhere, x_j the
+    composition rows of f.
 
     lam is the exact max of |f(r)| / Sum_j |<x_j, r>| over the rays r of
     `table` where some <x_j, r> is nonzero.  The table is f's ray table:
@@ -331,7 +333,7 @@ def strong_unit_factor(f: PwlFunction, table: tuple[Vec, ...] | None = None):
         weight = sum(abs(dot(row, r)) for row in f.comp)
         if weight:
             lam = max(lam, abs(v) / weight)
-    return lam, tuple(f.comp)
+    return lam
 
 
 def float_kernel(name: str, params: str, body: list[str]):
@@ -395,8 +397,8 @@ def _sweep_candidates(
     d = space.dim
     out: list[tuple[Vec, ...]] = [(r,) for r in singles]
     # |piece| peaks on the dual ball where Hoelder's inequality is tight
-    for piece in sorted(pieces, key=lambda p: p.coeffs):
-        peak = peak_point(piece.coeffs, space)
+    for piece in sorted(pieces):
+        peak = peak_point(piece, space)
         out.extend(((peak,), (vec_scale(-1, peak),)))
 
     for s in sign_patterns(d):
@@ -624,14 +626,13 @@ def norm_bounds(
         )
     pieces, bends = pieces_and_kinks(f)
     table = rays(f.dim, [*bends, *f.comp])
-    lam, unit_rows = strong_unit_factor(f, table)
+    lam = strong_unit_factor(f, table)
     if lam == 0:
         return _zero_certificate(space, "strong_unit_lambda_n")
     signs = 2 ** (space.dim - 1)
     if signs > _MAX_SWEEP_SIGNS:
         raise CapacityError("sweep sign vectors", _MAX_SWEEP_SIGNS, signs)
-    unit_sum = sum(norm_upper(row, space.exponent) for row in unit_rows)
-    upper = lam * unit_sum
+    upper = lam * sum(norm_upper(row, space.exponent) for row in f.comp)
 
     best_value = Fraction(0)
     best_witness = functional_tuple(space, (zero_vec(space.dim),))
@@ -650,17 +651,12 @@ def norm_bounds(
         ):
             best_value, best_witness = value, tup
 
-    if best_value > upper:
-        raise InternalFaultError(
-            f"sound bounds crossed: lower {best_value} > upper {upper}"
-        )
     return NormCertificate(
         lower=best_value,
         upper=upper,
         witness=best_witness,
         upper_method="strong_unit_lambda_n",
         lam=lam,
-        unit_support=unit_rows,
     )
 
 

@@ -17,8 +17,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedSpaceError
+from .errors import CapacityError, UnsupportedSpaceError
 from .qmath import (
+    MAX_DIM,
     Vec,
     clear_denominators,
     dot,
@@ -57,6 +58,8 @@ class SpaceSpec:
             raise UnsupportedSpaceError(f"unknown space kind {self.kind!r}")
         if self.dim < 1:
             raise UnsupportedSpaceError("space dimension must be at least 1")
+        if self.dim > MAX_DIM:
+            raise CapacityError("space dimension", MAX_DIM, self.dim)
         if self.kind == "fvl":
             if self.p is not None:
                 raise UnsupportedSpaceError("fvl spaces carry no exponent")
@@ -223,10 +226,7 @@ def budget_directions(space: SpaceSpec) -> tuple[Vec, ...]:
     if space.coordinate_budget:
         return identity(d)
     if space.exponent == INF_P:
-        return tuple(
-            (Fraction(1),) + tuple(Fraction(s) for s in rest)
-            for rest in itertools.product((1, -1), repeat=d - 1)
-        )
+        return tuple(vec(s) for s in sign_patterns(d))
     raise UnsupportedSpaceError(
         f"space {space} has a non-polyhedral unit ball; use norm_bounds"
     )

@@ -65,16 +65,6 @@ _MAX_CELLS = 8192
 
 
 @dataclass(frozen=True)
-class LinFunc:
-    """Linear functional represented by its coefficient vector."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __call__(self, x) -> Fraction:
-        return dot(self.coeffs, vec(x))
-
-
-@dataclass(frozen=True)
 class PwlFunction:
     """expr composed with rational rows: f(x) = expr(row_1.x, ..., row_n.x)."""
 
@@ -203,8 +193,9 @@ def pwl_abs(f: PwlFunction) -> PwlFunction:
 # ---------------------------------------------------------------------------
 
 
-def pieces_and_kinks(f: PwlFunction) -> tuple[frozenset[LinFunc], frozenset[Vec]]:
-    """f's candidate pieces and kinks, from one fold over its program.
+def pieces_and_kinks(f: PwlFunction) -> tuple[frozenset[Vec], frozenset[Vec]]:
+    """f's candidate pieces, as coefficient vectors, and its kinks, from one
+    fold over its program.
 
     A slot carries (pieces, kinks).  A Sup or Inf node adds the primitive
     normals of p - q for p a piece of its left operand and q a piece of its
@@ -231,7 +222,7 @@ def pieces_and_kinks(f: PwlFunction) -> tuple[frozenset[LinFunc], frozenset[Vec]
         }
         return left[0] | right[0], left[1] | right[1] | bends
 
-    pieces, bends = fold(
+    return fold(
         f.program,
         lambda i: (frozenset((tuple(f.comp[i - 1]),)), frozenset()),
         lambda c, s: (frozenset(tuple(c * v for v in t) for t in s[0]), s[1]),
@@ -239,10 +230,9 @@ def pieces_and_kinks(f: PwlFunction) -> tuple[frozenset[LinFunc], frozenset[Vec]
         join,
         join,
     )
-    return frozenset(LinFunc(t) for t in pieces), bends
 
 
-def linear_pieces(f: PwlFunction) -> frozenset[LinFunc]:
+def linear_pieces(f: PwlFunction) -> frozenset[Vec]:
     """Closure of candidate linear pieces; f agrees with one on every cell."""
     return pieces_and_kinks(f)[0]
 
@@ -268,7 +258,7 @@ class Cell:
 @dataclass(frozen=True)
 class Arrangement:
     dim: int
-    hyperplanes: tuple[LinFunc, ...]
+    hyperplanes: tuple[Vec, ...]
     cells: tuple[Cell, ...]
 
 
@@ -283,7 +273,7 @@ def canonical_normals(vectors) -> list[Vec]:
 
 
 def difference_normals(pieces) -> list[Vec]:
-    plist = [p.coeffs for p in pieces]
+    plist = list(pieces)
     diffs = []
     for i in range(len(plist)):
         for j in range(i + 1, len(plist)):
@@ -380,11 +370,7 @@ def build_arrangement(dim: int, normals) -> Arrangement:
             raise CapacityError("arrangement cells", _MAX_CELLS, len(states))
     states.sort(key=lambda sp: sp[0])
     cells = tuple(Cell(signs=s, interior=p) for s, p in states)
-    return Arrangement(
-        dim=dim,
-        hyperplanes=tuple(LinFunc(n) for n in canon),
-        cells=cells,
-    )
+    return Arrangement(dim=dim, hyperplanes=tuple(canon), cells=cells)
 
 
 def arrangement_for(f: PwlFunction) -> Arrangement:
@@ -396,36 +382,19 @@ def arrangement_for(f: PwlFunction) -> Arrangement:
 # ---------------------------------------------------------------------------
 
 
-def _probe_points(arr: Arrangement, cell: Cell) -> list[Vec]:
-    """cell.interior plus d axis perturbations that stay strictly inside."""
-    p = cell.interior
-    d = arr.dim
-    probes = [p]
-    for i in range(d):
-        step = None
-        for h in arr.hyperplanes:
-            hi = h.coeffs[i]
-            if hi != 0:
-                bound = abs(h(p)) / (2 * abs(hi))
-                step = bound if step is None else min(step, bound)
-        if step is None or step > 1:
-            step = Fraction(1)
-        probes.append(tuple(v + (step if j == i else 0) for j, v in enumerate(p)))
-    return probes
+def active_piece(f: PwlFunction, cell: Cell, candidates=None) -> Vec:
+    """The unique candidate piece equal to f on the closed cell, a cell of
+    an arrangement that holds every pairwise difference of the candidates
+    (as `arrangement_for` does).
 
-
-def active_piece(
-    f: PwlFunction, arr: Arrangement, cell: Cell, candidates=None
-) -> LinFunc:
-    """The unique candidate piece equal to f on the (closed) cell."""
-    cands = linear_pieces(f) if candidates is None else frozenset(candidates)
-    probes = _probe_points(arr, cell)
-    values = f.eval_many(probes)
-    matches = [
-        c
-        for c in sorted(cands, key=lambda c: c.coeffs)
-        if all(c(p) == v for p, v in zip(probes, values))
-    ]
+    No two candidates agree at the cell's interior point, and f equals one
+    of them at every point, so the value there picks it.  The candidates
+    stay distinct on the whole open cell, so f, being continuous, equals
+    that piece on the cell and on its closure.
+    """
+    cands = linear_pieces(f) if candidates is None else candidates
+    value = f.eval(cell.interior)
+    matches = [c for c in cands if dot(c, cell.interior) == value]
     if len(matches) != 1:
         raise InternalFaultError(
             f"expected exactly one active piece on cell {cell.signs}, "

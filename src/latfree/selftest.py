@@ -239,7 +239,7 @@ def _c6_norm_axioms(seed: int):
         # monotonicity: dominate |f| by c_max*(|x1|+|x2|), certify the
         # domination through the equivalence engine, then compare norms
         c_max = max(
-            (abs(co) for piece in linear_pieces(f) for co in piece.coeffs),
+            (abs(co) for piece in linear_pieces(f) for co in piece),
             default=Fraction(0),
         )
         if c_max > 0:
@@ -272,7 +272,7 @@ def _c7_sandwich(seed: int):
         ok &= cert.lower <= cert.upper
         ok &= tuple_seminorm_value(f, cert.witness) == cert.lower
         if cert.lam is not None:
-            unit = sum(norm_upper(r, space.exponent) for r in cert.unit_support)
+            unit = sum(norm_upper(r, space.exponent) for r in f.comp)
             ok &= cert.upper == cert.lam * unit
         for k in (1, 2):
             tup = random_admissible_tuple(rng, space, k)

@@ -47,7 +47,7 @@ class TestEval:
 class TestEquiv:
     def test_distribution_identity(self, capsys):
         code, out, _ = run_main(
-            ["equiv", "--space", "fvl:3",
+            ["equiv", "--arity", "3",
              "--expr", r"t1 + (t2 \/ t3)",
              "--expr", r"(t1 + t2) \/ (t1 + t3)"],
             capsys,
@@ -220,14 +220,58 @@ class TestExitCodes:
         code, _, _ = run_main(["norm", "--space", "fvl:1", "--expr", "t2"], capsys)
         assert code == 1
 
-    def test_arity_disagreeing_with_space_is_usage(self, capsys):
-        code, out, err = run_main(
-            ["equiv", "--arity", "2", "--space", "seq:2:3",
-             "--expr", "t1", "--expr", "t3"],
-            capsys,
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--arity", "1", "--expr", "t1", "--at", "1", "--seed", "1"],
+            ["equiv", "--arity", "1", "--expr", "t1", "--expr", "t1", "--seed", "1"],
+            ["extend", "--space", "fvl:1", "--target", "seq:1:1",
+             "--expr", "t1", "--vector", "1", "--seed", "1"],
+            ["equiv", "--arity", "1", "--expr", "t1", "--expr", "t1",
+             "--space", "fvl:1"],
+        ],
+        ids=["eval-seed", "equiv-seed", "extend-seed", "equiv-space"],
+    )
+    def test_flags_a_subcommand_does_not_read_are_unrecognized(self, capsys, argv):
+        # equality and extension read no seed, and equiv's arity is --arity
+        code, out, err = run_main(argv, capsys)
         assert code == 1 and out == ""
-        assert "--arity 2" in err and "seq:2:3" in err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--space", "fvl:100000", "--expr", "t1"],
+            ["norm", "--space", "seq:2:33", "--expr", "t1 - t1"],
+            ["audit", "--space", "fvl:33", "--expr", "t1"],
+            ["extend", "--space", "fvl:1", "--target", "seq:1:33",
+             "--expr", "t1", "--vector", "1"],
+            ["equiv", "--arity", "1000000000", "--expr", "t1", "--expr", "t1"],
+            ["eval", "--arity", "33", "--expr", "t1", "--at", "1"],
+        ],
+        ids=["norm", "norm-zero", "audit", "extend-target", "equiv", "eval"],
+    )
+    def test_dimension_and_arity_above_the_cap_exit_four(self, capsys, argv):
+        # refused before a vector of that length is built
+        start = time.perf_counter()
+        code, out, err = run_main(argv, capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert "exceeds the cap of 32" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--arity", "2", "--expr", "t1", "--at", "1,1/0"],
+            ["extend", "--space", "fvl:1", "--target", "seq:1:2",
+             "--expr", "t1", "--vector", "1/0,1"],
+        ],
+        ids=["eval", "extend"],
+    )
+    def test_a_bad_vector_entry_is_named(self, capsys, argv):
+        code, out, err = run_main(argv, capsys)
+        assert code == 1 and out == ""
+        assert "latfree: error: entry '1/0' of " in err and "Traceback" not in err
 
     def test_capacity_cap_exits_four(self, capsys):
         # six 3-way joins with distinct weights have 3^6 = 729 pieces
@@ -403,8 +447,7 @@ class TestSeedHandling:
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LATFREE_SEED", "99")
         code, out, _ = run_main(
-            ["eval", "--arity", "1", "--expr", "t1", "--at", "1", "--seed", "3"],
-            capsys,
+            ["norm", "--space", "fvl:1", "--expr", "t1", "--seed", "3"], capsys
         )
         assert code == 0
         assert json.loads(out)["seed"] == 3
@@ -412,7 +455,7 @@ class TestSeedHandling:
     def test_bad_env_is_usage_error(self, capsys, monkeypatch):
         """A malformed seed is a usage error where a seed is read, on --seed;
         a malformed LATFREE_SEED is not read at all."""
-        argv = ["eval", "--arity", "1", "--expr", "t1", "--at", "1"]
+        argv = ["norm", "--space", "fvl:1", "--expr", "t1"]
         monkeypatch.setenv("LATFREE_SEED", "not-a-number")
         code, out, err = run_main(argv, capsys)
         assert code == 0 and err == ""

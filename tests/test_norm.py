@@ -374,18 +374,14 @@ class TestBudgetDirections:
 
 class TestStrongUnitFactor:
     def test_join_needs_lambda_one(self):
-        lam, rows = strong_unit_factor(pw(r"t1 \/ t2", 2))
-        assert lam == 1
-        assert len(rows) == 2
+        assert strong_unit_factor(pw(r"t1 \/ t2", 2)) == 1
 
     def test_scaled_function(self):
-        lam, _ = strong_unit_factor(pw("3*t1", 1))
-        assert lam == 3
+        assert strong_unit_factor(pw("3*t1", 1)) == 3
 
     def test_cross_polytope_max_of_coordinate(self):
         # sup of |t1| over the l1 ball of R^2, reached at +-e1
-        lam, _ = strong_unit_factor(pw("|t1|", 2))
-        assert lam == 1
+        assert strong_unit_factor(pw("|t1|", 2)) == 1
 
 
 class TestNormBounds:
@@ -423,7 +419,6 @@ class TestNormBounds:
         cert = norm_bounds(pw(r"t1 \/ t2 - t2 \/ t1", 2), spec, restarts=2)
         assert cert.lower == 0 == cert.upper and cert.lam == 0
         assert cert.witness.points == ((F(0), F(0)),)
-        assert cert.unit_support == ()
 
     def test_nondegeneracy_of_small_elements(self):
         cert = norm_bounds(pw(r"1/7*(t1 /\ t2)", 2), seq_space(2, 2), restarts=4, seed=2)
@@ -457,8 +452,7 @@ class TestNormBounds:
         real = norm_module.strong_unit_factor
 
         def halved(f, table):
-            lam, rows = real(f, table)
-            return lam / 2, rows
+            return real(f, table) / 2
 
         monkeypatch.setattr(norm_module, "strong_unit_factor", halved)
         with pytest.raises(InternalFaultError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from latfree.errors import UnsupportedSpaceError
+from latfree.errors import CapacityError, UnsupportedSpaceError
 from latfree.norm import _climb
 from latfree.pnorm import (
     _BITS,
@@ -133,6 +133,12 @@ class TestTargetSpace:
             with pytest.raises(UnsupportedSpaceError):
                 seq_space(p, 2)
         assert seq_space(F(1000, 999), 2).p == F(1000, 999)
+
+    def test_dimension_cap(self):
+        assert fvl_space(32).dim == seq_space(2, 32).dim == 32
+        for make in (fvl_space, lambda d: seq_space("inf", d)):
+            with pytest.raises(CapacityError, match="space dimension: 33 exceeds"):
+                make(33)
 
     def test_norm_leq_near_the_boundary(self):
         assert norm_leq((F(3), F(4)), F(2), F(5))
