@@ -5,126 +5,55 @@ infima) are treated as positively homogeneous piecewise-linear functions.
 The package decides equivalence exactly, computes certified norms for a
 family of sequence-space pairings, extends generator assignments to
 lattice homomorphisms, and ships a deterministic acceptance suite.
+
+The public names load on first use (PEP 562): `import latfree` imports no
+submodule, and `latfree.norm_certificate` imports `latfree.norm` when it
+is first read.
 """
 
-from .errors import (
-    ArityError,
-    CapacityError,
-    DimensionError,
-    ExprSyntaxError,
-    InternalFaultError,
-    LatfreeError,
-    UnsupportedSpaceError,
-)
-from .expr import (
-    Add,
-    Expr,
-    Inf,
-    Scale,
-    Sup,
-    Var,
-    eval_expr,
-    parse,
-    print_expr,
-)
-from .free import (
-    LatticeMap,
-    contractivity_audit,
-    embed,
-    extend_hom,
-    generator,
-    pullback_seminorm,
-)
-from .norm import (
-    AuditReport,
-    FunctionalTuple,
-    NormCertificate,
-    SpaceSpec,
-    constraint_norm,
-    evaluation_seminorm,
-    functional_tuple,
-    fvl_space,
-    maximality_audit,
-    norm_bounds,
-    norm_by_cell_assignment,
-    norm_certificate,
-    norm_exact_polyhedral,
-    parse_space,
-    seq_space,
-    strong_unit_factor,
-    tuple_admissible,
-    tuple_seminorm_value,
-)
-from .pwl import (
-    PwlFunction,
-    equivalent,
-    is_zero,
-    linear_pieces,
-    make_pwl,
-    pwl_abs,
-    pwl_add,
-    pwl_inf,
-    pwl_scale,
-    pwl_sup,
-    zero_pwl,
-)
-from .selftest import CriterionResult, SelftestReport, run_selftest
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Add",
-    "ArityError",
-    "AuditReport",
-    "CapacityError",
-    "CriterionResult",
-    "DimensionError",
-    "Expr",
-    "ExprSyntaxError",
-    "FunctionalTuple",
-    "Inf",
-    "InternalFaultError",
-    "LatfreeError",
-    "LatticeMap",
-    "NormCertificate",
-    "PwlFunction",
-    "Scale",
-    "SelftestReport",
-    "SpaceSpec",
-    "Sup",
-    "UnsupportedSpaceError",
-    "Var",
-    "constraint_norm",
-    "contractivity_audit",
-    "embed",
-    "equivalent",
-    "eval_expr",
-    "evaluation_seminorm",
-    "extend_hom",
-    "functional_tuple",
-    "fvl_space",
-    "generator",
-    "is_zero",
-    "linear_pieces",
-    "make_pwl",
-    "maximality_audit",
-    "norm_bounds",
-    "norm_by_cell_assignment",
-    "norm_certificate",
-    "norm_exact_polyhedral",
-    "parse",
-    "parse_space",
-    "print_expr",
-    "pullback_seminorm",
-    "pwl_abs",
-    "pwl_add",
-    "pwl_inf",
-    "pwl_scale",
-    "pwl_sup",
-    "run_selftest",
-    "seq_space",
-    "strong_unit_factor",
-    "tuple_admissible",
-    "tuple_seminorm_value",
-    "zero_pwl",
-]
+# home module of every public name
+_EXPORTS = {
+    "errors": (
+        "ArityError", "CapacityError", "DimensionError", "ExprSyntaxError",
+        "InternalFaultError", "LatfreeError", "UnsupportedSpaceError",
+    ),
+    "expr": (
+        "Add", "Expr", "Inf", "Scale", "Sup", "Var", "eval_expr", "parse",
+        "print_expr",
+    ),
+    "free": (
+        "LatticeMap", "contractivity_audit", "embed", "extend_hom", "generator",
+        "pullback_seminorm",
+    ),
+    "norm": (
+        "AuditReport", "FunctionalTuple", "NormCertificate", "SpaceSpec",
+        "constraint_norm", "evaluation_seminorm", "functional_tuple", "fvl_space",
+        "maximality_audit", "norm_bounds", "norm_by_cell_assignment",
+        "norm_certificate", "norm_exact_polyhedral", "parse_space", "seq_space",
+        "strong_unit_factor", "tuple_admissible", "tuple_seminorm_value",
+    ),
+    "pwl": (
+        "PwlFunction", "equivalent", "is_zero", "linear_pieces", "make_pwl",
+        "pwl_abs", "pwl_add", "pwl_inf", "pwl_scale", "pwl_sup", "zero_pwl",
+    ),
+    "selftest": ("CriterionResult", "SelftestReport", "run_selftest"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -5,7 +5,8 @@ by default (selftest defaults to a pass/fail table); every rational is
 serialized as an exact "p/q" string, never a float.  Each subcommand takes
 only the flags it reads: --seed keys the seeded search of norm, audit and
 selftest, and is theirs alone.  The same arguments yield byte-identical
-reports; wall times only appear with --timing.
+reports; wall times only appear with --timing.  Each handler imports the
+modules it runs, so eval and equiv never load the norm code.
 
 Exit codes: 0 success, 1 usage or parse error, 2 computation fault,
 3 audit or selftest failure, 4 input beyond a capacity cap.
@@ -18,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (
     ArityError,
@@ -29,18 +31,12 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .expr import parse, print_expr
-from .free import LatticeMap, extend_hom
-from .norm import (
-    NormCertificate,
-    evaluation_seminorm,
-    functional_tuple,
-    maximality_audit,
-    norm_certificate,
-    parse_space,
-)
 from .pwl import PwlFunction, equivalent
 from .qmath import Vec, format_fraction, identity
-from .selftest import SelftestReport, run_selftest
+
+if TYPE_CHECKING:
+    from .norm import NormCertificate
+    from .selftest import SelftestReport
 
 _USAGE_ERRORS = (
     ExprSyntaxError,
@@ -170,6 +166,8 @@ def _cmd_equiv(args):
 
 def _certify(args):
     """(space, expr, f, certificate): the prologue of norm and audit."""
+    from .norm import norm_certificate, parse_space
+
     space = parse_space(args.space)
     expr = parse(_one_expr(args), space.dim)
     f = PwlFunction.from_expr(expr, space.dim)
@@ -205,6 +203,9 @@ def _parse_images(args, target_dim: int):
 
 
 def _cmd_extend(args):
+    from .free import LatticeMap, extend_hom
+    from .norm import parse_space
+
     space = parse_space(args.space)
     target = parse_space(args.target)
     images = _parse_images(args, target.dim)
@@ -235,6 +236,8 @@ def _cmd_extend(args):
 
 
 def _cmd_audit(args):
+    from .norm import evaluation_seminorm, functional_tuple, maximality_audit
+
     space, expr, f, cert = _certify(args)
     family = [evaluation_seminorm(cert.witness, name="witness")]
     for i, axis in enumerate(identity(space.dim)):
@@ -287,6 +290,8 @@ def _selftest_payload(rep: SelftestReport, timing: bool) -> dict:
 
 
 def _cmd_selftest(args):
+    from .selftest import run_selftest
+
     rep = run_selftest(seed=args.seed)
     lines = []
     for r in rep.results:

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb
 from typing import Callable
 
 from .errors import (
@@ -33,6 +34,7 @@ from .errors import (
 from .expr import Add, Inf, Scale, Sup, Var
 from .lp import simplex_standard
 from .pnorm import (  # the space constructors are re-exported from here
+    MAX_SIGNS,
     SpaceSpec,
     admissibility_upper,
     budget_directions,
@@ -45,6 +47,7 @@ from .pnorm import (  # the space constructors are re-exported from here
     sign_patterns,
 )
 from .pwl import (
+    _MAX_RAY_SUBSETS,
     PwlFunction,
     active_piece,
     arrangement_for,
@@ -187,6 +190,14 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         raise UnsupportedSpaceError(
             f"space {space} is not polyhedral; use norm_bounds"
         )
+    if not space.coordinate_budget:
+        # seq:inf: the 2**(d-1) budget directions and the d coordinate
+        # normals are distinct planes, so rays would solve at least this
+        # many subsets; refuse before the directions are built
+        d = space.dim
+        least = comb(2 ** (d - 1) + d, d - 1)
+        if least > _MAX_RAY_SUBSETS:
+            raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, least)
     budget = budget_directions(space)
     columns = rays(f.dim, [*kinks(f), *budget])
     objective = [abs(v) for v in f.eval_many(columns)]
@@ -377,14 +388,6 @@ def _float_evaluator(f: PwlFunction) -> Callable[[list], float]:
             rhs = _SLOT_TEXT[kind].format(a=a, b=b)
         body.append(f"s{n} = {rhs}")
     return float_kernel("value", "x", [*body, f"return s{len(body) - 1}"])
-
-
-# sign vectors (+-1, .., +-1) modulo sign, 2**(d-1), that the sweep scores.
-# Measured on a 2-core x86 box with Python 3.11: each costs about 0.2 ms
-# (an exact admissibility, two exact totals, and an admissibility of its
-# scaled copy only when that can win), so the cap admits seq:2:18, whose
-# norm of t1 takes 35 s and 615 MB; seq:2:16 takes 6 s.
-_MAX_SWEEP_SIGNS = 1 << 17
 
 
 def _sweep_candidates(
@@ -630,8 +633,8 @@ def norm_bounds(
     if lam == 0:
         return _zero_certificate(space, "strong_unit_lambda_n")
     signs = 2 ** (space.dim - 1)
-    if signs > _MAX_SWEEP_SIGNS:
-        raise CapacityError("sweep sign vectors", _MAX_SWEEP_SIGNS, signs)
+    if signs > MAX_SIGNS:
+        raise CapacityError("sweep sign vectors", MAX_SIGNS, signs)
     upper = lam * sum(norm_upper(row, space.exponent) for row in f.comp)
 
     best_value = Fraction(0)

@@ -46,7 +46,6 @@ from .expr import (
     fold,
     substitute,
 )
-from .lp import simplex_standard
 from .qmath import (
     Vec,
     dot,
@@ -328,6 +327,8 @@ def _strict_cell_point(normals: list[Vec], signs, dim: int):
     and u, w, t >= 0; it is feasible at 0.  By homogeneity of the cone the
     optimum is 1 exactly when the open cell is nonempty, and 0 otherwise.
     """
+    from .lp import simplex_standard  # the oracle's LP alone loads lp
+
     rows = [
         (tuple(-s * c for c in n) + tuple(s * c for c in n) + (1,), 0)
         for n, s in zip(normals, signs)

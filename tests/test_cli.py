@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -6,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import latfree
+import latfree.selftest
 from latfree import cli
 
 
@@ -290,6 +293,27 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert "sweep sign vectors: 536870912 exceeds the cap of 131072" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["norm", "--space", "seq:inf:20", "--expr", "t1"],
+             f"ray subsets: {math.comb(2**19 + 20, 19)} exceeds the cap of 150000"),
+            (["audit", "--space", "seq:inf:32", "--expr", "t1"],
+             f"ray subsets: {math.comb(2**31 + 32, 31)} exceeds the cap of 150000"),
+            (["extend", "--space", "seq:inf:24", "--target", "seq:1:1", "--expr", "t1",
+              *["--vector", "1"] * 24],
+             "sign vectors: 8388608 exceeds the cap of 131072"),
+        ],
+        ids=["norm", "audit", "extend"],
+    )
+    def test_seq_inf_work_is_refused_before_it_runs(self, capsys, argv, message):
+        # 2^(d-1) budget directions or sign vectors are never built
+        start = time.perf_counter()
+        code, out, err = run_main(argv, capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert message in err
+
     def test_zero_element_is_answered_ahead_of_the_sweep_cap(self, capsys):
         code, out, err = run_main(
             ["norm", "--space", "seq:2:30", "--expr", "t1 - t1"], capsys
@@ -382,7 +406,7 @@ class TestExitCodes:
                 ),
             ),
         )
-        monkeypatch.setattr(cli, "run_selftest", lambda seed: fake)
+        monkeypatch.setattr(latfree.selftest, "run_selftest", lambda seed: fake)
         code, out, _ = run_main(["selftest", "--format", "json"], capsys)
         assert code == 3
         assert json.loads(out)["passed"] is False
@@ -398,7 +422,7 @@ class TestExitCodes:
                 ),
             ),
         )
-        monkeypatch.setattr(cli, "run_selftest", lambda seed: fake)
+        monkeypatch.setattr(latfree.selftest, "run_selftest", lambda seed: fake)
         code, out, _ = run_main(["selftest"], capsys)
         assert code == 0
         assert "PASS" in out
@@ -509,3 +533,53 @@ class TestSubprocess:
         res = self._run(["--help"])
         assert res.returncode == 0
         assert "eval" in res.stdout and "selftest" in res.stdout
+
+
+class TestImports:
+    PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("latfree."))
+import latfree
+stages = {"package": loaded()}
+from latfree import cli
+stages["cli"] = loaded()
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["eval", "--arity", "2", "--expr", "|t1| + t2", "--at", "1,2"]))
+    codes.append(cli.main(["equiv", "--arity", "2", "--expr", "|t1| + t2", "--expr", "t2 + |t1|"]))
+    stages["eval+equiv"] = loaded()
+    codes.append(cli.main(["norm", "--space", "fvl:2", "--expr", "|t1| + t2"]))
+stages["norm"] = loaded()
+print(json.dumps({"codes": codes, "stages": stages}))
+"""
+
+    def test_each_subcommand_imports_only_what_it_runs(self):
+        res = subprocess.run(
+            [sys.executable, "-c", self.PROBE], capture_output=True, text=True, timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        probe = json.loads(res.stdout)
+        assert probe["codes"] == [0, 0, 0]
+        stages = probe["stages"]
+        assert stages["package"] == []
+        heavy = {
+            f"latfree.{m}" for m in ("norm", "pnorm", "free", "selftest", "sampling", "lp")
+        }
+        for stage in ("cli", "eval+equiv"):
+            assert not heavy & set(stages[stage]), stage
+        assert "latfree.norm" in stages["norm"]
+
+    def test_public_names_load_on_first_use(self):
+        for name in latfree.__all__:
+            assert getattr(latfree, name) is not None, name
+        namespace = {}
+        exec("from latfree import *", namespace)
+        assert set(latfree.__all__) <= set(namespace)
+        assert set(latfree.__all__) <= set(dir(latfree))
+        assert latfree.norm_certificate is latfree.norm.norm_certificate
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            latfree.no_such_name
+        from latfree import norm
+
+        assert norm.__name__ == "latfree.norm"
