@@ -19,7 +19,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import (
     ArityError,
@@ -33,10 +32,6 @@ from .errors import (
 from .expr import parse, print_expr
 from .pwl import PwlFunction, equivalent
 from .qmath import Vec, format_fraction, identity
-
-if TYPE_CHECKING:
-    from .norm import NormCertificate
-    from .selftest import SelftestReport
 
 _USAGE_ERRORS = (
     ExprSyntaxError,
@@ -60,11 +55,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _frac_list(text: str) -> Vec:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    """The comma-separated rationals of text; an empty entry is an error."""
+    if not text.strip():
         raise ValueError(f"empty vector: {text!r}")
     out = []
-    for p in parts:
+    for p in map(str.strip, text.split(",")):
         try:
             out.append(Fraction(p))
         except (ValueError, ZeroDivisionError):

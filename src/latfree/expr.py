@@ -28,7 +28,7 @@ join back as |x|, (x)^+ or (x)^- when it is that expansion.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,7 +36,20 @@ from .errors import ArityError, CapacityError, DimensionError, ExprSyntaxError
 from .qmath import MAX_DIM, to_fraction
 
 
-class _Node:
+class Frozen:
+    """Immutable instances: assigning or deleting an attribute raises
+    AttributeError, so an __init__ writes its fields to the instance dict."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Node(Frozen):
     """Equality, hash and repr of a node through its compiled program, so
     that none of them walks the shared DAG path by path or recurses."""
 
@@ -56,43 +69,47 @@ class _Node:
         return f"<{type(self).__name__} {print_expr(self)}>"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     """Positional variable t<index>, 1-based."""
 
-    index: int
+    __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        self.__dict__["index"] = index
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Scale(_Node):
     """Rational multiple of a subexpression."""
 
-    coeff: Fraction
-    child: "Expr"
+    __match_args__ = ("coeff", "child")
+
+    def __init__(self, coeff: Fraction, child: Expr):
+        fields = self.__dict__
+        fields["coeff"] = coeff
+        fields["child"] = child
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Add(_Node):
+class _Pair(_Node):
+    """A node of two subexpressions."""
+
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
+
+
+class Add(_Pair):
     """Sum of two subexpressions."""
 
-    left: "Expr"
-    right: "Expr"
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Sup(_Node):
+class Sup(_Pair):
     """Pointwise maximum (lattice join)."""
 
-    left: "Expr"
-    right: "Expr"
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Inf(_Node):
+class Inf(_Pair):
     """Pointwise minimum (lattice meet)."""
-
-    left: "Expr"
-    right: "Expr"
 
 
 Expr = Var | Scale | Add | Sup | Inf
@@ -125,15 +142,14 @@ def sub_expr(left: Expr, right: Expr) -> Expr:
 _NODE_TYPES = (Var, Scale, Add, Sup, Inf)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(namedtuple("Program", "slots max_var")):
     """Interned slots (kind, a, b) in topological order, the root last:
     (Var, i, None) reads t_i, (Scale, c, s) is c times slot s, and
     (Add | Sup | Inf, s, u) combines slots s and u.  No two slots are
-    equal, so equal expressions compile to equal programs."""
+    equal, so equal expressions compile to equal programs.  max_var is
+    the highest variable index."""
 
-    slots: tuple[tuple, ...]
-    max_var: int
+    __slots__ = ()
 
 
 def compile_expr(e: Expr) -> Program:

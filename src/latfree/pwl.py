@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -37,6 +37,7 @@ from .errors import CapacityError, DimensionError, InternalFaultError
 from .expr import (
     Add,
     Expr,
+    Frozen,
     Inf,
     Program,
     Scale,
@@ -63,15 +64,19 @@ _MAX_PIECES = 256
 _MAX_CELLS = 8192
 
 
-@dataclass(frozen=True)
-class PwlFunction:
-    """expr composed with rational rows: f(x) = expr(row_1.x, ..., row_n.x)."""
+class PwlFunction(Frozen):
+    """expr composed with rational rows: f(x) = expr(row_1.x, ..., row_n.x).
 
-    dim: int
-    expr: Expr
-    comp: tuple[Vec, ...]
+    Immutable; equal and hashed as the tuple (dim, expr, comp).
+    """
 
-    def __post_init__(self):
+    __match_args__ = ("dim", "expr", "comp")
+
+    def __init__(self, dim: int, expr: Expr, comp: tuple[Vec, ...]):
+        fields = self.__dict__
+        fields["dim"] = dim
+        fields["expr"] = expr
+        fields["comp"] = comp
         if self.dim < 1:
             raise DimensionError("ambient dimension must be at least 1")
         if not self.comp:
@@ -86,6 +91,20 @@ class PwlFunction:
                 f"expression uses t{self.program.max_var} but only "
                 f"{len(self.comp)} composition rows are given"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.expr, self.comp) == (other.dim, other.expr, other.comp)
+
+    def __hash__(self):
+        return hash((self.dim, self.expr, self.comp))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(dim={self.dim!r}, expr={self.expr!r}, "
+            f"comp={self.comp!r})"
+        )
 
     @property
     def program(self) -> Program:
@@ -246,19 +265,17 @@ def kinks(f: PwlFunction) -> frozenset[Vec]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Full-dimensional cell given by strict signs against the hyperplanes."""
+class Cell(namedtuple("Cell", "signs interior")):
+    """Full-dimensional cell given by strict signs against the hyperplanes,
+    with a rational point of its interior."""
 
-    signs: tuple[int, ...]
-    interior: Vec
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    dim: int
-    hyperplanes: tuple[Vec, ...]
-    cells: tuple[Cell, ...]
+class Arrangement(namedtuple("Arrangement", "dim hyperplanes cells")):
+    """A central arrangement's normals and its cells, sorted by sign vector."""
+
+    __slots__ = ()
 
 
 def canonical_normals(vectors) -> list[Vec]:
@@ -289,6 +306,11 @@ def difference_normals(pieces) -> list[Vec]:
 # column per pivot, 0.12 s for the 538 columns, 8 rows and 102 pivots of
 # the seq:inf:4 norm of |t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|.
 _MAX_RAY_SUBSETS = 150_000
+# Subsets times k^2, since an elimination's cost grows with the dimension
+# k: on the same box, equivalence of t1 \/ t2 \/ t3 with t3 \/ t2 \/ t1
+# took 0.4 s at arity 16, 1.9 s at arity 20 (8,855 subsets) and 64 s at
+# arity 32 (52,360).  Up to dimension 5 the subset cap is the tighter one.
+_MAX_RAY_WORK = 25 * _MAX_RAY_SUBSETS
 
 
 def rays(dim: int, normals) -> tuple[Vec, ...]:
@@ -309,6 +331,9 @@ def rays(dim: int, normals) -> tuple[Vec, ...]:
     subsets = comb(len(planes), dim - 1)
     if subsets > _MAX_RAY_SUBSETS:
         raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, subsets)
+    work = subsets * dim * dim
+    if work > _MAX_RAY_WORK:
+        raise CapacityError("ray work", _MAX_RAY_WORK, work)
     # canonical normals are primitive integer vectors
     planes = [[c.numerator for c in n] for n in planes]
     lines = set()

@@ -1,9 +1,11 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +277,43 @@ class TestExitCodes:
         code, out, err = run_main(argv, capsys)
         assert code == 1 and out == ""
         assert "latfree: error: entry '1/0' of " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--arity", "3", "--expr", "t1 + 10*t2", "--at", "1,,2"],
+            ["eval", "--arity", "1", "--expr", "t1", "--at", "1/3,"],
+            ["extend", "--space", "fvl:1", "--target", "seq:1:2",
+             "--expr", "t1", "--vector", ",1"],
+            ["extend", "--space", "fvl:1", "--target", "seq:1:2",
+             "--expr", "t1", "--vector", "1, ,2"],
+        ],
+        ids=["eval-inner", "eval-trailing", "extend-leading", "extend-blank"],
+    )
+    def test_an_empty_vector_entry_is_named(self, capsys, argv):
+        code, out, err = run_main(argv, capsys)
+        assert code == 1 and out == ""
+        assert f"latfree: error: entry '' of {argv[-1]!r} is not a rational" in err
+
+    @pytest.mark.parametrize("arity", [24, 32])
+    def test_ray_work_above_the_cap_exits_four(self, capsys, arity):
+        # few enough subsets, but each is an elimination of arity - 1 rows
+        subsets = math.comb(arity + 3, arity - 1)
+        start = time.perf_counter()
+        code, out, err = run_main(
+            ["equiv", "--arity", str(arity), "--expr", r"t1 \/ t2 \/ t3",
+             "--expr", r"t3 \/ t2 \/ t1"], capsys,
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert f"ray work: {subsets * arity**2} exceeds the cap of 3750000" in err
+
+    def test_ray_work_at_arity_20_is_answered(self, capsys):
+        code, out, _ = run_main(
+            ["equiv", "--arity", "20", "--expr", r"t1 \/ t2 \/ t3",
+             "--expr", r"t3 \/ t2 \/ t1"], capsys,
+        )
+        assert code == 0 and json.loads(out)["equal"] is True
 
     def test_capacity_cap_exits_four(self, capsys):
         # six 3-way joins with distinct weights have 3^6 = 729 pieces
@@ -569,6 +608,24 @@ print(json.dumps({"codes": codes, "stages": stages}))
         for stage in ("cli", "eval+equiv"):
             assert not heavy & set(stages[stage]), stage
         assert "latfree.norm" in stages["norm"]
+
+    def test_eval_and_equiv_load_no_dataclasses_inspect_or_typing(self):
+        # -S keeps the modules that site's .pth files preload out of the check
+        probe = """
+import sys
+from latfree import cli
+argvs = [["eval", "--arity", "2", "--expr", "|t1| + t2", "--at", "1,2"],
+         ["equiv", "--arity", "2", "--expr", "|t1| + t2", "--expr", "t2 + |t1|"]]
+codes = [cli.main(argv) for argv in argvs]
+print(codes, sorted({"dataclasses", "inspect", "typing"} & set(sys.modules)))
+"""
+        src = Path(latfree.__file__).resolve().parent.parent
+        res = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[0, 0] []"
 
     def test_public_names_load_on_first_use(self):
         for name in latfree.__all__:

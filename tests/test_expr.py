@@ -218,6 +218,47 @@ class TestCompile:
         assert time.perf_counter() - t0 < 1.0
 
 
+class TestImmutable:
+    NODES = [
+        (Var(1), "index"),
+        (Scale(F(2), Var(1)), "coeff"),
+        (Scale(F(2), Var(1)), "child"),
+        (Add(Var(1), Var(2)), "left"),
+        (Sup(Var(1), Var(2)), "right"),
+        (Inf(Var(1), Var(2)), "left"),
+    ]
+
+    @pytest.mark.parametrize("node, field", NODES, ids=repr)
+    def test_a_node_field_can_be_neither_set_nor_deleted(self, node, field):
+        before = getattr(node, field)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(node, field, Var(3))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(node, field)
+        with pytest.raises(AttributeError):
+            node.other = 1
+        assert getattr(node, field) is before
+
+    def test_program_can_be_neither_set_nor_deleted(self):
+        prog = parse(r"t1 \/ 2*t2", 2).program
+        for field in ("slots", "max_var"):
+            with pytest.raises(AttributeError):
+                setattr(prog, field, ())
+            with pytest.raises(AttributeError):
+                delattr(prog, field)
+        with pytest.raises(AttributeError):
+            prog.other = 1
+        assert hash(prog) == hash((prog.slots, prog.max_var))
+        assert repr(prog).startswith("Program(slots=((<class 'latfree.expr.Var'>, 1, None), ")
+
+    def test_nodes_match_positionally_and_by_keyword(self):
+        match parse(r"2*t1 + t2 /\ t3", 3):
+            case Add(Scale(c, Var(i)), Inf(left=Var(index=j), right=Var(k))):
+                assert (c, i, j, k) == (2, 1, 2, 3)
+            case _:
+                pytest.fail("no match")
+
+
 # The recursive walkers that compile_expr and fold replaced, kept as the
 # independent reference for the differential tests below.
 

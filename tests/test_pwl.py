@@ -67,6 +67,43 @@ class TestPwlFunction:
         f = pw(r"t1 \/ t2", 2)
         assert f.comp == ((F(1), F(0)), (F(0), F(1)))
 
+    def test_fields_can_be_neither_set_nor_deleted(self):
+        f = pw(r"t1 \/ t2", 2)
+        for field in ("dim", "expr", "comp"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(f, field, 1)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(f, field)
+        with pytest.raises(AttributeError):
+            f.other = 1
+        assert f == pw(r"t1 \/ t2", 2)
+
+    def test_equality_hash_and_repr_are_those_of_the_fields(self):
+        f = make_pwl(parse("2*t1", 1), [(1, 0)])
+        assert hash(f) == hash((f.dim, f.expr, f.comp))
+        assert f == make_pwl(parse("2*t1", 1), [(1, 0)])
+        assert f != make_pwl(parse("2*t1", 1), [(0, 1)])
+        assert f != (f.dim, f.expr, f.comp)
+        assert repr(f) == (
+            "PwlFunction(dim=2, expr=<Scale 2*t1>, "
+            "comp=((Fraction(1, 1), Fraction(0, 1)),))"
+        )
+
+    def test_arrangement_and_cells_are_immutable(self):
+        arr = arrangement_for(pw(r"t1 \/ t2", 2))
+        cell = arr.cells[0]
+        for obj in (arr, cell):
+            for field in obj._fields:
+                with pytest.raises(AttributeError):
+                    setattr(obj, field, ())
+                with pytest.raises(AttributeError):
+                    delattr(obj, field)
+            with pytest.raises(AttributeError):
+                obj.other = 1
+        assert hash(cell) == hash((cell.signs, cell.interior))
+        assert repr(cell).startswith("Cell(signs=(")
+        assert repr(arr).startswith("Arrangement(dim=2, hyperplanes=((")
+
 
 def _rational_pwl(rng, arity, dim):
     """A random expression with non-integral coefficients, composed with
