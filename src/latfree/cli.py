@@ -45,8 +45,21 @@ _USAGE_ERRORS = (
 _FAULT_ERRORS = (InternalFaultError, LatfreeError)
 
 
+class _Formatter(argparse.HelpFormatter):
+    """Help at the width argparse takes when no terminal is attached and
+    COLUMNS is unset, so no formatter asks for the terminal's size (and
+    imports shutil to do so): add_argument builds one per flag."""
+
+    def __init__(self, prog):
+        super().__init__(prog, width=78)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; the contract wants 1."""
+    """argparse exits with status 2 on bad usage; the contract wants 1.
+    The top parser and every subparser format help with _Formatter."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -199,7 +212,7 @@ def _parse_images(args, target_dim: int):
 
 def _cmd_extend(args):
     from .free import LatticeMap, extend_hom
-    from .norm import parse_space
+    from .pnorm import parse_space
 
     space = parse_space(args.space)
     target = parse_space(args.target)

@@ -14,12 +14,11 @@ admissible map evaluates the function at the map's dual rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ArityError, DimensionError, UnsupportedSpaceError
 from .expr import Var, print_expr
-from .norm import AuditEntry, AuditReport, SeminormHandle, norm_certificate
 from .pnorm import SpaceSpec, norm_leq, norm_upper, operator_upper
 from .pwl import PwlFunction
 from .qmath import Vec, format_fraction, identity, transpose, vec
@@ -49,8 +48,7 @@ def generator(space: SpaceSpec, i: int) -> PwlFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(namedtuple("LatticeMap", "source target images")):
     """A map given by the images y_1..y_n in the target of the source's
     generators.
 
@@ -63,20 +61,17 @@ class LatticeMap:
     coordinatewise order and the l_p norm.
     """
 
-    source: SpaceSpec
-    target: SpaceSpec
-    images: tuple[Vec, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.target.kind != "seq":
+    def __new__(cls, source: SpaceSpec, target: SpaceSpec, images: tuple[Vec, ...]):
+        if target.kind != "seq":
             raise UnsupportedSpaceError("extension targets must be seq:p:m spaces")
-        if len(self.images) != self.source.dim:
-            raise ArityError(
-                f"need {self.source.dim} generator images, got {len(self.images)}"
-            )
-        for y in self.images:
-            if len(y) != self.target.dim:
+        if len(images) != source.dim:
+            raise ArityError(f"need {source.dim} generator images, got {len(images)}")
+        for y in images:
+            if len(y) != target.dim:
                 raise DimensionError("generator image has wrong target length")
+        return super().__new__(cls, source, target, images)
 
     @property
     def dual_rows(self) -> tuple[Vec, ...]:
@@ -101,6 +96,8 @@ def contractivity_audit(
 ) -> AuditReport:
     """Check ||extension(f)|| <= scale * norm-upper(f) for each element,
     each normed in the map's source."""
+    from .norm import AuditEntry, AuditReport, norm_certificate  # extend loads no norm
+
     scale = lat_map.admissibility_scale()
     entries = []
     for i, f in enumerate(suite):
@@ -126,6 +123,8 @@ def pullback_seminorm(lat_map: LatticeMap, name: str | None = None) -> SeminormH
     by it so that nu(generator) <= 1; comparisons are norm_leq's, exact
     for integer and infinite p.
     """
+    from .norm import SeminormHandle
+
     scale = lat_map.admissibility_scale()
     rows = lat_map.dual_rows
     if scale > 1:

@@ -25,19 +25,15 @@ tableau.  At the end a basic z_j in row i is T[i][-1] / D, the value is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InternalFaultError
 from .qmath import clear_denominators
 
 
-@dataclass
-class LpResult:
-    status: str  # "optimal" | "unbounded"
-    value: Fraction | None = None
-    point: tuple[Fraction, ...] | None = None
-    duals: tuple[Fraction, ...] | None = None
+# status is "optimal" or "unbounded"; only an optimal result has the rest
+LpResult = namedtuple("LpResult", "status value point duals", defaults=(None, None, None))
 
 
 class _Tableau:

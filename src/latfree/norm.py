@@ -19,11 +19,10 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Callable
 
 from .errors import (
     CapacityError,
@@ -73,21 +72,19 @@ from .qmath import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionalTuple:
-    """Finite tuple of dual points inducing the seminorm Sum_i |f(x_i)|."""
+class FunctionalTuple(namedtuple("FunctionalTuple", "space points")):
+    """Finite tuple of dual points inducing the seminorm Sum_i |f(x_i)|.
 
-    space: SpaceSpec
-    points: tuple[Vec, ...]
+    No __slots__ = (): the instance dict holds the cached admissibility.
+    """
 
-    def __post_init__(self):
-        if not self.points:
+    def __new__(cls, space: SpaceSpec, points: tuple[Vec, ...]):
+        if not points:
             raise DimensionError("a functional tuple needs at least one point")
-        for x in self.points:
-            if len(x) != self.space.dim:
-                raise DimensionError(
-                    f"tuple point of length {len(x)} in space {self.space}"
-                )
+        for x in points:
+            if len(x) != space.dim:
+                raise DimensionError(f"tuple point of length {len(x)} in space {space}")
+        return super().__new__(cls, space, points)
 
     @cached_property
     def _admissibility(self) -> Fraction:
@@ -98,21 +95,20 @@ def functional_tuple(space: SpaceSpec, points) -> FunctionalTuple:
     return FunctionalTuple(space=space, points=tuple(vec(x) for x in points))
 
 
-@dataclass(frozen=True)
-class NormCertificate:
-    """Sandwich lower <= norm <= upper with a reproducible witness tuple."""
+class NormCertificate(
+    namedtuple("NormCertificate", "lower upper witness upper_method lam")
+):
+    """Sandwich lower <= norm <= upper with a reproducible witness tuple;
+    upper_method is "exact_match" or "strong_unit_lambda_n"."""
 
-    lower: Fraction
-    upper: Fraction
-    witness: FunctionalTuple
-    upper_method: str  # "exact_match" | "strong_unit_lambda_n"
-    lam: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lower > self.upper:
+    def __new__(cls, lower, upper, witness, upper_method, lam=None):
+        if lower > upper:
             raise InternalFaultError(
-                f"certificate violates lower <= upper: {self.lower} > {self.upper}"
+                f"certificate violates lower <= upper: {lower} > {upper}"
             )
+        return super().__new__(cls, lower, upper, witness, upper_method, lam)
 
     @property
     def exact(self) -> bool:
@@ -201,12 +197,8 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     budget = budget_directions(space)
     columns = rays(f.dim, [*kinks(f), *budget])
     objective = [abs(v) for v in f.eval_many(columns)]
-    # rays and budget directions are integral, so |<v,b>| is taken on ints
-    int_columns = [[x.numerator for x in v] for v in columns]
-    int_budget = [[x.numerator for x in b] for b in budget]
-    matrix = [
-        [abs(sum(map(operator.mul, v, b))) for v in int_columns] for b in int_budget
-    ]
+    # rays and budget directions are int tuples, so |<v,b>| is taken on ints
+    matrix = [[abs(sum(map(operator.mul, v, b))) for v in columns] for b in budget]
     rows = [(row, 1) for row in matrix]
     res = simplex_standard(objective, rows)
     if res.status != "optimal":
@@ -321,15 +313,21 @@ def norm_by_cell_assignment(
 # ---------------------------------------------------------------------------
 
 
+def read_rows(f: PwlFunction) -> list[Vec]:
+    """The composition rows that f's program reads, each once: a Var slot
+    names its row, and no two slots are equal."""
+    return [f.comp[a - 1] for kind, a, _ in f.program.slots if kind is Var]
+
+
 def strong_unit_factor(
     f: PwlFunction, table: tuple[Vec, ...] | None = None
 ) -> Fraction:
     """lam with |f| <= lam * Sum_j |<x_j, .>| everywhere, x_j the
-    composition rows of f.
+    composition rows that f reads (read_rows).
 
     lam is the exact max of |f(r)| / Sum_j |<x_j, r>| over the rays r of
     `table` where some <x_j, r> is nonzero.  The table is f's ray table:
-    the rays of the arrangement of f's kinks, its composition rows x_j and
+    the rays of the arrangement of f's kinks, all its composition rows and
     the coordinate normals, built here unless the caller has it.  On each
     closed cell of that arrangement the numerator and the denominator are
     linear, so splitting x over the cell's rays bounds the ratio at x by
@@ -339,9 +337,10 @@ def strong_unit_factor(
     """
     if table is None:
         table = rays(f.dim, [*kinks(f), *f.comp])
+    rows = read_rows(f)
     lam = Fraction(0)
     for r, v in zip(table, f.eval_many(table)):
-        weight = sum(abs(dot(row, r)) for row in f.comp)
+        weight = sum(abs(dot(row, r)) for row in rows)
         if weight:
             lam = max(lam, abs(v) / weight)
     return lam
@@ -366,7 +365,7 @@ def left_sum(terms) -> str:
 _SLOT_TEXT = {Add: "s{a} + s{b}", Sup: "max(s{a}, s{b})", Inf: "min(s{a}, s{b})"}
 
 
-def _float_evaluator(f: PwlFunction) -> Callable[[list], float]:
+def _float_evaluator(f: PwlFunction):
     """x -> f(x) in floats, one generated straight-line function with a
     statement per program slot: a Var slot reads x_j for a float row e_j
     and else sums its row's c * x_j from the left, starting at 0; the other
@@ -405,7 +404,7 @@ def _sweep_candidates(
         out.extend(((peak,), (vec_scale(-1, peak),)))
 
     for s in sign_patterns(d):
-        out.append((vec(s),))
+        out.append((s,))
 
     basis = identity(d)
     negated = tuple(vec_scale(-1, e) for e in basis)
@@ -618,7 +617,7 @@ def norm_bounds(
     total Sum_i |f(x_i)| bounds its value from above, so a tuple whose
     total cannot beat the best so far, by value then witness, skips its
     admissibility; the certificate is the one a full re-score gives.  The
-    upper bound is lam * Sum_j ||x_j|| over the composition rows.
+    upper bound is lam * Sum_j ||x_j|| over the composition rows f reads.
     """
     check_search_settings(restarts)
     if f.dim != space.dim:
@@ -635,7 +634,7 @@ def norm_bounds(
     signs = 2 ** (space.dim - 1)
     if signs > MAX_SIGNS:
         raise CapacityError("sweep sign vectors", MAX_SIGNS, signs)
-    upper = lam * sum(norm_upper(row, space.exponent) for row in f.comp)
+    upper = lam * sum(norm_upper(row, space.exponent) for row in read_rows(f))
 
     best_value = Fraction(0)
     best_witness = functional_tuple(space, (zero_vec(space.dim),))
@@ -686,8 +685,7 @@ def norm_certificate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeminormHandle:
+class SeminormHandle(namedtuple("SeminormHandle", "name leq display")):
     """A lattice seminorm with certified comparison against rational bounds.
 
     leq(f, bound) decides nu(f) <= bound exactly (for l2-valued seminorms
@@ -695,9 +693,7 @@ class SeminormHandle:
     is for reports only and may round.
     """
 
-    name: str
-    leq: Callable[[PwlFunction, Fraction], bool]
-    display: Callable[[PwlFunction], str]
+    __slots__ = ()
 
 
 def evaluation_seminorm(tup: FunctionalTuple, name: str | None = None) -> SeminormHandle:
@@ -709,17 +705,11 @@ def evaluation_seminorm(tup: FunctionalTuple, name: str | None = None) -> Semino
     )
 
 
-@dataclass(frozen=True)
-class AuditEntry:
-    name: str
-    ok: bool
-    observed: str
-    bound: str
+AuditEntry = namedtuple("AuditEntry", "name ok observed bound")
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    entries: tuple[AuditEntry, ...]
+class AuditReport(namedtuple("AuditReport", "entries")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

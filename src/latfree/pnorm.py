@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CapacityError, UnsupportedSpaceError
@@ -45,35 +45,32 @@ MAX_EXPONENT_TERM = 1000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(namedtuple("SpaceSpec", "kind dim p")):
     """Either fvl:n (n free generators) or seq:p:m (R^m with the l_p norm)."""
 
-    kind: str
-    dim: int
-    p: Fraction | str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("fvl", "seq"):
-            raise UnsupportedSpaceError(f"unknown space kind {self.kind!r}")
-        if self.dim < 1:
+    def __new__(cls, kind: str, dim: int, p: Fraction | str | None = None):
+        if kind not in ("fvl", "seq"):
+            raise UnsupportedSpaceError(f"unknown space kind {kind!r}")
+        if dim < 1:
             raise UnsupportedSpaceError("space dimension must be at least 1")
-        if self.dim > MAX_DIM:
-            raise CapacityError("space dimension", MAX_DIM, self.dim)
-        if self.kind == "fvl":
-            if self.p is not None:
+        if dim > MAX_DIM:
+            raise CapacityError("space dimension", MAX_DIM, dim)
+        if kind == "fvl":
+            if p is not None:
                 raise UnsupportedSpaceError("fvl spaces carry no exponent")
-        else:
-            if self.p != INF_P:
-                if not isinstance(self.p, Fraction):
-                    raise UnsupportedSpaceError("seq exponent must be rational or inf")
-                if self.p < 1:
-                    raise UnsupportedSpaceError("seq exponent must satisfy p >= 1")
-                if max(self.p.numerator, self.p.denominator) > MAX_EXPONENT_TERM:
-                    raise UnsupportedSpaceError(
-                        f"seq exponent {format_fraction(self.p)} has a numerator "
-                        f"or denominator above {MAX_EXPONENT_TERM}"
-                    )
+        elif p != INF_P:
+            if not isinstance(p, Fraction):
+                raise UnsupportedSpaceError("seq exponent must be rational or inf")
+            if p < 1:
+                raise UnsupportedSpaceError("seq exponent must satisfy p >= 1")
+            if max(p.numerator, p.denominator) > MAX_EXPONENT_TERM:
+                raise UnsupportedSpaceError(
+                    f"seq exponent {format_fraction(p)} has a numerator "
+                    f"or denominator above {MAX_EXPONENT_TERM}"
+                )
+        return super().__new__(cls, kind, dim, p)
 
     def __str__(self) -> str:
         if self.kind == "fvl":
@@ -236,7 +233,7 @@ def budget_directions(space: SpaceSpec) -> tuple[Vec, ...]:
     if space.coordinate_budget:
         return identity(d)
     if space.exponent == INF_P:
-        return tuple(vec(s) for s in sign_patterns(d))
+        return sign_patterns(d)
     raise UnsupportedSpaceError(
         f"space {space} has a non-polyhedral unit ball; use norm_bounds"
     )

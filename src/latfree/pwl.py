@@ -278,11 +278,11 @@ class Arrangement(namedtuple("Arrangement", "dim hyperplanes cells")):
     __slots__ = ()
 
 
-def canonical_normals(vectors) -> list[Vec]:
+def canonical_normals(vectors) -> list[tuple[int, ...]]:
     """Canonicalize, drop zeros, dedupe, and sort hyperplane normals."""
     seen = set()
     for v in vectors:
-        n = primitive_normal(vec(v))
+        n = primitive_normal(v)
         if not is_zero_vec(n):
             seen.add(n)
     return sorted(seen)
@@ -313,7 +313,7 @@ _MAX_RAY_SUBSETS = 150_000
 _MAX_RAY_WORK = 25 * _MAX_RAY_SUBSETS
 
 
-def rays(dim: int, normals) -> tuple[Vec, ...]:
+def rays(dim: int, normals) -> tuple[tuple[int, ...], ...]:
     """Extreme rays of the cells of a central arrangement.
 
     The hyperplanes are the canonical `normals` plus the coordinate
@@ -323,7 +323,7 @@ def rays(dim: int, normals) -> tuple[Vec, ...]:
     (dim - 1)-subset whose null space is a line gives two of them; the line
     comes from one fraction-free integer elimination of the primitive
     integer normals (`null_line`).  Returns the primitive integer rays as
-    Fraction vectors, closed under sign, sorted.
+    int tuples, closed under sign, sorted.
     """
     planes = canonical_normals(list(normals) + list(identity(dim)))
     if any(len(n) != dim for n in planes):
@@ -334,15 +334,13 @@ def rays(dim: int, normals) -> tuple[Vec, ...]:
     work = subsets * dim * dim
     if work > _MAX_RAY_WORK:
         raise CapacityError("ray work", _MAX_RAY_WORK, work)
-    # canonical normals are primitive integer vectors
-    planes = [[c.numerator for c in n] for n in planes]
     lines = set()
     for subset in itertools.combinations(planes, dim - 1):
         line = null_line(subset, dim)
         if line is not None:
             lines.add(line)
     lines |= {tuple(-v for v in r) for r in lines}
-    return tuple(tuple(Fraction(v) for v in r) for r in sorted(lines))
+    return tuple(sorted(lines))
 
 
 def _strict_cell_point(normals: list[Vec], signs, dim: int):

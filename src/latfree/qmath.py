@@ -50,9 +50,9 @@ def zero_vec(dim: int) -> Vec:
     return (Fraction(0),) * dim
 
 
-def identity(dim: int) -> tuple[Vec, ...]:
-    """The unit vectors of Q^dim, the rows of the identity matrix."""
-    return tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
+def identity(dim: int) -> tuple[tuple[int, ...], ...]:
+    """The unit vectors of Q^dim, the rows of the identity matrix, as ints."""
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
@@ -67,21 +67,19 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
-def primitive_normal(a: Vec) -> Vec:
-    """Scale to integer entries with gcd 1 and first nonzero entry positive.
+def primitive_normal(a: Vec) -> tuple[int, ...]:
+    """Scale to an int tuple with gcd 1 and first nonzero entry positive.
 
-    The zero vector maps to itself.  Used to canonicalize hyperplane normals
+    The zero vector maps to zeros.  Used to canonicalize hyperplane normals
     so that a plane and its negation collapse to one representative.
     """
-    if is_zero_vec(a):
-        return a
     ints, _ = clear_denominators(a)
     g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    if g == 0:
+        return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def format_fraction(q: Fraction) -> str:

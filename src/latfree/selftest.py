@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .expr import fold, parse
 from .free import (
@@ -29,6 +28,7 @@ from .norm import (
     norm_by_cell_assignment,
     norm_certificate,
     norm_exact_polyhedral,
+    read_rows,
     seq_space,
     tuple_seminorm_value,
 )
@@ -54,31 +54,20 @@ from .sampling import (
     random_vector,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
+CriterionResult = namedtuple("CriterionResult", "index name passed details elapsed")
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    details: str
-    elapsed: float
-
-
-@dataclass(frozen=True)
-class SelftestReport:
-    seed: int
-    results: tuple[CriterionResult, ...]
+class SelftestReport(namedtuple("SelftestReport", "seed results")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
 
-def _mc_eval(f: PwlFunction, pts: np.ndarray) -> np.ndarray:
-    """Vectorized float evaluation; exact for integer data below 2**53."""
+def _mc_eval(f: PwlFunction, pts):
+    """f at each row of the float array pts, as a numpy array; exact for
+    integer data below 2**53."""
     import numpy as np  # only the Monte-Carlo oracle needs numpy (~13 MB, ~0.15 s)
 
     comp = np.array([[float(v) for v in row] for row in f.comp])
@@ -272,7 +261,7 @@ def _c7_sandwich(seed: int):
         ok &= cert.lower <= cert.upper
         ok &= tuple_seminorm_value(f, cert.witness) == cert.lower
         if cert.lam is not None:
-            unit = sum(norm_upper(r, space.exponent) for r in f.comp)
+            unit = sum(norm_upper(r, space.exponent) for r in read_rows(f))
             ok &= cert.upper == cert.lam * unit
         for k in (1, 2):
             tup = random_admissible_tuple(rng, space, k)

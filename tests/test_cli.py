@@ -117,7 +117,8 @@ class TestNorm:
         )
         assert code == 0
         cert = json.loads(out)["certificate"]
-        assert (cert["lower"], cert["upper"]) == ("2", "6")
+        # t1 is unread, so the upper bound sums the norms of rows 2 and 3
+        assert (cert["lower"], cert["upper"]) == ("2", "4")
 
     def test_ascent_sandwich_is_pinned(self, capsys):
         # the lower bound is the exact value of restart 2's three points,
@@ -133,7 +134,7 @@ class TestNorm:
             "1454972970351193044403439560655110144/668791157657401406599464064000262229"
         )
         assert cert["witness"][0] == ["-130690/890289", "-148183/266398", "32727/927949"]
-        assert (len(cert["witness"]), cert["upper"]) == (3, "6")
+        assert (len(cert["witness"]), cert["upper"]) == (3, "4")
 
     @pytest.mark.parametrize(
         "space,expr",
@@ -552,12 +553,13 @@ class TestOutFile(object):
 
 
 class TestSubprocess:
-    def _run(self, args):
+    def _run(self, args, env=None):
         return subprocess.run(
             [sys.executable, "-m", "latfree.cli", *args],
             capture_output=True,
             text=True,
             timeout=300,
+            env=env,
         )
 
     def test_byte_identical_reports(self):
@@ -572,6 +574,13 @@ class TestSubprocess:
         res = self._run(["--help"])
         assert res.returncode == 0
         assert "eval" in res.stdout and "selftest" in res.stdout
+
+    def test_help_is_wrapped_at_78_columns_whatever_the_terminal(self):
+        env = {k: v for k, v in os.environ.items() if k != "COLUMNS"}
+        plain = self._run(["norm", "--help"], env=env)
+        narrow = self._run(["norm", "--help"], env={**env, "COLUMNS": "30"})
+        assert plain.returncode == 0 and plain.stdout == narrow.stdout
+        assert max(map(len, plain.stdout.splitlines())) <= 78
 
 
 class TestImports:
@@ -609,15 +618,25 @@ print(json.dumps({"codes": codes, "stages": stages}))
             assert not heavy & set(stages[stage]), stage
         assert "latfree.norm" in stages["norm"]
 
-    def test_eval_and_equiv_load_no_dataclasses_inspect_or_typing(self):
-        # -S keeps the modules that site's .pth files preload out of the check
+    def test_no_command_loads_dataclasses_typing_or_shutil(self):
+        # -S keeps the modules that site's .pth files preload out of the
+        # check; selftest is left out, as its criterion c2 imports numpy
         probe = """
-import sys
+import contextlib, io, json, sys
 from latfree import cli
 argvs = [["eval", "--arity", "2", "--expr", "|t1| + t2", "--at", "1,2"],
-         ["equiv", "--arity", "2", "--expr", "|t1| + t2", "--expr", "t2 + |t1|"]]
-codes = [cli.main(argv) for argv in argvs]
-print(codes, sorted({"dataclasses", "inspect", "typing"} & set(sys.modules)))
+         ["equiv", "--arity", "2", "--expr", "|t1| + t2", "--expr", "t2 + |t1|"],
+         ["extend", "--space", "fvl:2", "--target", "seq:inf:2", "--expr", "t1 \\/ t2",
+          "--vector", "1,0", "--vector", "0,1"],
+         ["norm", "--space", "seq:2:2", "--expr", "|t1| + t2"],
+         ["audit", "--space", "fvl:2", "--expr", "|t1| + t2"]]
+stages = {}
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    watched = {"dataclasses", "inspect", "typing", "shutil", "latfree.norm", "latfree.lp"}
+    stages[argv[0]] = [code, sorted(watched & set(sys.modules))]
+print(json.dumps(stages))
 """
         src = Path(latfree.__file__).resolve().parent.parent
         res = subprocess.run(
@@ -625,7 +644,13 @@ print(codes, sorted({"dataclasses", "inspect", "typing"} & set(sys.modules)))
             timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == "[0, 0] []"
+        assert json.loads(res.stdout.splitlines()[-1]) == {
+            "eval": [0, []],
+            "equiv": [0, []],
+            "extend": [0, []],
+            "norm": [0, ["latfree.lp", "latfree.norm"]],
+            "audit": [0, ["latfree.lp", "latfree.norm"]],
+        }
 
     def test_public_names_load_on_first_use(self):
         for name in latfree.__all__:

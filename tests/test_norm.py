@@ -4,7 +4,6 @@ import math
 import operator
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -190,14 +189,14 @@ class TestVertexLpCertificate:
         "tamper,message",
         [
             (lambda r: LpResult(status="unbounded"), "ended unbounded"),
-            (lambda r: replace(r, value=-r.value), "negative norm"),
-            (lambda r: replace(r, value=0), "does not match"),
-            (lambda r: replace(r, duals=None), "no usable duals"),
-            (lambda r: replace(r, duals=tuple(y / 2 for y in r.duals)), "does not match"),
-            (lambda r: replace(r, duals=(-r.duals[0],) + r.duals[1:]), "negative LP dual"),
-            (lambda r: replace(r, duals=r.duals[::-1]), "fails to dominate"),
-            (lambda r: replace(r, point=tuple(2 * z for z in r.point)), "not admissible"),
-            (lambda r: replace(r, point=tuple(z / 2 for z in r.point)), "does not reproduce"),
+            (lambda r: r._replace(value=-r.value), "negative norm"),
+            (lambda r: r._replace(value=0), "does not match"),
+            (lambda r: r._replace(duals=None), "no usable duals"),
+            (lambda r: r._replace(duals=tuple(y / 2 for y in r.duals)), "does not match"),
+            (lambda r: r._replace(duals=(-r.duals[0],) + r.duals[1:]), "negative LP dual"),
+            (lambda r: r._replace(duals=r.duals[::-1]), "fails to dominate"),
+            (lambda r: r._replace(point=tuple(2 * z for z in r.point)), "not admissible"),
+            (lambda r: r._replace(point=tuple(z / 2 for z in r.point)), "does not reproduce"),
         ],
         ids=[
             "unbounded",
@@ -382,6 +381,14 @@ class TestStrongUnitFactor:
     def test_cross_polytope_max_of_coordinate(self):
         # sup of |t1| over the l1 ball of R^2, reached at +-e1
         assert strong_unit_factor(pw("|t1|", 2)) == 1
+
+    def test_unread_rows_stay_out_of_lambda_and_the_upper_bound(self):
+        # t1 reads row 1 only: lam = 1 against |x_1|, and the upper bound
+        # is ||e_1||_2 = 1, not the sum of all four rows' norms
+        f = pw("t1", 4)
+        assert strong_unit_factor(f) == 1
+        cert = norm_bounds(f, seq_space(2, 4), restarts=2)
+        assert (cert.lower, cert.upper, cert.lam) == (1, 1, 1)
 
 
 class TestNormBounds:

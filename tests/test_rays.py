@@ -8,7 +8,7 @@ import pytest
 
 from latfree import norm, pwl
 from latfree.errors import CapacityError, DimensionError, InternalFaultError
-from latfree.expr import parse
+from latfree.expr import Var, parse
 from latfree.qmath import (
     dot,
     identity,
@@ -79,7 +79,7 @@ class TestRays:
         assert list(out) == sorted(set(out))
         members = set(out)
         for r in out:
-            assert all(isinstance(c, Fraction) and c.denominator == 1 for c in r)
+            assert all(type(c) is int for c in r)
             assert math.gcd(*(int(c) for c in r)) == 1
             assert tuple(-c for c in r) in members
         for i in range(dim):
@@ -211,14 +211,17 @@ class TestIntegerNullLine:
 def _image_subspace_lam(f: PwlFunction) -> Fraction:
     """Reference: lam as computed before it read f's own rays, from a
     shadow function over Q^n (n composition rows) whose rays are cut down
-    to the image of the composition matrix."""
+    to the image of the composition matrix.  The weight of a shadow ray
+    sums only the coordinates of the rows that f's program reads."""
     n = len(f.comp)
     shadow = PwlFunction.from_expr(f.expr, n)
     generators = _fraction_rays(n, kinks(shadow), null_space_basis(transpose(f.comp)))
+    read = [a - 1 for kind, a, _ in f.program.slots if kind is Var]
     return max(
         (
-            abs(v) / sum(abs(c) for c in r)
+            abs(v) / sum(abs(r[j]) for j in read)
             for r, v in zip(generators, shadow.eval_many(generators))
+            if any(r[j] for j in read)
         ),
         default=Fraction(0),
     )
