@@ -626,7 +626,7 @@ import contextlib, io, json, sys
 from latfree import cli
 argvs = [["eval", "--arity", "2", "--expr", "|t1| + t2", "--at", "1,2"],
          ["equiv", "--arity", "2", "--expr", "|t1| + t2", "--expr", "t2 + |t1|"],
-         ["extend", "--space", "fvl:2", "--target", "seq:inf:2", "--expr", "t1 \\/ t2",
+         ["extend", "--space", "fvl:2", "--target", "seq:inf:2", "--expr", "|t1| + t2",
           "--vector", "1,0", "--vector", "0,1"],
          ["norm", "--space", "seq:2:2", "--expr", "|t1| + t2"],
          ["audit", "--space", "fvl:2", "--expr", "|t1| + t2"]]
