@@ -34,7 +34,7 @@ _EXPORTS = {
         "constraint_norm", "evaluation_seminorm", "functional_tuple", "fvl_space",
         "maximality_audit", "norm_bounds", "norm_by_cell_assignment",
         "norm_certificate", "norm_exact_polyhedral", "parse_space", "seq_space",
-        "strong_unit_factor", "tuple_admissible", "tuple_seminorm_value",
+        "tuple_admissible", "tuple_seminorm_value",
     ),
     "pwl": (
         "PwlFunction", "equivalent", "is_zero", "linear_pieces", "make_pwl",

@@ -91,7 +91,6 @@ def _cert_payload(cert: NormCertificate) -> dict:
         "exact": cert.exact,
         "witness": [_json_vec(p) for p in cert.witness.points],
         "method": cert.upper_method,
-        "lambda": None if cert.lam is None else format_fraction(cert.lam),
         "k": len(cert.witness.points),
     }
 
@@ -115,8 +114,6 @@ def _cert_table(cert: NormCertificate) -> list[str]:
         f"exact    {'yes' if cert.exact else 'no'}",
         f"method   {cert.upper_method}",
     ]
-    if cert.lam is not None:
-        rows.append(f"lambda   {format_fraction(cert.lam)}")
     for i, p in enumerate(cert.witness.points, start=1):
         rows.append(f"x{i}       ({', '.join(format_fraction(c) for c in p)})")
     return rows

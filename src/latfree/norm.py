@@ -2,16 +2,18 @@
 
 The norm of a piecewise-linear element is the supremum of Sum_i |f(x_i)|
 over finite tuples of dual points whose admissibility value
-(constraint_norm) is at most 1.  For the polyhedral spaces the supremum
-is an exact rational, computed by one LP whose columns are the extreme
-rays (pwl.rays) of f's kink and budget arrangement; the LP duals certify
-optimality.  For the remaining spaces certified lower/upper bounds are
-produced instead from one ray table of f's own: the rays of its kinks,
-its composition rows and the coordinate normals.  The exact unit factor
-behind the upper bound is a maximum over that table, it vanishes exactly
-when f does, and the table's rays are the sweep's single points.  Every
-l_p quantity comes from pnorm as a rational, so no float enters a
-certificate on any space.
+(constraint_norm) is at most 1.  One LP certifies every upper bound
+(ray_lp): its columns are the extreme rays (pwl.rays) of an arrangement
+on which f and each row's |<., b>| are linear cell by cell, its rows bound
+Sum_i |<x_i, b>| <= N for unit-ball points b / N, and its exact duals are
+checked.  For the polyhedral spaces the rows are the budget directions,
+so the value is the exact norm and the LP's optimal point its witness.
+For the remaining spaces the rows are the composition rows f reads,
+scaled into the unit ball, on one ray table of f's own: the rays of its
+kinks, its composition rows and the coordinate normals; the value is a
+certified upper bound, 0 exactly when f vanishes, and the lower bound
+comes from the sweep and the ascent.  Every l_p quantity comes from pnorm
+as a rational, so no float enters a certificate on any space.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .errors import (
 from .expr import Add, Inf, Scale, Sup, Var
 from .lp import simplex_standard
 from .pnorm import (  # the space constructors are re-exported from here
-    MAX_SIGNS,
     SpaceSpec,
     admissibility_upper,
     budget_directions,
@@ -58,7 +59,6 @@ from .pwl import (
 from .qmath import (
     Vec,
     clear_denominators,
-    dot,
     format_fraction,
     identity,
     vec,
@@ -96,19 +96,19 @@ def functional_tuple(space: SpaceSpec, points) -> FunctionalTuple:
 
 
 class NormCertificate(
-    namedtuple("NormCertificate", "lower upper witness upper_method lam")
+    namedtuple("NormCertificate", "lower upper witness upper_method")
 ):
     """Sandwich lower <= norm <= upper with a reproducible witness tuple;
-    upper_method is "exact_match" or "strong_unit_lambda_n"."""
+    upper_method is "exact_match" or "ray_lp_dual"."""
 
     __slots__ = ()
 
-    def __new__(cls, lower, upper, witness, upper_method, lam=None):
+    def __new__(cls, lower, upper, witness, upper_method):
         if lower > upper:
             raise InternalFaultError(
                 f"certificate violates lower <= upper: {lower} > {upper}"
             )
-        return super().__new__(cls, lower, upper, witness, upper_method, lam)
+        return super().__new__(cls, lower, upper, witness, upper_method)
 
     @property
     def exact(self) -> bool:
@@ -156,29 +156,59 @@ def _zero_certificate(space: SpaceSpec, method: str) -> NormCertificate:
         upper=Fraction(0),
         witness=functional_tuple(space, (zero_vec(space.dim),)),
         upper_method=method,
-        lam=Fraction(0) if method == "strong_unit_lambda_n" else None,
     )
+
+
+def ray_lp(f: PwlFunction, columns, rows):
+    """(value, point) of max { Sum_v lam_v |f(v)| : Sum_v lam_v |<v, b>| <= N
+    for every row (b, N) } over the int ray columns v, b a vector of ints
+    and N >= 0, with its exact duals checked.
+
+    The duals y must be >= 0 with Sum_b y_b N_b = value and must dominate
+    every column, Sum_b y_b |<v, b>| >= |f(v)|.  When the columns are the
+    rays of an arrangement that holds f's kinks and every row's plane, f is
+    one linear piece and every |<., b>| is linear on each closed cell.  Splitting a point x over
+    its cell's rays, x = Sum_v mu_v v with mu >= 0, gives
+    |f(x)| <= Sum_v mu_v |f(v)| <= Sum_b y_b |<x, b>|, so for any tuple with
+    Sum_i |<x_i, b>| <= N_b on every row, Sum_i |f(x_i)| <= value.
+    """
+    objective = [abs(v) for v in f.eval_many(columns)]
+    # rays and row vectors are int tuples, so |<v,b>| is taken on ints
+    matrix = [[abs(sum(map(operator.mul, v, b))) for v in columns] for b, _ in rows]
+    res = simplex_standard(objective, [(m, n) for m, (_, n) in zip(matrix, rows)])
+    if res.status != "optimal":
+        raise InternalFaultError(f"ray LP ended {res.status}, expected optimal")
+    value = res.value
+    if value < 0:
+        raise InternalFaultError("ray LP returned a negative norm")
+
+    duals = res.duals
+    if duals is None or len(duals) != len(rows):
+        raise InternalFaultError("ray LP returned no usable duals")
+    if any(y < 0 for y in duals):
+        raise InternalFaultError("negative LP dual on a <= row")
+    if sum((y * n for y, (_, n) in zip(duals, rows)), Fraction(0)) != value:
+        raise InternalFaultError("LP dual value does not match the optimum")
+    # Sum_b y_b |<v,b>| >= |f(v)| on ints: y_b = weights[b] / common
+    weights, common = clear_denominators(duals)
+    for c, column in zip(objective, zip(*matrix)):
+        covered = sum(map(operator.mul, weights, column))
+        if covered * c.denominator < c.numerator * common:
+            raise InternalFaultError("LP dual fails to dominate a ray column")
+    return value, res.point
 
 
 def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     """Exact norm for fvl / seq:1 / seq:inf, with an LP-dual optimality proof.
 
-    On each closed cell of the arrangement of f's kinks (from its join
-    nodes) and the budget directions b, f equals one linear piece and every
-    |<., b>| is linear.  Split a tuple point x of a cell over the cell's
-    extreme rays, x = Sum_v mu_v v with mu >= 0: every budget row keeps its
-    value, and |f(x)| <= Sum_v mu_v |f(v)| by the triangle inequality, so
-    the objective cannot fall.  Hence the supremum equals
-
-        max { Sum_v lam_v |f(v)| : Sum_v lam_v |<v,b>| <= 1 for all b }
-
-    over the finite set of rays v.  The optimal basis gives the witness
-    tuple {lam_v * v}.  The exact dual y gives Sum_b y_b |<v,b>| >= |f(v)|
-    on every ray, and on the same split Sum_b y_b |<x,b>| =
-    Sum_v mu_v Sum_b y_b |<v,b>| >= Sum_v mu_v |f(v)| >= |f(x)| at every x,
-    so value = Sum_b y_b is also an upper bound.  The zero element needs no
-    separate test: its LP has value 0, and duals summing to 0 certify
-    |f| <= 0 on every ray.
+    The columns are the rays of the arrangement of f's kinks (from its join
+    nodes) and the budget directions b, and the rows are (b, 1): the ray LP
+    (ray_lp).  Its dual bound holds for every admissible tuple.  Conversely,
+    splitting a tuple point over its cell's rays keeps every budget row's
+    value and cannot lower the objective, so the supremum is the LP value,
+    and the optimal basis gives the witness tuple {lam_v * v}.  The zero
+    element needs no separate test: its LP has value 0, and duals summing
+    to 0 certify |f| <= 0 on every ray.
     """
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
@@ -196,36 +226,13 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
             raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, least)
     budget = budget_directions(space)
     columns = rays(f.dim, [*kinks(f), *budget])
-    objective = [abs(v) for v in f.eval_many(columns)]
-    # rays and budget directions are int tuples, so |<v,b>| is taken on ints
-    matrix = [[abs(sum(map(operator.mul, v, b))) for v in columns] for b in budget]
-    rows = [(row, 1) for row in matrix]
-    res = simplex_standard(objective, rows)
-    if res.status != "optimal":
-        raise InternalFaultError(f"vertex LP ended {res.status}, expected optimal")
-    value = res.value
-    if value < 0:
-        raise InternalFaultError("vertex LP returned a negative norm")
-
-    duals = res.duals
-    if duals is None or len(duals) != len(budget):
-        raise InternalFaultError("vertex LP returned no usable duals")
-    if any(y < 0 for y in duals):
-        raise InternalFaultError("negative LP dual on a <= row")
-    if sum(duals, Fraction(0)) != value:
-        raise InternalFaultError("LP dual value does not match the optimum")
-    # Sum_b y_b |<v,b>| >= |f(v)| on ints: y_b = weights[b] / common
-    weights, common = clear_denominators(duals)
-    for c, column in zip(objective, zip(*matrix)):
-        covered = sum(map(operator.mul, weights, column))
-        if covered * c.denominator < c.numerator * common:
-            raise InternalFaultError("LP dual fails to dominate a ray column")
+    value, point = ray_lp(f, columns, [(b, 1) for b in budget])
     if value == 0:
         return _zero_certificate(space, "exact_match")
 
     points = sorted(
         vec_scale(lam, v)
-        for lam, v in zip(res.point, columns)
+        for lam, v in zip(point, columns)
         if lam > 0
     )
     witness = functional_tuple(space, points)
@@ -317,33 +324,6 @@ def read_rows(f: PwlFunction) -> list[Vec]:
     """The composition rows that f's program reads, each once: a Var slot
     names its row, and no two slots are equal."""
     return [f.comp[a - 1] for kind, a, _ in f.program.slots if kind is Var]
-
-
-def strong_unit_factor(
-    f: PwlFunction, table: tuple[Vec, ...] | None = None
-) -> Fraction:
-    """lam with |f| <= lam * Sum_j |<x_j, .>| everywhere, x_j the
-    composition rows that f reads (read_rows).
-
-    lam is the exact max of |f(r)| / Sum_j |<x_j, r>| over the rays r of
-    `table` where some <x_j, r> is nonzero.  The table is f's ray table:
-    the rays of the arrangement of f's kinks, all its composition rows and
-    the coordinate normals, built here unless the caller has it.  On each
-    closed cell of that arrangement the numerator and the denominator are
-    linear, so splitting x over the cell's rays bounds the ratio at x by
-    its largest value on a ray.  A ray where every <x_j, r> vanishes adds
-    nothing: f reads x only through the <x_j, x>, so f(r) = 0 there.
-    Hence lam is tight, and lam = 0 exactly when f vanishes.
-    """
-    if table is None:
-        table = rays(f.dim, [*kinks(f), *f.comp])
-    rows = read_rows(f)
-    lam = Fraction(0)
-    for r, v in zip(table, f.eval_many(table)):
-        weight = sum(abs(dot(row, r)) for row in rows)
-        if weight:
-            lam = max(lam, abs(v) / weight)
-    return lam
 
 
 def float_kernel(name: str, params: str, body: list[str]):
@@ -604,20 +584,28 @@ def norm_bounds(
     seed: int = 0,
 ) -> NormCertificate:
     """Certified sandwich for a non-polyhedral space: sweep + ascent lower,
-    strong-unit upper.  A polyhedral space raises UnsupportedSpaceError:
-    its norm is exact, from norm_certificate.
+    ray-LP upper.  A polyhedral space raises UnsupportedSpaceError: its
+    norm is exact, from norm_certificate.
 
-    One pieces_and_kinks fold and one ray table (see strong_unit_factor)
-    serve the whole op: the table gives lam, the zero test (lam = 0 exactly
-    when f vanishes, checked ahead of the sweep's cap) and the sweep's
-    single points.  The lower bound is the best exact value over the
-    sweep's tuples and the rationalized hill-climbing results (restarts
-    are keyed by (seed, index) and merged by value then lexicographic
-    witness, so a fixed seed gives the same certificate).  A tuple's exact
-    total Sum_i |f(x_i)| bounds its value from above, so a tuple whose
-    total cannot beat the best so far, by value then witness, skips its
-    admissibility; the certificate is the one a full re-score gives.  The
-    upper bound is lam * Sum_j ||x_j|| over the composition rows f reads.
+    One pieces_and_kinks fold and one ray table serve the whole op: the
+    rays of f's kinks, its composition rows and the coordinate normals.
+    The upper bound is the value of the ray LP (ray_lp) on that table with
+    one row (s_j x_j, s_j ||x_j||) per composition row x_j that f reads
+    (read_rows), s_j the lcm of x_j's denominators and ||x_j|| pnorm's
+    certified norm_upper.  Each x_j / ||x_j|| lies in the unit ball, so an
+    admissible tuple meets every row, and the LP's checked duals bound
+    Sum_i |f(x_i)| on it.  The value is 0 exactly when f vanishes: a ray
+    where f is nonzero has some <x_j, r> nonzero, since f reads x only
+    through the <x_j, x>.  That zero test runs ahead of the sweep's cap, and
+    the table's rays are the sweep's single points.
+
+    The lower bound is the best exact value over the sweep's tuples and
+    the rationalized hill-climbing results (restarts are keyed by
+    (seed, index) and merged by value then lexicographic witness, so a
+    fixed seed gives the same certificate).  A tuple's exact total
+    Sum_i |f(x_i)| bounds its value from above, so a tuple whose total
+    cannot beat the best so far, by value then witness, skips its
+    admissibility; the certificate is the one a full re-score gives.
     """
     check_search_settings(restarts)
     if f.dim != space.dim:
@@ -628,13 +616,13 @@ def norm_bounds(
         )
     pieces, bends = pieces_and_kinks(f)
     table = rays(f.dim, [*bends, *f.comp])
-    lam = strong_unit_factor(f, table)
-    if lam == 0:
-        return _zero_certificate(space, "strong_unit_lambda_n")
-    signs = 2 ** (space.dim - 1)
-    if signs > MAX_SIGNS:
-        raise CapacityError("sweep sign vectors", MAX_SIGNS, signs)
-    upper = lam * sum(norm_upper(row, space.exponent) for row in read_rows(f))
+    rows = []
+    for row in read_rows(f):
+        b, s = clear_denominators(row)
+        rows.append((b, s * norm_upper(row, space.exponent)))
+    upper, _ = ray_lp(f, table, rows)
+    if upper == 0:
+        return _zero_certificate(space, "ray_lp_dual")
 
     best_value = Fraction(0)
     best_witness = functional_tuple(space, (zero_vec(space.dim),))
@@ -657,8 +645,7 @@ def norm_bounds(
         lower=best_value,
         upper=upper,
         witness=best_witness,
-        upper_method="strong_unit_lambda_n",
-        lam=lam,
+        upper_method="ray_lp_dual",
     )
 
 

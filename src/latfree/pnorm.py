@@ -201,19 +201,24 @@ def norm_leq(v, p: Fraction | str, bound) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# sign vectors (+-1, .., +-1) modulo sign, 2**(d-1): the sandwich's sweep
-# scores each, and a seq:inf source's operator bound takes a max over them.
-# Measured on a 2-core x86 box with Python 3.11: a sweep vector costs about
-# 0.2 ms (an exact admissibility, two exact totals, and an admissibility of
-# its scaled copy only when that can win), so the cap admits seq:2:18, whose
-# norm of t1 takes 35 s and 615 MB (seq:2:16 takes 6 s), and `extend` from
-# seq:inf:18 takes 5.5 s.
+# sign vectors (+-1, .., +-1) modulo sign, 2**(k-1): the sandwich's sweep
+# scores each, a seq:inf source's operator bound and the seq:inf budget take
+# a max over them, and so does the admissibility of a k-point tuple off the
+# polyhedral spaces.  Measured on a 2-core x86 box with Python 3.11: a sweep
+# vector costs about 0.2 ms (an exact admissibility, two exact totals, and
+# an admissibility of its scaled copy only when that can win), so the cap
+# admits seq:2:18, whose norm of t1 takes 35 s and 615 MB (seq:2:16 takes
+# 6 s), and `extend` from seq:inf:18 takes 5.5 s.
 MAX_SIGNS = 1 << 17
 
 
 @functools.cache
 def sign_patterns(k: int) -> tuple[tuple[int, ...], ...]:
-    """Representatives of {+-1}^k modulo global sign (first entry +1)."""
+    """Representatives of {+-1}^k modulo global sign (first entry +1);
+    CapacityError above MAX_SIGNS of them, before any is built."""
+    signs = 2 ** (k - 1)
+    if signs > MAX_SIGNS:
+        raise CapacityError("sign vectors", MAX_SIGNS, signs)
     return tuple((1,) + rest for rest in itertools.product((1, -1), repeat=k - 1))
 
 
@@ -301,9 +306,6 @@ def operator_upper(columns, source: SpaceSpec, target: SpaceSpec) -> Fraction:
     columns = [vec(c) for c in columns]
     p, r = source.exponent, target.exponent
     if p == INF_P:
-        signs = 2 ** (len(columns) - 1)
-        if signs > MAX_SIGNS:
-            raise CapacityError("sign vectors", MAX_SIGNS, signs)
         return max(norm_upper(combined, r) for combined in _signed_sums(columns))
     bound = norm_upper([norm_upper(c, r) for c in columns], dual_exponent(p))
     if r == INF_P or r >= p:

@@ -103,8 +103,26 @@ class TestNorm:
         )
         assert code == 0
         cert = json.loads(out)["certificate"]
-        assert cert["method"] == "strong_unit_lambda_n"
-        assert cert["lambda"] is not None
+        assert cert["method"] == "ray_lp_dual"
+        assert "lambda" not in cert
+        # the LP's duals (1, 1) on rows e1 and e2 give 2, while the norm
+        # is sqrt(2)
+        assert cert["upper"] == "2"
+
+    @pytest.mark.parametrize(
+        "space, expr, upper",
+        [
+            # |2*t1 \/ t2| <= 2|t1| + |t2|; the unit factor 2 gave 4
+            ("seq:2:2", r"2*t1 \/ t2", "3"),
+            # a linear element's norm is its vector's norm; the unit factor
+            # 1 times the two rows' norms gave 2
+            ("seq:7/3:2", "1/1000000000000*t1+t2", "1000000000001/1000000000000"),
+        ],
+    )
+    def test_upper_bound_is_the_ray_lp(self, capsys, space, expr, upper):
+        code, out, _ = run_main(["norm", "--space", space, "--expr", expr], capsys)
+        assert code == 0
+        assert json.loads(out)["certificate"]["upper"] == upper
 
     def test_seeded_sandwich_is_pinned(self, capsys):
         # the ascent sums its floats from the left, so every Python gives
@@ -117,8 +135,8 @@ class TestNorm:
         )
         assert code == 0
         cert = json.loads(out)["certificate"]
-        # t1 is unread, so the upper bound sums the norms of rows 2 and 3
-        assert (cert["lower"], cert["upper"]) == ("2", "4")
+        # t1 is unread, so the LP has rows 2 and 3 only, with duals 2 and 1
+        assert (cert["lower"], cert["upper"]) == ("2", "3")
 
     def test_ascent_sandwich_is_pinned(self, capsys):
         # the lower bound is the exact value of restart 2's three points,
@@ -134,7 +152,7 @@ class TestNorm:
             "1454972970351193044403439560655110144/668791157657401406599464064000262229"
         )
         assert cert["witness"][0] == ["-130690/890289", "-148183/266398", "32727/927949"]
-        assert (len(cert["witness"]), cert["upper"]) == (3, "4")
+        assert (len(cert["witness"]), cert["upper"]) == (3, "3")
 
     @pytest.mark.parametrize(
         "space,expr",
@@ -331,7 +349,7 @@ class TestExitCodes:
         code, out, err = run_main(["norm", "--space", "seq:2:30", "--expr", "t1"], capsys)
         assert time.perf_counter() - start < 5
         assert code == 4 and out == ""
-        assert "sweep sign vectors: 536870912 exceeds the cap of 131072" in err
+        assert "sign vectors: 536870912 exceeds the cap of 131072" in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -360,7 +378,8 @@ class TestExitCodes:
         )
         assert code == 0 and err == ""
         cert = json.loads(out)["certificate"]
-        assert cert["lower"] == "0" == cert["upper"] and cert["lambda"] == "0"
+        assert cert["lower"] == "0" == cert["upper"]
+        assert cert["method"] == "ray_lp_dual"
 
     @pytest.mark.parametrize("command", ["norm", "audit"])
     @pytest.mark.parametrize("space", ["fvl:2", "seq:1:2", "seq:inf:2", "seq:2:2"])

@@ -36,7 +36,6 @@ from latfree.norm import (
     norm_exact_polyhedral,
     parse_space,
     seq_space,
-    strong_unit_factor,
     tuple_admissible,
     tuple_seminorm_value,
 )
@@ -180,45 +179,57 @@ class TestExactPolyhedralNorm:
             norm_exact_polyhedral(pw("t1", 2), seq_space(2, 2))
 
 
+# (id, tamper, message): a tampered ray-LP answer and the fault it raises
+_DUAL_TAMPERS = [
+    ("unbounded", lambda r: LpResult(status="unbounded"), "ended unbounded"),
+    ("value_negated", lambda r: r._replace(value=-r.value), "negative norm"),
+    ("value_zeroed", lambda r: r._replace(value=0), "does not match"),
+    ("duals_missing", lambda r: r._replace(duals=None), "no usable duals"),
+    ("duals_halved", lambda r: r._replace(duals=tuple(y / 2 for y in r.duals)), "does not match"),
+    ("dual_negative", lambda r: r._replace(duals=(-r.duals[0],) + r.duals[1:]), "negative LP dual"),
+    ("column_uncovered", lambda r: r._replace(duals=r.duals[::-1]), "fails to dominate"),
+]
+_WITNESS_TAMPERS = [
+    ("point_scaled_up", lambda r: r._replace(point=tuple(2 * z for z in r.point)), "not admissible"),
+    ("point_scaled_down", lambda r: r._replace(point=tuple(z / 2 for z in r.point)), "does not reproduce"),
+]
+
+
+def _tampered(monkeypatch, tamper):
+    import latfree.norm as norm_module
+
+    real = norm_module.simplex_standard
+    monkeypatch.setattr(
+        norm_module, "simplex_standard", lambda c, rows: tamper(real(c, rows))
+    )
+
+
 class TestVertexLpCertificate:
-    """Every part of the vertex LP's answer is checked again: a tampered
-    answer is an internal fault, never a reported norm.  For 2*t1 + t2 on
-    fvl:2 the LP gives value 3, duals (2, 1) and the witness {e1, e2}."""
+    """Every part of the ray LP's answer is checked again: a tampered
+    answer is an internal fault, never a reported norm or bound.  For
+    2*t1 + t2 on fvl:2 the LP gives value 3, duals (2, 1) and the witness
+    {e1, e2}; on seq:2:2 its rows are e1 and e2, each with N = 1, so the
+    sandwich's LP has the same value and duals."""
 
     @pytest.mark.parametrize(
         "tamper,message",
-        [
-            (lambda r: LpResult(status="unbounded"), "ended unbounded"),
-            (lambda r: r._replace(value=-r.value), "negative norm"),
-            (lambda r: r._replace(value=0), "does not match"),
-            (lambda r: r._replace(duals=None), "no usable duals"),
-            (lambda r: r._replace(duals=tuple(y / 2 for y in r.duals)), "does not match"),
-            (lambda r: r._replace(duals=(-r.duals[0],) + r.duals[1:]), "negative LP dual"),
-            (lambda r: r._replace(duals=r.duals[::-1]), "fails to dominate"),
-            (lambda r: r._replace(point=tuple(2 * z for z in r.point)), "not admissible"),
-            (lambda r: r._replace(point=tuple(z / 2 for z in r.point)), "does not reproduce"),
-        ],
-        ids=[
-            "unbounded",
-            "value_negated",
-            "value_zeroed",
-            "duals_missing",
-            "duals_halved",
-            "dual_negative",
-            "column_uncovered",
-            "point_scaled_up",
-            "point_scaled_down",
-        ],
+        [t[1:] for t in _DUAL_TAMPERS + _WITNESS_TAMPERS],
+        ids=[t[0] for t in _DUAL_TAMPERS + _WITNESS_TAMPERS],
     )
     def test_tampered_answer_is_a_fault(self, monkeypatch, tamper, message):
-        import latfree.norm as norm_module
-
-        real = norm_module.simplex_standard
-        monkeypatch.setattr(
-            norm_module, "simplex_standard", lambda c, rows: tamper(real(c, rows))
-        )
+        _tampered(monkeypatch, tamper)
         with pytest.raises(InternalFaultError, match=message):
             norm_exact_polyhedral(pw("2*t1 + t2", 2), fvl_space(2))
+
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [t[1:] for t in _DUAL_TAMPERS],
+        ids=[t[0] for t in _DUAL_TAMPERS],
+    )
+    def test_tampered_bounds_answer_is_a_fault(self, monkeypatch, tamper, message):
+        _tampered(monkeypatch, tamper)
+        with pytest.raises(InternalFaultError, match=message):
+            norm_bounds(pw("2*t1 + t2", 2), seq_space(2, 2), restarts=1)
 
     def test_untampered_answer_passes(self, monkeypatch):
         import latfree.norm as norm_module
@@ -286,7 +297,8 @@ class TestVertexLpWork:
 
 class TestSandwichWork:
     """A sandwich builds one ray table from one pieces-and-kinks fold, and
-    reads lam, the zero test and the sweep's single points off it."""
+    reads its LP upper bound, the zero test and the sweep's single points
+    off it."""
 
     ARGV = ["norm", "--space", "seq:2:3", "--restarts", "4", "--seed", "1", "--expr"]
 
@@ -371,24 +383,27 @@ class TestBudgetDirections:
             budget_directions(seq_space(2, 2))
 
 
-class TestStrongUnitFactor:
-    def test_join_needs_lambda_one(self):
-        assert strong_unit_factor(pw(r"t1 \/ t2", 2)) == 1
+class TestRayLpUpper:
+    """The sandwich's upper bound is the ray LP over the rows f reads."""
 
-    def test_scaled_function(self):
-        assert strong_unit_factor(pw("3*t1", 1)) == 3
+    def test_join_is_bounded_by_its_two_rows(self):
+        # the duals (1, 1) on |t1| and |t2| are optimal: the bound is 2
+        assert norm_bounds(pw(r"t1 \/ t2", 2), seq_space(2, 2), restarts=1).upper == 2
 
-    def test_cross_polytope_max_of_coordinate(self):
-        # sup of |t1| over the l1 ball of R^2, reached at +-e1
-        assert strong_unit_factor(pw("|t1|", 2)) == 1
+    def test_scaled_function_is_exact(self):
+        cert = norm_bounds(pw("3*t1", 1), seq_space(2, 1), restarts=1)
+        assert (cert.lower, cert.upper) == (3, 3)
 
-    def test_unread_rows_stay_out_of_lambda_and_the_upper_bound(self):
-        # t1 reads row 1 only: lam = 1 against |x_1|, and the upper bound
-        # is ||e_1||_2 = 1, not the sum of all four rows' norms
-        f = pw("t1", 4)
-        assert strong_unit_factor(f) == 1
-        cert = norm_bounds(f, seq_space(2, 4), restarts=2)
-        assert (cert.lower, cert.upper, cert.lam) == (1, 1, 1)
+    def test_abs_of_a_coordinate_is_exact(self):
+        # |t1| <= |t1| on every ray: the one dual 1 on the row e1
+        cert = norm_bounds(pw("|t1|", 2), seq_space(2, 2), restarts=1)
+        assert (cert.lower, cert.upper) == (1, 1)
+
+    def test_unread_rows_stay_out_of_the_upper_bound(self):
+        # t1 reads row 1 only, so the LP has the one row (e_1, 1) and the
+        # upper bound is 1, not the sum of all four rows' norms
+        cert = norm_bounds(pw("t1", 4), seq_space(2, 4), restarts=2)
+        assert (cert.lower, cert.upper) == (1, 1)
 
 
 class TestNormBounds:
@@ -421,10 +436,10 @@ class TestNormBounds:
 
     @pytest.mark.parametrize("space", ["seq:3/2:2"])
     def test_zero_element_gets_the_zero_certificate(self, space):
-        # kinks but no value: lam = 0 on every ray is the zero test
+        # kinks but no value: the LP value 0 is the zero test
         spec = parse_space(space)
         cert = norm_bounds(pw(r"t1 \/ t2 - t2 \/ t1", 2), spec, restarts=2)
-        assert cert.lower == 0 == cert.upper and cert.lam == 0
+        assert cert.lower == 0 == cert.upper and cert.upper_method == "ray_lp_dual"
         assert cert.witness.points == ((F(0), F(0)),)
 
     def test_nondegeneracy_of_small_elements(self):
@@ -456,12 +471,13 @@ class TestNormBounds:
     def test_crossed_bounds_are_a_fault(self, monkeypatch):
         import latfree.norm as norm_module
 
-        real = norm_module.strong_unit_factor
+        real = norm_module.ray_lp
 
-        def halved(f, table):
-            return real(f, table) / 2
+        def halved(f, columns, rows):
+            value, point = real(f, columns, rows)
+            return value / 2, point
 
-        monkeypatch.setattr(norm_module, "strong_unit_factor", halved)
+        monkeypatch.setattr(norm_module, "ray_lp", halved)
         with pytest.raises(InternalFaultError):
             norm_bounds(pw("t1 + t2", 2), seq_space(F(3, 2), 2), restarts=2)
 
@@ -645,7 +661,7 @@ class TestPrunedRescore:
         for n, f in enumerate(functions):
             seed = rng.randrange(100)
             cert = norm_bounds(f, space, restarts=n % 4 + 1, seed=seed)
-            if cert.lam == 0:
+            if cert.upper == 0:
                 continue
             lower, witness, _ = _full_rescore(f, space, n % 4 + 1, seed)
             assert (cert.lower, cert.witness) == (lower, witness)
@@ -674,7 +690,7 @@ class TestNormCertificateDispatch:
         cert = norm_certificate(
             make_pwl(parse("t1", 1), [(3, 4)]), seq_space(2, 2), restarts=4, seed=1
         )
-        assert cert.upper_method == "strong_unit_lambda_n"
+        assert cert.upper_method == "ray_lp_dual"
 
     def test_search_settings_checked_on_polyhedral_spaces(self):
         with pytest.raises(ValueError):

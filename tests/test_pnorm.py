@@ -1,6 +1,7 @@
 import functools
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,19 @@ class TestAdmissibility:
             assert admissibility_upper(pts, seq_space(3, len(pts[0]))) == max(
                 norm_upper(c, F(3, 2)) for c in combined
             )
+
+    @pytest.mark.parametrize(
+        "space, points",
+        [(seq_space("inf", 19), [(1,) * 19]), (seq_space(2, 2), [(1, 1)] * 19)],
+        ids=["seq_inf_budget", "many_points"],
+    )
+    def test_sign_vectors_above_the_cap_are_refused(self, space, points):
+        # 2^18 sign vectors, from the budget of seq:inf:19 or from the
+        # signed sums of 19 points, are refused before any is built
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="sign vectors: 262144 exceeds"):
+            admissibility_upper(points, space)
+        assert time.perf_counter() - start < 1
 
 
 def _left_fold(terms):

@@ -18,13 +18,14 @@ from latfree.qmath import (
     vec,
 )
 from latfree.lp import simplex_standard
+from latfree.pnorm import norm_upper
 from latfree.norm import (
     budget_directions,
     fvl_space,
     norm_by_cell_assignment,
     norm_exact_polyhedral,
+    norm_bounds,
     seq_space,
-    strong_unit_factor,
     tuple_admissible,
     tuple_seminorm_value,
 )
@@ -209,7 +210,8 @@ class TestIntegerNullLine:
 
 
 def _image_subspace_lam(f: PwlFunction) -> Fraction:
-    """Reference: lam as computed before it read f's own rays, from a
+    """Reference: the unit factor lam, the least with
+    |f| <= lam * Sum_j |<x_j, .>| over the rows x_j that f reads, from a
     shadow function over Q^n (n composition rows) whose rays are cut down
     to the image of the composition matrix.  The weight of a shadow ray
     sums only the coordinates of the rows that f's program reads."""
@@ -227,11 +229,15 @@ def _image_subspace_lam(f: PwlFunction) -> Fraction:
     )
 
 
-class TestStrongUnitFactorReference:
-    def test_lambda_matches_the_image_subspace_reference(self):
+class TestLambdaReference:
+    """The ray LP's upper bound against the unit factor lam it replaced:
+    y_j = lam / s_j is dual-feasible with value lam * Sum_j ||x_j||, so the
+    LP is never above that, and both vanish exactly when f does."""
+
+    def test_lp_upper_is_within_the_lambda_reference(self):
         rng = random.Random(4242)
         kinds = {"identity": 0, "fractional": 0, "repeated": 0, "zero": 0, "dependent": 0}
-        vanishing = 0
+        vanishing = tighter = 0
         for i in range(400):
             n = rng.randint(1, 4)
             kind = list(kinds)[i % len(kinds)]
@@ -257,12 +263,18 @@ class TestStrongUnitFactorReference:
                     row = [rng.randint(-3, 3) for _ in range(d)]
                 rows.append(row)
             f = make_pwl(expr, rows)
-            lam = strong_unit_factor(f)
-            assert lam == _image_subspace_lam(f)
+            space = seq_space((2, F(3, 2), 3, F(7, 3))[i % 4], d)
+            lam = _image_subspace_lam(f)
+            upper = norm_bounds(f, space, restarts=0).upper
+            unit = sum(norm_upper(r, space.exponent) for r in norm.read_rows(f))
+            assert upper <= lam * unit
+            assert (upper == 0) == (lam == 0)
             kinds[kind] += 1
             vanishing += lam == 0
+            tighter += upper < lam * unit
         assert set(kinds.values()) == {80}
         assert 10 <= vanishing <= 100
+        assert tighter >= 100  # 165 of the 400 fall below lam * unit
 
 
 def _cell_verdict(f: PwlFunction, g: PwlFunction) -> bool:
