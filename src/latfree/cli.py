@@ -3,8 +3,9 @@
 Subcommands: eval, equiv, norm, extend, audit, selftest.  Reports are JSON
 by default (selftest defaults to a pass/fail table); every rational is
 serialized as an exact "p/q" string, never a float.  Each subcommand takes
-only the flags it reads: --seed keys the seeded search of norm, audit and
-selftest, and is theirs alone.  The same arguments yield byte-identical
+only the flags it reads: --seed keys the random inputs of selftest, and
+norm and audit keep --seed and --restarts from their seeded search, which
+is gone (see _check_restarts).  The same arguments yield byte-identical
 reports; wall times only appear with --timing.  Each handler imports the
 modules it runs, so eval and equiv never load the norm code.
 
@@ -169,15 +170,34 @@ def _cmd_equiv(args):
     return 0, report, lines
 
 
+# the largest --restarts that norm and audit accept
+_MAX_RESTARTS = 1024
+
+
+def _check_restarts(restarts: int) -> None:
+    """ValueError below 0, CapacityError above _MAX_RESTARTS.
+
+    No norm reads --restarts or --seed any more: the sandwich's lower
+    bound comes from the sweep and the LP witnesses, with no seeded
+    search.  Both flags stay accepted, with the range check of the search
+    they drove, so that a command line that ran keeps its exit code; the
+    report echoes the seed and no other byte depends on either flag.
+    """
+    if restarts < 0:
+        raise ValueError(f"restarts must be at least 0, got {restarts}")
+    if restarts > _MAX_RESTARTS:
+        raise CapacityError("ascent restarts", _MAX_RESTARTS, restarts)
+
+
 def _certify(args):
     """(space, expr, f, certificate): the prologue of norm and audit."""
+    _check_restarts(args.restarts)
     from .norm import norm_certificate, parse_space
 
     space = parse_space(args.space)
     expr = parse(_one_expr(args), space.dim)
     f = PwlFunction.from_expr(expr, space.dim)
-    cert = norm_certificate(f, space, restarts=args.restarts, seed=args.seed)
-    return space, expr, f, cert
+    return space, expr, f, norm_certificate(f, space)
 
 
 def _cmd_norm(args):
@@ -339,8 +359,8 @@ def _build_parser() -> _Parser:
         action="append", required=True, help="lattice-linear expression over t1..tn"
     )
     space = dict(required=True, help="fvl:n or seq:p:m (p a rational >= 1 or inf)")
-    seed = dict(type=int, default=0)  # keys the searches of norm, audit and selftest
-    restarts = dict(type=int, default=16)
+    seed = dict(type=int, default=0)  # keys selftest's inputs; norm and audit echo it
+    restarts = dict(type=int, default=16)  # range-checked and otherwise unread
     subcommand(
         "eval", _cmd_eval, "evaluate an expression at a point",
         arity=arity,

@@ -4,8 +4,7 @@ admissibility value of a tuple of dual points, operator norms.
 Each is an exact rational or a certified rational upper bound, computed
 with `int` and `Fraction` only: p = 1 and p = inf need no root, other
 rational p round k-th roots up (`root_upper`).  No float enters this
-module; the ascent heuristic's float budget is written out inside the
-climb that norm generates.
+module.
 """
 
 from __future__ import annotations
@@ -153,6 +152,17 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
+def _root_bracket(q: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= q ** (1/k) <= hi for a rational q >= 0: both the
+    root itself when the numerator and the denominator of q are perfect
+    k-th powers, else adjacent multiples of 2**-bits."""
+    num, den = iroot(q.numerator, k), iroot(q.denominator, k)
+    if num**k == q.numerator and den**k == q.denominator:
+        return Fraction(num, den), Fraction(num, den)
+    low = iroot((q.numerator << (k * bits)) // q.denominator, k)
+    return Fraction(low, 1 << bits), Fraction(low + 1, 1 << bits)
+
+
 def root_upper(q, k: int) -> Fraction:
     """Rational r >= q ** (1/k): the root itself when the numerator and the
     denominator of q are perfect k-th powers, else the next multiple of
@@ -160,11 +170,7 @@ def root_upper(q, k: int) -> Fraction:
     q = Fraction(q)
     if q < 0:
         raise ValueError("root of a negative rational")
-    num, den = iroot(q.numerator, k), iroot(q.denominator, k)
-    if num**k == q.numerator and den**k == q.denominator:
-        return Fraction(num, den)
-    scaled = (q.numerator << (k * _BITS)) // q.denominator
-    return Fraction(iroot(scaled, k) + 1, 1 << _BITS)
+    return _root_bracket(q, k, _BITS)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +192,34 @@ def norm_upper(v, p: Fraction | str) -> Fraction:
 
 
 def norm_leq(v, p: Fraction | str, bound) -> bool:
-    """Certified decision ||v||_p <= bound: exact for p = inf and integer p,
-    which compare p-th powers (squares for p = 2); other p compare
-    norm_upper, so they may answer False within 2**-_BITS of the bound."""
+    """Exact decision ||v||_p <= bound on every p.
+
+    p = inf and integer p compare p-th powers (squares for p = 2).  Any
+    other p = a/b compares Sum_j |v_j / bound| ** (a/b) with 1, each term
+    bracketed between rationals 2**-bits apart, the bits doubling until the
+    sum's bracket lies on one side of 1.  That ends: positive real roots of
+    rationals whose ratios are irrational are linearly independent over Q
+    (Besicovitch 1940), so the sum is 1 only when every term is rational,
+    and a rational term's bracket is the term itself.
+    """
     if bound < 0:
         return False
-    if p == INF_P or p.denominator > 1:
+    if p == INF_P:
         return norm_upper(v, p) <= bound
-    return sum((abs(x) ** p.numerator for x in v), Fraction(0)) <= bound**p.numerator
+    a, b = p.numerator, p.denominator
+    if b == 1:
+        return sum((abs(x) ** a for x in v), Fraction(0)) <= bound**a
+    if bound == 0:
+        return not any(v)
+    powers = [(abs(x) / bound) ** a for x in v]
+    bits = _BITS
+    while True:
+        brackets = [_root_bracket(t, b, bits) for t in powers]
+        if sum((hi for _, hi in brackets), Fraction(0)) <= 1:
+            return True
+        if sum((lo for lo, _ in brackets), Fraction(0)) > 1:
+            return False
+        bits *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +276,58 @@ def admissibility_upper(points, space: SpaceSpec) -> Fraction:
 
     Polyhedral spaces take the exact max over budget directions b of
     Sum_i |<x_i, b>|.  Elsewhere the value is max_s ||Sum_i s_i x_i||_q for
-    q dual to p; for integer q the max of the q-th powers is exact and only
-    its root is rounded up, so the bound is at most 1 exactly when the
-    value is.
+    q dual to p (worst_signed_sum); for integer q the max of the q-th powers
+    is exact and only its root is rounded up, so the bound is at most 1
+    exactly when the value is.
     """
     if space.is_polyhedral:
         return max(
             sum((abs(dot(x, b)) for x in points), Fraction(0))
             for b in budget_directions(space)
         )
+    return worst_signed_sum(points, space)[0]
+
+
+def worst_signed_sum(points, space: SpaceSpec) -> tuple[Fraction, list]:
+    """(admissibility_upper(points, space), u) on a non-polyhedral space:
+    u is a positive multiple of the signed sum Sum_i s_i x_i whose q-norm
+    the bound is, the first such s in sign_patterns order."""
     q = dual_exponent(space.exponent)
     if q.denominator == 1:
         # on ints: the points times the lcm s of their denominators
         k, d = q.numerator, len(points[0])
         flat, s = clear_denominators([x for point in points for x in point])
         scaled = [flat[h : h + d] for h in range(0, len(flat), d)]
-        power = max(
-            sum(abs(c) ** k for c in combined) for combined in _signed_sums(scaled)
+        power, u = max(
+            ((sum(abs(c) ** k for c in combined), combined)
+             for combined in _signed_sums(scaled)),
+            key=operator.itemgetter(0),
         )
-        return root_upper(Fraction(power, s**k), k)
-    return max(norm_upper(combined, q) for combined in _signed_sums(points))
+        return root_upper(Fraction(power, s**k), k), u
+    return max(
+        ((norm_upper(combined, q), combined) for combined in _signed_sums(points)),
+        key=operator.itemgetter(0),
+    )
+
+
+def admissible(points, space: SpaceSpec, upper=None) -> bool:
+    """Whether the admissibility value of a tuple is at most 1, decided
+    exactly on every space; upper, when given, is admissibility_upper.
+
+    A bound at most 1 decides it.  Only a fractional q rounds the bound
+    up, so only there is a bound above 1 decided again, each signed sum's
+    q-norm by norm_leq.
+    """
+    if upper is None:
+        upper = admissibility_upper(points, space)
+    if upper <= 1:
+        return True
+    if space.is_polyhedral:
+        return False
+    q = dual_exponent(space.exponent)
+    return q.denominator > 1 and all(
+        norm_leq(combined, q, 1) for combined in _signed_sums(points)
+    )
 
 
 def peak_point(a: Vec, space: SpaceSpec) -> Vec:

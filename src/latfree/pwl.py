@@ -313,6 +313,31 @@ _MAX_RAY_SUBSETS = 150_000
 _MAX_RAY_WORK = 25 * _MAX_RAY_SUBSETS
 
 
+def _ray_planes(dim: int, normals) -> list[tuple[int, ...]]:
+    """The canonical `normals` plus the coordinate normals."""
+    planes = canonical_normals(list(normals) + list(identity(dim)))
+    if any(len(n) != dim for n in planes):
+        raise DimensionError("hyperplane normal has wrong length")
+    return planes
+
+
+def _solved_lines(subsets, count: int, dim: int) -> set[tuple[int, ...]]:
+    """The lines of `count` subsets of dim - 1 planes, both signs of each;
+    CapacityError before any is solved when the count or its eliminations'
+    size pass the caps."""
+    if count > _MAX_RAY_SUBSETS:
+        raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, count)
+    work = count * dim * dim
+    if work > _MAX_RAY_WORK:
+        raise CapacityError("ray work", _MAX_RAY_WORK, work)
+    lines = set()
+    for subset in subsets:
+        line = null_line(subset, dim)
+        if line is not None:
+            lines.add(line)
+    return lines | {tuple(-v for v in r) for r in lines}
+
+
 def rays(dim: int, normals) -> tuple[tuple[int, ...], ...]:
     """Extreme rays of the cells of a central arrangement.
 
@@ -325,22 +350,29 @@ def rays(dim: int, normals) -> tuple[tuple[int, ...], ...]:
     integer normals (`null_line`).  Returns the primitive integer rays as
     int tuples, closed under sign, sorted.
     """
-    planes = canonical_normals(list(normals) + list(identity(dim)))
-    if any(len(n) != dim for n in planes):
+    planes = _ray_planes(dim, normals)
+    subsets = itertools.combinations(planes, dim - 1)
+    return tuple(sorted(_solved_lines(subsets, comb(len(planes), dim - 1), dim)))
+
+
+def rays_with(dim: int, normals, table, normal) -> tuple[tuple[int, ...], ...]:
+    """rays(dim, [*normals, normal]), given table = rays(dim, normals).
+
+    A line of the new arrangement that is not a line of the old one lies
+    on the new plane, so it is where the new plane meets dim - 2 old ones:
+    C(H, dim - 2) subsets of the H old planes are solved, not
+    C(H + 1, dim - 1).  A plane that is already there adds nothing.  The
+    caps of `rays` apply to the subsets solved here.
+    """
+    planes = _ray_planes(dim, normals)
+    plane = primitive_normal(normal)
+    if len(plane) != dim:
         raise DimensionError("hyperplane normal has wrong length")
-    subsets = comb(len(planes), dim - 1)
-    if subsets > _MAX_RAY_SUBSETS:
-        raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, subsets)
-    work = subsets * dim * dim
-    if work > _MAX_RAY_WORK:
-        raise CapacityError("ray work", _MAX_RAY_WORK, work)
-    lines = set()
-    for subset in itertools.combinations(planes, dim - 1):
-        line = null_line(subset, dim)
-        if line is not None:
-            lines.add(line)
-    lines |= {tuple(-v for v in r) for r in lines}
-    return tuple(sorted(lines))
+    if is_zero_vec(plane) or plane in planes:
+        return tuple(table)
+    subsets = ((*s, plane) for s in itertools.combinations(planes, dim - 2))
+    lines = _solved_lines(subsets, comb(len(planes), dim - 2), dim)
+    return tuple(sorted(lines.union(table)))
 
 
 def _strict_cell_point(normals: list[Vec], signs, dim: int):

@@ -105,12 +105,22 @@ class TestNorm:
         cert = json.loads(out)["certificate"]
         assert cert["method"] == "ray_lp_dual"
         assert "lambda" not in cert
-        # the LP's duals (1, 1) on rows e1 and e2 give 2, while the norm
-        # is sqrt(2)
-        assert cert["upper"] == "2"
+        # the first LP's duals (1, 1) on rows e1 and e2 give 2; the cut
+        # (16, 16) with rhs 16 * sqrt(2) rounded up to 2^-16 gives
+        # sqrt(2) + 6e-7, and the norm is sqrt(2)
+        assert cert["upper"] == "1482911/1048576"
+        assert Fraction(cert["lower"]) ** 2 <= 2 <= Fraction(cert["upper"]) ** 2
+
+    # the upper bound after the two cut rounds, by expression
+    CUT_UPPER = {
+        # 1 + sqrt(2) + 6e-7, the norm being about 2.24
+        r"2*t1 \/ t2": "2531487/1048576",
+        # 1 + 1.4e-13, where the first LP gave 1 + 10^-12
+        "1/1000000000000*t1+t2": "458752000000062777/458752000000000000",
+    }
 
     @pytest.mark.parametrize(
-        "space, expr, upper",
+        "space, expr, first",
         [
             # |2*t1 \/ t2| <= 2|t1| + |t2|; the unit factor 2 gave 4
             ("seq:2:2", r"2*t1 \/ t2", "3"),
@@ -119,15 +129,29 @@ class TestNorm:
             ("seq:7/3:2", "1/1000000000000*t1+t2", "1000000000001/1000000000000"),
         ],
     )
-    def test_upper_bound_is_the_ray_lp(self, capsys, space, expr, upper):
+    def test_upper_bound_is_the_ray_lp(self, capsys, monkeypatch, space, expr, first):
+        # `first` is the first LP's value, over the rows f reads; the cut
+        # rounds only lower it, and the last LP's value is the bound
+        import latfree.norm
+
+        values = []
+        real = latfree.norm.ray_lp
+
+        def recorded(f, columns, rows):
+            out = real(f, columns, rows)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(latfree.norm, "ray_lp", recorded)
         code, out, _ = run_main(["norm", "--space", space, "--expr", expr], capsys)
         assert code == 0
-        assert json.loads(out)["certificate"]["upper"] == upper
+        upper = json.loads(out)["certificate"]["upper"]
+        assert values[0] == Fraction(first) and Fraction(upper) == values[-1]
+        assert upper == self.CUT_UPPER[expr]
 
     def test_seeded_sandwich_is_pinned(self, capsys):
-        # the ascent sums its floats from the left, so every Python gives
-        # these bounds; a compensated sum (Python 3.12+'s builtin) climbs
-        # to another witness and a lower bound above 2
+        # every bound is exact arithmetic on the LPs, the sweep and the LP
+        # witnesses, so every Python gives these bounds
         code, out, _ = run_main(
             ["norm", "--space", "seq:2:3", "--expr", r"(-2*t3) /\ (1*t2)",
              "--restarts", "4", "--seed", "1"],
@@ -135,12 +159,15 @@ class TestNorm:
         )
         assert code == 0
         cert = json.loads(out)["certificate"]
-        # t1 is unread, so the LP has rows 2 and 3 only, with duals 2 and 1
-        assert (cert["lower"], cert["upper"]) == ("2", "3")
+        # t1 is unread, so the first LP has rows 2 and 3 only, with duals
+        # 2 and 1 and value 3; the two cut rounds take it to 1 + sqrt(2) + 6e-7
+        assert (cert["lower"], cert["upper"]) == (
+            "795256969161080832/356546713267274489", "2531487/1048576"
+        )
 
     def test_ascent_sandwich_is_pinned(self, capsys):
-        # the lower bound is the exact value of restart 2's three points,
-        # rationalized: a float that drifts anywhere in the climb moves it
+        # the lower bound is the value of the last LP's four-point witness:
+        # its total over its admissibility bound, a rounded square root
         code, out, _ = run_main(
             ["norm", "--space", "seq:2:3", "--expr", r"(1*t3) /\ (2*t2)",
              "--restarts", "4", "--seed", "1"],
@@ -148,11 +175,9 @@ class TestNorm:
         )
         assert code == 0
         cert = json.loads(out)["certificate"]
-        assert cert["lower"] == (
-            "1454972970351193044403439560655110144/668791157657401406599464064000262229"
-        )
-        assert cert["witness"][0] == ["-130690/890289", "-148183/266398", "32727/927949"]
-        assert (len(cert["witness"]), cert["upper"]) == (3, "3")
+        assert cert["lower"] == "795256969161080832/356546713267274489"
+        assert cert["witness"][0] == ["0", "-434335/1048576", "0"]
+        assert (len(cert["witness"]), cert["upper"]) == (4, "2531487/1048576")
 
     @pytest.mark.parametrize(
         "space,expr",
@@ -546,6 +571,18 @@ class TestSeedHandling:
         code, out, err = run_main(argv + ["--seed", "not-a-number"], capsys)
         assert code == 1 and out == ""
         assert "--seed: invalid int value" in err and "Traceback" not in err
+
+
+    def test_seed_and_restarts_change_no_certificate(self, capsys):
+        # no search reads them: the sandwich is the sweep and the LP rounds
+        argv = ["norm", "--space", "seq:2:3", "--expr", r"(1*t3) /\ (2*t2)"]
+        reports = []
+        for flags in (["--seed", "1", "--restarts", "4"], ["--seed", "9", "--restarts", "0"]):
+            code, out, _ = run_main(argv + flags, capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0]["certificate"] == reports[1]["certificate"]
+        assert (reports[0]["seed"], reports[1]["seed"]) == (1, 9)
 
 
 class TestOutFile(object):

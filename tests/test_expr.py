@@ -1,6 +1,3 @@
-import functools
-import math
-import operator
 import random
 import time
 from fractions import Fraction
@@ -14,20 +11,18 @@ from latfree.errors import ArityError, CapacityError, DimensionError, ExprSyntax
 from latfree.expr import (
     Add,
     Inf,
-    Program,
     Scale,
     Sup,
     Var,
     compile_expr,
     eval_expr,
-    fold,
     parse,
     print_expr,
     substitute,
 )
 from latfree.free import LatticeMap, extend_hom
-from latfree.norm import _float_evaluator, fvl_space, seq_space
-from latfree.pwl import PwlFunction, linear_pieces, make_pwl
+from latfree.norm import fvl_space, seq_space
+from latfree.pwl import PwlFunction, linear_pieces
 from latfree.sampling import equivalent_variant, random_expr
 from latfree.selftest import _mc_eval
 
@@ -310,15 +305,11 @@ def test_fold_matches_recursive_reference():
     for n, e in _differential_inputs():
         f = PwlFunction.from_expr(e, n)
         points = [tuple(F(rng.randint(-6, 6)) for _ in range(n)) for _ in range(4)]
-        float_points = [[float(v) for v in x] for x in points]
-        value = _float_evaluator(f)
-        floats = [value(x) for x in float_points]
-        mc = _mc_eval(f, np.array(float_points))
-        for x, float_value, mc_value in zip(points, floats, mc):
+        mc = _mc_eval(f, np.array([[float(v) for v in x] for x in points]))
+        for x, mc_value in zip(points, mc):
             expected = ref_eval(e, x)
             assert eval_expr(e, x) == expected
             assert f.eval(x) == expected
-            assert float_value == float(expected)
             assert mc_value == float(expected)
         vectors = [tuple(x[j] for x in points) for j in range(n)]
         phi = LatticeMap(fvl_space(n), seq_space(1, len(points)), images=vectors)
@@ -332,57 +323,6 @@ def test_fold_matches_recursive_reference():
         assert linear_pieces(f) == ref_pieces(e, rows)
         checked += 1
     assert checked == 200
-
-
-def _fold_float_evaluator(f):
-    """The fold-based float evaluator that the generated one replaced, kept
-    as its reference: a float row e_j reads x_j, any other row sums c * x_j
-    from the left, starting at 0."""
-
-    def reader(row):
-        if row.count(0.0) == len(row) - 1 and 1.0 in row:
-            return operator.itemgetter(row.index(1.0))
-        return lambda x: functools.reduce(operator.add, map(operator.mul, row, x), 0)
-
-    readers = [reader([float(v) for v in row]) for row in f.comp]
-    slots = tuple((t, float(a) if t is Scale else a, b) for t, a, b in f.program.slots)
-    program = Program(slots, f.program.max_var)
-    return lambda x: fold(
-        program, lambda i: readers[i - 1](x), operator.mul, operator.add, max, min
-    )
-
-
-def test_generated_float_evaluator_matches_the_fold():
-    rng = random.Random(17)
-    functions = []
-    for n, e in _differential_inputs():
-        functions.append(PwlFunction.from_expr(e, n))
-        # fractional composition rows into another dimension
-        d = rng.randint(1, 3)
-        rows = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
-                for _ in range(n)]
-        functions.append(make_pwl(e, rows))
-    # scaling by 0 and by negatives, where the sign of a zero shows
-    for text in (r"0*t1 \/ -2*t2", r"-1*(0*t1 /\ t2) + -1/3*t1", r"0*(t1 + -1*t2)"):
-        functions.append(PwlFunction.from_expr(parse(text, 2), 2))
-    extremes = [0.0, -0.0, 1e300, -1e300, 3.5e299, -7e-301]
-    for f in functions:
-        got, want = _float_evaluator(f), _fold_float_evaluator(f)
-        points = [[rng.uniform(-3.0, 3.0) for _ in range(f.dim)] for _ in range(4)]
-        points += [[rng.choice(extremes) for _ in range(f.dim)] for _ in range(6)]
-        for x in points:
-            a, b = got(x), want(x)
-            assert a == b or math.isnan(a) and math.isnan(b), (f.expr, x)
-            assert math.copysign(1.0, a) == math.copysign(1.0, b), (f.expr, x)
-    # a coefficient past the float range fails both the same way
-    huge = F(10) ** 400
-    for f in (
-        PwlFunction.from_expr(Add(Var(1), Scale(huge, Var(1))), 1),
-        make_pwl(Var(1), [[huge, F(1)]]),
-    ):
-        for build in (_float_evaluator, _fold_float_evaluator):
-            with pytest.raises(OverflowError):
-                build(f)
 
 
 def test_substitute_keeps_sharing():

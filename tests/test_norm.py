@@ -1,7 +1,5 @@
-import functools
 import itertools
 import math
-import operator
 import random
 import time
 from fractions import Fraction
@@ -9,20 +7,16 @@ from fractions import Fraction
 import pytest
 
 from latfree import lp
+from latfree.cli import _MAX_RESTARTS, _check_restarts
 from latfree.errors import (
     CapacityError,
     DimensionError,
     InternalFaultError,
     UnsupportedSpaceError,
 )
-from latfree.expr import fold, parse
+from latfree.expr import parse
 from latfree.lp import LpResult
 from latfree.norm import (
-    _MAX_RESTARTS,
-    _ascent_draws,
-    _ascent_restart,
-    _ascent_tuples,
-    _float_evaluator,
     _sweep_candidates,
     budget_directions,
     constraint_norm,
@@ -39,8 +33,8 @@ from latfree.norm import (
     tuple_admissible,
     tuple_seminorm_value,
 )
-from latfree.pnorm import dual_exponent
-from latfree.pwl import PwlFunction, make_pwl, pieces_and_kinks, rays
+from latfree.pwl import PwlFunction, kinks, make_pwl, pieces_and_kinks, rays
+from latfree.qmath import vec_scale
 from latfree.sampling import random_expr
 
 F = Fraction
@@ -48,12 +42,6 @@ F = Fraction
 
 def pw(text: str, n: int) -> PwlFunction:
     return PwlFunction.from_expr(parse(text, n), n)
-
-
-def fold_sum(terms):
-    """0 + t_1 + t_2 + ..., summed from the left: Python 3.11's float sum,
-    which 3.12's compensated builtin sum no longer gives."""
-    return functools.reduce(operator.add, terms, 0)
 
 
 def counting(calls, name, real):
@@ -189,6 +177,11 @@ _DUAL_TAMPERS = [
     ("dual_negative", lambda r: r._replace(duals=(-r.duals[0],) + r.duals[1:]), "negative LP dual"),
     ("column_uncovered", lambda r: r._replace(duals=r.duals[::-1]), "fails to dominate"),
 ]
+# a cut round's rows have unequal rhs, so reversed duals break the dual
+# sum first; duals swapped between the rows e1 and e2 (rhs 1 each) keep it
+_ROUND_TAMPERS = _DUAL_TAMPERS[:-1] + [
+    ("column_uncovered", lambda r: r._replace(duals=r.duals[1::-1] + r.duals[2:]), "fails to dominate"),
+]
 _WITNESS_TAMPERS = [
     ("point_scaled_up", lambda r: r._replace(point=tuple(2 * z for z in r.point)), "not admissible"),
     ("point_scaled_down", lambda r: r._replace(point=tuple(z / 2 for z in r.point)), "does not reproduce"),
@@ -229,7 +222,30 @@ class TestVertexLpCertificate:
     def test_tampered_bounds_answer_is_a_fault(self, monkeypatch, tamper, message):
         _tampered(monkeypatch, tamper)
         with pytest.raises(InternalFaultError, match=message):
-            norm_bounds(pw("2*t1 + t2", 2), seq_space(2, 2), restarts=1)
+            norm_bounds(pw("2*t1 + t2", 2), seq_space(2, 2))
+
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [t[1:] for t in _ROUND_TAMPERS],
+        ids=[t[0] for t in _ROUND_TAMPERS],
+    )
+    @pytest.mark.parametrize("call", [1, 2])
+    def test_tampered_cut_round_answer_is_a_fault(self, monkeypatch, tamper, message, call):
+        # the LP of cut round `call`, after untampered earlier LPs: on
+        # seq:2:2, 2*t1 + t2 runs two rounds, with 3 and 4 rows
+        import latfree.norm as norm_module
+
+        real, calls = norm_module.simplex_standard, []
+
+        def simplex(c, rows):
+            calls.append(len(rows))
+            res = real(c, rows)
+            return tamper(res) if len(calls) == call + 1 else res
+
+        monkeypatch.setattr(norm_module, "simplex_standard", simplex)
+        with pytest.raises(InternalFaultError, match=message):
+            norm_bounds(pw("2*t1 + t2", 2), seq_space(2, 2))
+        assert calls == [2, 3, 4][: call + 1]
 
     def test_untampered_answer_passes(self, monkeypatch):
         import latfree.norm as norm_module
@@ -297,8 +313,9 @@ class TestVertexLpWork:
 
 class TestSandwichWork:
     """A sandwich builds one ray table from one pieces-and-kinks fold, and
-    reads its LP upper bound, the zero test and the sweep's single points
-    off it."""
+    reads its first LP upper bound, the zero test and the sweep's single
+    points off it; each cut round then adds the rays of one plane and
+    solves one LP."""
 
     ARGV = ["norm", "--space", "seq:2:3", "--restarts", "4", "--seed", "1", "--expr"]
 
@@ -319,45 +336,38 @@ class TestSandwichWork:
         assert calls == {"pieces_and_kinks": 1, "rays": 1}
 
     def test_ascent_work_of_the_cli_sandwich(self, monkeypatch, capsys):
-        # the climb evaluates a point only where its value is read, and an
-        # accepted rescaled candidate keeps the values it was scored with;
-        # only the 17 re-scored tuples whose exact total can still win get
-        # an exact admissibility, of 28 when every tuple got one
+        # the lower bound's search, once a float ascent, is the sweep and
+        # the LP witnesses: the sweep's 16 re-scored tuples whose exact
+        # total can still win get an exact admissibility, of 27 totals, and
+        # each of the three LP witnesses gets one worst signed sum, which
+        # is its admissibility
         import latfree.norm as norm_module
         from latfree import cli
 
         calls = {}
-        real_evaluator = norm_module._float_evaluator
-
-        def evaluator(f):
-            return counting(calls, "value", real_evaluator(f))
-
-        monkeypatch.setattr(norm_module, "_float_evaluator", evaluator)
-        monkeypatch.setattr(
-            norm_module, "admissibility_upper",
-            counting(calls, "admissibility", norm_module.admissibility_upper),
-        )
+        for name, key in [("admissibility_upper", "admissibility"),
+                          ("worst_signed_sum", "worst"), ("_tuple_total", "total")]:
+            monkeypatch.setattr(
+                norm_module, name, counting(calls, key, getattr(norm_module, name))
+            )
         assert cli.main(self.ARGV + [r"(1*t3) /\ (2*t2)"]) == 0
         capsys.readouterr()
-        assert calls == {"value": 1463, "admissibility": 17}
+        assert calls == {"admissibility": 16, "worst": 3, "total": 27}
 
-    def test_one_value_kernel_per_cli_sandwich(self, monkeypatch, capsys):
-        # the float kernel is built once and shared by the four restarts
+    def test_rounds_of_the_cli_sandwich(self, monkeypatch, capsys):
+        # the first LP and two cut rounds, each round's rays from its new
+        # plane alone
         import latfree.norm as norm_module
         from latfree import cli
 
         calls = {}
-        monkeypatch.setattr(
-            norm_module, "_float_evaluator",
-            counting(calls, "kernel", norm_module._float_evaluator),
-        )
-        monkeypatch.setattr(
-            norm_module, "_ascent_restart",
-            counting(calls, "restart", norm_module._ascent_restart),
-        )
+        for name in ("ray_lp", "rays_with"):
+            monkeypatch.setattr(
+                norm_module, name, counting(calls, name, getattr(norm_module, name))
+            )
         assert cli.main(self.ARGV + [r"(1*t3) /\ (2*t2)"]) == 0
         capsys.readouterr()
-        assert calls == {"kernel": 1, "restart": 4}
+        assert calls == {"ray_lp": 3, "rays_with": 2}
 
 
 class TestCellAssignment:
@@ -386,23 +396,40 @@ class TestBudgetDirections:
 class TestRayLpUpper:
     """The sandwich's upper bound is the ray LP over the rows f reads."""
 
-    def test_join_is_bounded_by_its_two_rows(self):
-        # the duals (1, 1) on |t1| and |t2| are optimal: the bound is 2
-        assert norm_bounds(pw(r"t1 \/ t2", 2), seq_space(2, 2), restarts=1).upper == 2
+    def test_join_is_bounded_by_its_two_rows(self, monkeypatch):
+        # the duals (1, 1) on |t1| and |t2| are optimal in the first LP:
+        # its bound is 2.  The two cut rounds add the rows (16, 16) and
+        # (16, -16), each with rhs 16 * sqrt(2) rounded up to 2^-16, and
+        # take the bound down to sqrt(2) + 6e-7; the norm is sqrt(2)
+        import latfree.norm as norm_module
+
+        values = []
+        real = norm_module.ray_lp
+
+        def recorded(f, columns, rows):
+            out = real(f, columns, rows)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(norm_module, "ray_lp", recorded)
+        cert = norm_bounds(pw(r"t1 \/ t2", 2), seq_space(2, 2))
+        assert values == [2, F(3580063, 2097152), F(1482911, 1048576)]
+        assert cert.upper == F(1482911, 1048576)
+        assert cert.lower**2 <= 2 <= cert.upper**2
 
     def test_scaled_function_is_exact(self):
-        cert = norm_bounds(pw("3*t1", 1), seq_space(2, 1), restarts=1)
+        cert = norm_bounds(pw("3*t1", 1), seq_space(2, 1))
         assert (cert.lower, cert.upper) == (3, 3)
 
     def test_abs_of_a_coordinate_is_exact(self):
         # |t1| <= |t1| on every ray: the one dual 1 on the row e1
-        cert = norm_bounds(pw("|t1|", 2), seq_space(2, 2), restarts=1)
+        cert = norm_bounds(pw("|t1|", 2), seq_space(2, 2))
         assert (cert.lower, cert.upper) == (1, 1)
 
     def test_unread_rows_stay_out_of_the_upper_bound(self):
         # t1 reads row 1 only, so the LP has the one row (e_1, 1) and the
         # upper bound is 1, not the sum of all four rows' norms
-        cert = norm_bounds(pw("t1", 4), seq_space(2, 4), restarts=2)
+        cert = norm_bounds(pw("t1", 4), seq_space(2, 4))
         assert (cert.lower, cert.upper) == (1, 1)
 
 
@@ -413,18 +440,18 @@ class TestNormBounds:
         f = pw(r"t1 \/ t2", 2)
         for spec in (fvl_space(2), seq_space(1, 2), seq_space("inf", 2)):
             with pytest.raises(UnsupportedSpaceError, match="norm_certificate"):
-                norm_bounds(f, spec, restarts=8, seed=7)
-            cert = norm_certificate(f, spec, restarts=8, seed=7)
+                norm_bounds(f, spec)
+            cert = norm_certificate(f, spec)
             assert cert.exact and cert.upper_method == "exact_match"
 
     def test_euclidean_pythagorean_vector_is_exact(self):
         xhat = make_pwl(parse("t1", 1), [(3, 4)])
-        cert = norm_bounds(xhat, seq_space(2, 2), restarts=4, seed=1)
+        cert = norm_bounds(xhat, seq_space(2, 2))
         assert cert.exact and cert.lower == 5 == cert.upper
 
     def test_euclidean_irrational_sandwich(self):
         xhat = make_pwl(parse("t1", 1), [(1, 1)])
-        cert = norm_bounds(xhat, seq_space(2, 2), restarts=4, seed=1)
+        cert = norm_bounds(xhat, seq_space(2, 2))
         assert not cert.exact
         assert cert.lower <= cert.upper
         assert abs(float(cert.lower) - math.sqrt(2)) < 1e-9
@@ -438,17 +465,17 @@ class TestNormBounds:
     def test_zero_element_gets_the_zero_certificate(self, space):
         # kinks but no value: the LP value 0 is the zero test
         spec = parse_space(space)
-        cert = norm_bounds(pw(r"t1 \/ t2 - t2 \/ t1", 2), spec, restarts=2)
+        cert = norm_bounds(pw(r"t1 \/ t2 - t2 \/ t1", 2), spec)
         assert cert.lower == 0 == cert.upper and cert.upper_method == "ray_lp_dual"
         assert cert.witness.points == ((F(0), F(0)),)
 
     def test_nondegeneracy_of_small_elements(self):
-        cert = norm_bounds(pw(r"1/7*(t1 /\ t2)", 2), seq_space(2, 2), restarts=4, seed=2)
+        cert = norm_bounds(pw(r"1/7*(t1 /\ t2)", 2), seq_space(2, 2))
         assert cert.lower > 0
 
     def test_witness_rescoring_matches_lower(self):
         f = pw(r"t1 - 2*t2", 2)
-        cert = norm_bounds(f, seq_space(2, 2), restarts=4, seed=5)
+        cert = norm_bounds(f, seq_space(2, 2))
         assert tuple_seminorm_value(f, cert.witness) == cert.lower
 
     def test_seq_three_halves_is_certified(self):
@@ -457,16 +484,21 @@ class TestNormBounds:
         assert cert.lower**3 <= 4 <= cert.upper**3
         assert not cert.exact
 
+    # norm_bounds takes no search settings; the CLI still range-checks
+    # --restarts, which it accepts and no longer reads
     @pytest.mark.parametrize(
         "settings", [{"restarts": -3}, {"restarts": -1}]
     )
     def test_invalid_search_settings_are_refused(self, settings):
         with pytest.raises(ValueError):
+            _check_restarts(**settings)
+        with pytest.raises(TypeError):
             norm_bounds(pw("t1 - t2", 2), seq_space(2, 2), **settings)
 
     def test_restarts_above_the_cap_are_refused(self):
         with pytest.raises(CapacityError, match="ascent restarts: 1025 exceeds the cap of 1024"):
-            norm_bounds(pw("t1 - t2", 2), seq_space(2, 2), restarts=_MAX_RESTARTS + 1)
+            _check_restarts(_MAX_RESTARTS + 1)
+        _check_restarts(_MAX_RESTARTS)
 
     def test_crossed_bounds_are_a_fault(self, monkeypatch):
         import latfree.norm as norm_module
@@ -479,191 +511,56 @@ class TestNormBounds:
 
         monkeypatch.setattr(norm_module, "ray_lp", halved)
         with pytest.raises(InternalFaultError):
-            norm_bounds(pw("t1 + t2", 2), seq_space(F(3, 2), 2), restarts=2)
+            norm_bounds(pw("t1 + t2", 2), seq_space(F(3, 2), 2))
 
 
-def _reference_float_evaluator(f):
-    """The one-point float evaluator the batched fold replaced, kept here
-    as the reference."""
-    comp = [[float(v) for v in row] for row in f.comp]
+def _full_rescore(monkeypatch, f, space):
+    """(certificate, lower, witness, ties): norm_bounds' certificate, and a
+    full re-score of every sweep tuple and every LP witness it made, each
+    scored by tuple_seminorm_value, the best kept by value, then by smaller
+    points; ties counts the tuples that won on points."""
+    import latfree.norm as norm_module
 
-    def value(x):
-        ys = [fold_sum(c * xi for c, xi in zip(row, x)) for row in comp]
-        return fold(f.program, lambda i: ys[i - 1], lambda c, v: float(c) * v,
-                    operator.add, max, min)
+    witnesses = []
+    real = norm_module.ray_lp
 
-    return value
+    def recorded(f, columns, rows):
+        value, point = real(f, columns, rows)
+        witnesses.append(sorted(vec_scale(lam, v) for lam, v in zip(point, columns) if lam > 0))
+        return value, point
 
-
-def _reference_admissibility_float(space):
-    q = float(dual_exponent(space.exponent))
-
-    def norm(c):
-        return fold_sum(abs(v) ** q for v in c) ** (1.0 / q)
-
-    def signed_sums(points):
-        columns = list(zip(*points))
-        for rest in itertools.product((1, -1), repeat=len(points) - 1):
-            s = (1,) + rest
-            yield tuple(fold_sum(si * v for si, v in zip(s, col)) for col in columns)
-
-    return lambda points: max(map(norm, signed_sums(points)))
-
-
-def _reference_ascent_restart(f, space, seed, r):
-    """The hill-climb as it ran before, with a second budget on every step."""
-    rng = random.Random((seed * 1_000_003 + r) & 0xFFFFFFFF)
-    d = space.dim
-    k = 1 + r % 3
-    budget = _reference_admissibility_float(space)
-
-    def score(ps):
-        cn = budget(ps)
-        if cn < 1e-12:
-            return 0.0
-        return fold_sum(abs(value(x)) for x in ps) / max(1.0, cn)
-
-    pts = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(k)]
-    try:
-        value = _reference_float_evaluator(f)
-        best = score(pts)
-    except OverflowError:
-        return None
-    step = 0.6
-    for _ in range(240):
-        i = rng.randrange(k)
-        j = rng.randrange(d)
-        cand = [list(x) for x in pts]
-        cand[i][j] += step * (2.0 * rng.random() - 1.0)
-        try:
-            cn = budget(cand)
-            if cn > 1e-12:
-                cand = [[v / max(1.0, cn) for v in x] for x in cand]
-            s = score(cand)
-        except OverflowError:
-            s = best
-        if s > best:
-            best, pts = s, cand
-        else:
-            step *= 0.985
-    return pts
-
-
-# every dual exponent q in {2, 3, 3/2, 7/4} and dimensions 1 to 8: the
-# generated climb writes out each coordinate, so its code grows with d
-ASCENT_SPACES = [
-    "seq:2:1", "seq:2:2", "seq:3/2:2", "seq:2:3", "seq:3:2", "seq:7/3:3",
-    "seq:7/3:4", "seq:2:6", "seq:3/2:8",
-]
-
-
-class TestAscentRestart:
-    @pytest.mark.parametrize("text", ASCENT_SPACES)
-    def test_points_equal_the_reference(self, text):
-        space = parse_space(text)
-        d = space.dim
-        rng = random.Random(text)
-        functions = [PwlFunction.from_expr(random_expr(rng, d, lattice_ops=3), d)]
-        for _ in range(3):
-            # fractional composition rows next to one coordinate row
-            arity = rng.randint(1, 3)
-            rows = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
-                    for _ in range(arity - 1)]
-            rows.append([F(int(j == 0)) for j in range(d)])
-            functions.append(make_pwl(random_expr(rng, arity, lattice_ops=2), rows))
-        for f in functions:
-            for seed in (0, 1):
-                for r in range(6):
-                    got = _ascent_restart(_float_evaluator(f), space, seed, r)
-                    assert got is not None
-                    assert got == _reference_ascent_restart(f, space, seed, r)
-
-    @pytest.mark.parametrize(
-        "text, expr, fits",
-        [
-            ("seq:2:2", "1" + "0" * 400 + "*t2", False),
-            ("seq:2:2", r"t1 \/ 1" + "0" * 200 + "*t2", True),
-            # the budget raises sums to the power q = 1000, past the float range
-            ("seq:1000/999:2", r"t1 \/ 2*t2 - t1", True),
-        ],
-    )
-    def test_overflow_matches_the_reference(self, text, expr, fits):
-        # a coefficient past the float range fails the kernel's build, and
-        # norm_bounds then runs no restart
-        space, f = parse_space(text), pw(expr, 2)
-        expected = [_reference_ascent_restart(f, space, 1, r) for r in range(6)]
-        if fits:
-            value = _float_evaluator(f)
-            assert [_ascent_restart(value, space, 1, r) for r in range(6)] == expected
-            assert None not in expected
-        else:
-            with pytest.raises(OverflowError):
-                _float_evaluator(f)
-            assert expected == [None] * 6
-
-    def test_an_overflowing_start_returns_none(self):
-        # at q = 1000 the three start points of restart 5 already overflow
-        # the budget, so that restart returns None before its first step
-        space, f = parse_space("seq:1000/999:3"), pw(r"t1 \/ 2*t2 - t3", 3)
-        expected = [_reference_ascent_restart(f, space, 1, r) for r in range(6)]
-        value = _float_evaluator(f)
-        assert [_ascent_restart(value, space, 1, r) for r in range(6)] == expected
-        assert [r for r, pts in enumerate(expected) if pts is None] == [5]
-
-    def test_cold_and_warm_draws_give_the_same_points(self):
-        # one (seed, r) in two dimensions: the draws are keyed by d as well
-        cases = [
-            (pw(r"t1 \/ 2*t2 - t1", 2), parse_space("seq:2:2")),
-            (pw(r"(1*t3) /\ (2*t2)", 3), parse_space("seq:2:3")),
-            (pw(r"(1*t3) /\ (2*t2)", 3), parse_space("seq:3/2:3")),
-        ]
-        kernels = [(_float_evaluator(f), space) for f, space in cases]
-        for r in range(4):
-            _ascent_draws.cache_clear()
-            cold = [_ascent_restart(value, space, 1, r) for value, space in kernels]
-            warm = [_ascent_restart(value, space, 1, r) for value, space in kernels]
-            assert cold == warm == [
-                _reference_ascent_restart(f, space, 1, r) for f, space in cases
-            ]
-            # dealt once per (seed, r, d): two misses, then four hits
-            assert _ascent_draws.cache_info()[:2] == (4, 2)
-
-
-def _full_rescore(f, space, restarts, seed):
-    """(lower, witness, ties) of a full re-score: every sweep tuple and every
-    ascent tuple scored by tuple_seminorm_value, the best kept by value,
-    then by smaller points; ties counts the tuples that won on points."""
+    with monkeypatch.context() as m:
+        m.setattr(norm_module, "ray_lp", recorded)
+        cert = norm_bounds(f, space)
     pieces, bends = pieces_and_kinks(f)
     table = rays(f.dim, [*bends, *f.comp])
     best_value, best_witness, ties = F(0), functional_tuple(space, [[0] * f.dim]), 0
     sweep = _sweep_candidates(f, space, pieces, table)
-    for tup in itertools.chain(sweep, _ascent_tuples(f, space, restarts, seed)):
+    for tup in itertools.chain(sweep, (functional_tuple(space, w) for w in witnesses if w)):
         value = tuple_seminorm_value(f, tup)
         if value > best_value or (value == best_value and tup.points < best_witness.points):
             ties += value == best_value
             best_value, best_witness = value, tup
-    return best_value, best_witness, ties
+    return cert, best_value, best_witness, ties
 
 
 class TestPrunedRescore:
-    """norm_bounds skips the admissibility of a tuple whose exact total
-    cannot win; its certificate is the full re-score's."""
+    """norm_bounds skips the admissibility of a sweep tuple whose exact
+    total cannot win; its certificate is the full re-score's."""
 
     @pytest.mark.parametrize("p", ["2", "3/2", "3", "7/3"])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_the_full_rescore(self, p, d):
+    def test_matches_the_full_rescore(self, monkeypatch, p, d):
         space = parse_space(f"seq:{p}:{d}")
         rng = random.Random(f"rescore {p} {d}")
         functions = [PwlFunction.from_expr(random_expr(rng, d, lattice_ops=2), d)
                      for _ in range(5)]
         functions += [make_pwl(parse("t1", 1), [[F(rng.randint(-4, 4)) for _ in range(d)]])
                       for _ in range(3)]
-        for n, f in enumerate(functions):
-            seed = rng.randrange(100)
-            cert = norm_bounds(f, space, restarts=n % 4 + 1, seed=seed)
+        for f in functions:
+            cert, lower, witness, _ = _full_rescore(monkeypatch, f, space)
             if cert.upper == 0:
                 continue
-            lower, witness, _ = _full_rescore(f, space, n % 4 + 1, seed)
             assert (cert.lower, cert.witness) == (lower, witness)
 
     @pytest.mark.parametrize(
@@ -671,14 +568,97 @@ class TestPrunedRescore:
         [("seq:2:1", "-2*t1"), ("seq:3:1", "-2*t1"), ("seq:2:2", r"t1 \/ t2"),
          ("seq:3/2:2", "t1 - t2"), ("seq:7/3:3", "t1 - t2")],
     )
-    def test_tied_values_keep_the_smaller_witness(self, text, expr):
+    def test_tied_values_keep_the_smaller_witness(self, monkeypatch, text, expr):
         # a later tuple of the same value and smaller points wins the tie
         space = parse_space(text)
         f = pw(expr, space.dim)
-        lower, witness, ties = _full_rescore(f, space, 4, 1)
+        cert, lower, witness, ties = _full_rescore(monkeypatch, f, space)
         assert ties > 0
-        cert = norm_bounds(f, space, restarts=4, seed=1)
         assert (cert.lower, cert.witness) == (lower, witness)
+
+
+def _closed_form_inputs():
+    """200 seeded (f, space, (N^r, r)) with a known norm N: embedded vectors
+    on seq:2 (N^2 = Sum_j a_j^2) and on seq:3/2 with entries +-s_j^2
+    (N^3 = (Sum_j |s_j|^3)^2), and generators (N = 1)."""
+    rng = random.Random(4711)
+    for i in range(200):
+        d = rng.randint(1, 4)
+        if i % 4 == 3:
+            space = seq_space((2, F(3, 2))[i % 8 // 4], d)
+            k = rng.randrange(d)
+            e = [int(j == k) for j in range(d)]
+            yield make_pwl(parse("t1", 1), [e]), space, (1, 1)
+        elif i % 2 == 0:
+            a = [rng.randint(-5, 5) for _ in range(d)]
+            a[rng.randrange(d)] = rng.choice((-3, 1, 2))
+            yield make_pwl(parse("t1", 1), [a]), seq_space(2, d), (sum(x * x for x in a), 2)
+        else:
+            roots = [rng.randint(-3, 3) for _ in range(d)]
+            roots[rng.randrange(d)] = rng.choice((-2, 1, 3))
+            a = [r * abs(r) for r in roots]
+            power = sum(abs(r) ** 3 for r in roots) ** 2
+            yield make_pwl(parse("t1", 1), [a]), seq_space(F(3, 2), d), (power, 3)
+
+
+class TestCutRounds:
+    """The cut rounds keep the sandwich sound: each LP's ray table holds
+    the planes of all its rows, and the bounds bracket every known norm."""
+
+    def test_bounds_bracket_the_closed_forms(self):
+        exact = 0
+        for f, space, (power, r) in _closed_form_inputs():
+            cert = norm_bounds(f, space)
+            assert cert.lower**r <= power <= cert.upper**r, (f.comp, space)
+            assert tuple_seminorm_value(f, cert.witness) == cert.lower
+            exact += cert.exact
+        assert exact >= 90
+
+    def test_every_lp_holds_the_planes_of_its_rows(self, monkeypatch):
+        # a table without a cut's plane leaves |<., c>| bent inside a cell,
+        # and the LP's duals would then certify nothing
+        import latfree.norm as norm_module
+
+        real, tables = norm_module.ray_lp, []
+
+        def recorded(f, columns, rows):
+            tables.append((set(columns), [b for b, _ in rows]))
+            return real(f, columns, rows)
+
+        monkeypatch.setattr(norm_module, "ray_lp", recorded)
+        rng = random.Random(77)
+        rounds = 0
+        for i in range(40):
+            d = 2 + i % 3
+            space = seq_space((2, F(3, 2), 3)[i % 3], d)
+            f = PwlFunction.from_expr(random_expr(rng, d, lattice_ops=2), d)
+            tables.clear()
+            norm_bounds(f, space)
+            bends = kinks(f)
+            for columns, rows in tables:
+                full = rays(d, [*bends, *f.comp, *rows])
+                # one ray of each pair v, -v, and every pair present
+                assert len(columns) * 2 == len(full)
+                assert {max(v, tuple(-x for x in v)) for v in columns} == {
+                    max(v, tuple(-x for x in v)) for v in full
+                }
+            rounds += len(tables) - 1
+        assert rounds >= 40
+
+    def test_a_round_past_the_ray_caps_keeps_its_bound(self, monkeypatch, capsys):
+        # rays_with refusing the first cut's plane ends the rounds: the
+        # certificate is the first LP's, and the command still exits 0
+        import latfree.norm as norm_module
+        from latfree import cli
+
+        def refused(dim, normals, table, normal):
+            raise CapacityError("ray subsets", 1, 2)
+
+        monkeypatch.setattr(norm_module, "rays_with", refused)
+        cert = norm_bounds(pw(r"t1 \/ t2", 2), seq_space(2, 2))
+        assert cert.upper == 2
+        assert cli.main(["norm", "--space", "seq:2:2", "--expr", r"t1 \/ t2"]) == 0
+        assert '"upper": "2"' in capsys.readouterr().out
 
 
 class TestNormCertificateDispatch:
@@ -687,17 +667,19 @@ class TestNormCertificateDispatch:
         assert cert.upper_method == "exact_match"
 
     def test_non_polyhedral_goes_bounds(self):
-        cert = norm_certificate(
-            make_pwl(parse("t1", 1), [(3, 4)]), seq_space(2, 2), restarts=4, seed=1
-        )
+        cert = norm_certificate(make_pwl(parse("t1", 1), [(3, 4)]), seq_space(2, 2))
         assert cert.upper_method == "ray_lp_dual"
 
-    def test_search_settings_checked_on_polyhedral_spaces(self):
-        with pytest.raises(ValueError):
-            norm_certificate(pw("t1", 1), fvl_space(1), restarts=-1)
-        with pytest.raises(CapacityError):
-            norm_certificate(pw("t1", 1), fvl_space(1), restarts=_MAX_RESTARTS + 1)
-        assert norm_certificate(pw("t1", 1), fvl_space(1), restarts=_MAX_RESTARTS).exact
+    def test_search_settings_checked_on_polyhedral_spaces(self, capsys):
+        # the CLI checks --restarts on every space, though no norm reads it
+        from latfree import cli
+
+        argv = ["norm", "--space", "fvl:1", "--expr", "t1", "--restarts"]
+        assert cli.main(argv + ["-1"]) == 1
+        assert cli.main(argv + [str(_MAX_RESTARTS + 1)]) == 4
+        capsys.readouterr()
+        assert cli.main(argv + [str(_MAX_RESTARTS)]) == 0
+        assert '"exact": true' in capsys.readouterr().out
 
 
 class TestMaximalityAudit:

@@ -1,5 +1,3 @@
-import functools
-import operator
 import random
 import time
 from fractions import Fraction
@@ -7,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from latfree.errors import CapacityError, UnsupportedSpaceError
-from latfree.norm import _climb
 from latfree.pnorm import (
     _BITS,
+    _root_bracket,
     admissibility_upper,
-    dual_exponent,
+    admissible,
     fvl_space,
     iroot,
     norm_leq,
@@ -20,6 +18,7 @@ from latfree.pnorm import (
     root_upper,
     seq_space,
     sign_patterns,
+    worst_signed_sum,
 )
 
 F = Fraction
@@ -232,89 +231,73 @@ class TestAdmissibility:
         assert time.perf_counter() - start < 1
 
 
-def _left_fold(terms):
-    return functools.reduce(operator.add, terms, 0)
+def _sphere_partner(x):
+    """y, 300 bits below (1 - x^(3/2))^(2/3): (x, y) is then within
+    2^-290 inside the unit sphere of l_{3/2}."""
+    _, hi = _root_bracket(x**3, 2, 300)
+    y, _ = _root_bracket((1 - hi) ** 2, 3, 300)
+    return y
 
 
-def _whole_tuple_climb(value, q, start, steps):
-    """The ascent's climb on given draws with the float budget of the whole
-    tuple on every step, all sums from the left."""
-    k = len(start)
+class TestExactDecisions:
+    """norm_leq and admissible decide exactly on a fractional exponent,
+    where norm_upper and admissibility_upper round a root up."""
 
-    def budget(ps):
-        combined = [
-            [_left_fold(map(operator.mul, s, col)) for col in zip(*ps)]
-            for s in sign_patterns(k)
-        ]
-        return max(_left_fold(abs(v) ** q for v in c) ** (1.0 / q) for c in combined)
+    def test_a_tuple_just_inside_the_ball_is_admissible(self):
+        # seq:3:2 budgets in l_{3/2}: (1/2, y) with y = (1 - (1/2)^(3/2))^(2/3)
+        # is on the sphere; y - 10^-30 is inside by about 10^-30, far below
+        # the 2^-64 steps of the rounded bound, which lands above 1
+        space = seq_space(3, 2)
+        y = _sphere_partner(F(1, 2)) - F(1, 10**30)
+        assert admissibility_upper([(F(1, 2), y)], space) > 1
+        assert admissible([(F(1, 2), y)], space)
+        assert not admissible([(F(1, 2), y + F(2, 10**30))], space)
+        assert not admissible([(F(1, 2), y), (F(0), F(1, 10**20))], space)
 
-    def score(ps):
-        cn = budget(ps)
-        return 0.0 if cn < 1e-12 else _left_fold(abs(value(x)) for x in ps) / max(1.0, cn)
+    def test_norm_leq_on_fractional_p_matches_the_powers(self):
+        # ||v||_{3/2} <= r exactly when Sum_j |v_j|^3 <= r^3 ... per term:
+        # compare Sum_j sqrt(|v_j|^3) with r^(3/2) through squares of
+        # brackets 400 bits wide
+        rng = random.Random(21)
+        for _ in range(60):
+            v = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+            up = norm_upper(v, F(3, 2))
+            for bound in (up, up - F(1, 2**70), up - F(1, 2**40), F(rng.randint(1, 40), 3)):
+                terms = [_root_bracket(abs(x / bound) ** 3, 2, 400) for x in v]
+                lo = sum(t[0] for t in terms)
+                hi = sum(t[1] for t in terms)
+                assert lo > 1 or hi <= 1, "the reference bracket is too wide"
+                assert norm_leq(v, F(3, 2), bound) == (hi <= 1)
 
-    pts = [list(x) for x in start]
-    try:
-        best = score(pts)
-    except OverflowError:
-        return None
-    step = 0.6
-    for i, j, u in steps:
-        cand = [list(x) for x in pts]
-        cand[i][j] += step * u
-        try:
-            cn = budget(cand)
-            if cn > 1e-12:
-                cand = [[v / max(1.0, cn) for v in x] for x in cand]
-            s = score(cand)
-        except OverflowError:
-            s = best
-        if s > best:
-            best, pts = s, cand
-        else:
-            step *= 0.985
-    return pts
-
-
-def _bent(x):
-    return max(x) - 0.5 * min(x) + x[0]
-
-
-class TestFloatAdmissibility:
-    """The float budget the generated climb keeps as a table of columns,
-    against a climb that takes the budget of the whole tuple on every
-    step, on the same draws."""
+    def test_a_rational_boundary_is_decided(self):
+        # ||(1/4, 0)||_{3/2} = 1/4: each term |v_j / bound|^(3/2) is
+        # rational, so the sum meets 1 exactly and brackets cannot split it
+        assert norm_leq((F(1, 4), F(0)), F(3, 2), F(1, 4))
+        assert not norm_leq((F(1, 4), F(0)), F(3, 2), F(1, 4) - F(1, 10**40))
+        assert norm_leq((F(9, 16), F(0)), F(3), F(9, 16))
+        assert norm_leq((F(0), F(0)), F(3, 2), F(0))
+        assert not norm_leq((F(1, 10**50), F(0)), F(3, 2), F(0))
 
     @pytest.mark.parametrize("p", [F(2), F(3, 2), F(3), F(7, 3)])
-    def test_matches_the_whole_tuple_loop(self, p):
-        rng = random.Random(f"columns {p}")
-        q = float(dual_exponent(p))
-        extremes = [0.0, -0.0, 1e100, -3e-200, 0.5]
-        for d in (1, 2, 4):
-            space = seq_space(p, d)
-            for k in (1, 2, 3):
-                climb = _climb(space, k)
-                for trial in range(12):
-                    start = [
-                        [rng.choice(extremes) if trial % 3 == 0 else rng.uniform(-2, 2)
-                         for _ in range(d)]
-                        for _ in range(k)
-                    ]
-                    steps = [(rng.randrange(k), rng.randrange(d), rng.uniform(-1, 1))
-                             for _ in range(40)]
-                    got = climb(_bent, start, steps)
-                    assert got is not None
-                    assert got == _whole_tuple_climb(_bent, q, start, steps)
-                assert _climb(space, k) is climb
-
-    def test_a_power_past_the_float_range_raises(self):
-        # at q = 1000, |2.0 + 0.5| ** q overflows: at the start the climb
-        # returns None, and a step that reaches it is rejected
-        climb = _climb(seq_space(F(1000, 999), 2), 2)
-        assert climb(_bent, [[2.0, 1.0], [0.5, 0.0]], []) is None
-        steps = [(0, 0, 1.0)] * 3
-        start = [[1.9, 0.0], [0.0, 0.0]]
-        assert _whole_tuple_climb(_bent, 1000.0, start, steps) == start
-        assert climb(_bent, start, steps) == start
+    def test_worst_signed_sum_is_the_admissibility(self, p):
+        # u is a positive multiple of a signed sum whose own bound is the
+        # tuple's bound
+        rng = random.Random(f"worst {p}")
+        for _ in range(30):
+            pts = _mixed_points(rng)
+            space = seq_space(p, len(pts[0]))
+            bound, u = worst_signed_sum(pts, space)
+            assert bound == admissibility_upper(pts, space)
+            if not any(u):
+                assert bound == 0
+                continue
+            matches = []
+            for s in sign_patterns(len(pts)):
+                c = [sum(si * x[j] for si, x in zip(s, pts)) for j in range(len(pts[0]))]
+                ratios = {F(a) / b if b else 0 for a, b in zip(u, c) if a or b}
+                if len(ratios) == 1 and ratios.pop() > 0:
+                    matches.append(c)
+            assert any(admissibility_upper([c], space) == bound for c in matches)
 
 
 class TestOperatorUpper:

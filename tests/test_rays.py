@@ -41,6 +41,7 @@ from latfree.pwl import (
     make_pwl,
     pieces_and_kinks,
     rays,
+    rays_with,
 )
 from latfree.sampling import random_expr, random_pair, thin_cone_pair
 
@@ -209,6 +210,49 @@ class TestIntegerNullLine:
             assert rays(dim, normals) == _fraction_rays(dim, normals)
 
 
+class TestIncrementalRays:
+    """rays_with adds one plane to a ray table by solving only the subsets
+    that contain it."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_equals_the_rays_of_the_union(self, dim):
+        rng = random.Random(2000 + dim)
+        most = {2: 7, 3: 5, 4: 4, 5: 3}[dim]
+        for _ in range(60):
+            normals = _random_normals(rng, dim, rng.randint(0, most))
+            table = rays(dim, normals)
+            # a new plane, a multiple of an old one, a coordinate normal
+            # and the zero vector
+            extra = _random_normals(rng, dim, 1)
+            if normals and rng.random() < 0.3:
+                extra = [tuple(-2 * x for x in rng.choice(normals))]
+            elif rng.random() < 0.1:
+                extra = [rng.choice([identity(dim)[0], (0,) * dim])]
+            assert rays_with(dim, normals, table, extra[0]) == rays(dim, normals + extra)
+
+    def test_solves_only_the_subsets_through_the_new_plane(self, monkeypatch):
+        # 4 planes in dimension 4: C(4, 2) = 6 subsets through the fifth,
+        # where the full table solves C(5, 3) = 10
+        solved = []
+        real = pwl.null_line
+        monkeypatch.setattr(pwl, "null_line", lambda rows, dim: solved.append(rows) or real(rows, dim))
+        table = rays(4, [])
+        solved.clear()
+        rays_with(4, [], table, (1, 2, 3, 4))
+        assert len(solved) == 6 and all(rows[-1] == (1, 2, 3, 4) for rows in solved)
+
+    def test_caps_apply_to_the_new_subsets(self, monkeypatch):
+        table = rays(4, [(1, 1, 0, 0)])
+        monkeypatch.setattr(pwl, "_MAX_RAY_SUBSETS", 9)
+        with pytest.raises(CapacityError) as info:
+            rays_with(4, [(1, 1, 0, 0)], table, (1, 2, 3, 4))
+        assert info.value.measured == math.comb(5, 2)
+
+    def test_wrong_length_normal(self):
+        with pytest.raises(DimensionError):
+            rays_with(2, [], rays(2, []), (1, 2, 3))
+
+
 def _image_subspace_lam(f: PwlFunction) -> Fraction:
     """Reference: the unit factor lam, the least with
     |f| <= lam * Sum_j |<x_j, .>| over the rows x_j that f reads, from a
@@ -232,9 +276,20 @@ def _image_subspace_lam(f: PwlFunction) -> Fraction:
 class TestLambdaReference:
     """The ray LP's upper bound against the unit factor lam it replaced:
     y_j = lam / s_j is dual-feasible with value lam * Sum_j ||x_j||, so the
-    LP is never above that, and both vanish exactly when f does."""
+    first LP is never above that, and both vanish exactly when f does.
+    The cut rounds' LPs never rise above the first: the certificate's
+    upper bound is the last LP value, at most every earlier one."""
 
-    def test_lp_upper_is_within_the_lambda_reference(self):
+    def test_lp_upper_is_within_the_lambda_reference(self, monkeypatch):
+        values = []
+        real = norm.ray_lp
+
+        def recorded(f, columns, rows):
+            out = real(f, columns, rows)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(norm, "ray_lp", recorded)
         rng = random.Random(4242)
         kinds = {"identity": 0, "fractional": 0, "repeated": 0, "zero": 0, "dependent": 0}
         vanishing = tighter = 0
@@ -265,9 +320,12 @@ class TestLambdaReference:
             f = make_pwl(expr, rows)
             space = seq_space((2, F(3, 2), 3, F(7, 3))[i % 4], d)
             lam = _image_subspace_lam(f)
-            upper = norm_bounds(f, space, restarts=0).upper
+            values.clear()
+            upper = norm_bounds(f, space).upper
+            assert upper == values[-1]
+            assert all(a >= b for a, b in zip(values, values[1:]))
             unit = sum(norm_upper(r, space.exponent) for r in norm.read_rows(f))
-            assert upper <= lam * unit
+            assert values[0] <= lam * unit
             assert (upper == 0) == (lam == 0)
             kinds[kind] += 1
             vanishing += lam == 0
