@@ -14,7 +14,7 @@ from latfree.errors import (
     InternalFaultError,
     UnsupportedSpaceError,
 )
-from latfree.expr import parse
+from latfree.expr import Scale, parse
 from latfree.lp import LpResult
 from latfree.norm import (
     _sweep_candidates,
@@ -33,8 +33,9 @@ from latfree.norm import (
     tuple_admissible,
     tuple_seminorm_value,
 )
+from latfree.pnorm import MAX_SIGNS, admissibility_upper, norm_upper, sign_patterns
 from latfree.pwl import PwlFunction, kinks, make_pwl, pieces_and_kinks, rays
-from latfree.qmath import vec_scale
+from latfree.qmath import clear_denominators, vec_scale, zero_vec
 from latfree.sampling import random_expr
 
 F = Fraction
@@ -659,6 +660,144 @@ class TestCutRounds:
         assert cert.upper == 2
         assert cli.main(["norm", "--space", "seq:2:2", "--expr", r"t1 \/ t2"]) == 0
         assert '"upper": "2"' in capsys.readouterr().out
+
+
+def _reference_rounds(f, space):
+    """(witnesses, certificate) of norm_bounds computed another way: every
+    LP's table rebuilt by rays of all its planes, each pair v, -v halved by
+    evaluating both, the worst signed sum the first of largest bound in a
+    loop over sign_patterns, and every tuple scored by
+    tuple_seminorm_value.  witnesses holds each LP's witness points."""
+    import latfree.norm as norm_module
+
+    pieces, bends = pieces_and_kinks(f)
+    planes = [*bends, *f.comp]
+    rows = []
+    for row in norm_module.read_rows(f):
+        b, s = clear_denominators(row)
+        rows.append((tuple(b), s * norm_upper(row, space.exponent)))
+
+    def solve():
+        table = rays(f.dim, planes)
+        columns = []
+        for v in table:
+            if next(x for x in v if x) > 0:
+                w = tuple(-x for x in v)
+                columns.append(w if abs(f.eval(w)) > abs(f.eval(v)) else v)
+        return table, columns, norm_module.ray_lp(f, columns, rows)
+
+    table, columns, (upper, point) = solve()
+    if upper == 0:
+        return [], (F(0), F(0), (zero_vec(f.dim),))
+    scored = [functional_tuple(space, [zero_vec(f.dim)])]
+    scored += _sweep_candidates(f, space, pieces, table)
+    witnesses = []
+    for rounds_left in range(norm_module._CUT_ROUNDS, -1, -1):
+        points = sorted(vec_scale(lam, v) for lam, v in zip(point, columns) if lam > 0)
+        witnesses.append(points)
+        if 2 ** (len(points) - 1) > MAX_SIGNS:
+            break
+        scored.append(functional_tuple(space, points))
+        bound, u = F(-1), None
+        for s in sign_patterns(len(points)):
+            c = [sum(si * x[j] for si, x in zip(s, points)) for j in range(f.dim)]
+            if admissibility_upper([c], space) > bound:
+                bound, u = admissibility_upper([c], space), c
+        if not rounds_left or bound <= 1:
+            break
+        c, n = norm_module._cut(u, space)
+        if c in {b for b, _ in rows} | {tuple(-x for x in b) for b, _ in rows}:
+            break
+        planes.append(c)
+        rows.append((c, n))
+        table, columns, (upper, point) = solve()
+    best = min(scored, key=lambda t: (-tuple_seminorm_value(f, t), t.points))
+    return witnesses, (tuple_seminorm_value(f, best), upper, best.points)
+
+
+def _rounds(monkeypatch, f, space):
+    """(witnesses, certificate) of norm_bounds, each LP's witness points
+    recorded."""
+    import latfree.norm as norm_module
+
+    witnesses = []
+    real = norm_module.ray_lp
+
+    def recorded(f, columns, rows):
+        value, point = real(f, columns, rows)
+        witnesses.append(sorted(vec_scale(lam, v) for lam, v in zip(point, columns) if lam > 0))
+        return value, point
+
+    with monkeypatch.context() as m:
+        m.setattr(norm_module, "ray_lp", recorded)
+        cert = norm_bounds(f, space)
+    if cert.upper == 0:
+        witnesses = []
+    return witnesses, (cert.lower, cert.upper, cert.witness.points)
+
+
+def _fits_a_float(f):
+    """Whether every coefficient of f converts to a float."""
+    coefficients = [x for row in f.comp for x in row]
+    coefficients += [a for kind, a, _ in f.program.slots if kind is Scale]
+    try:
+        [float(x) for x in coefficients]
+    except OverflowError:
+        return False
+    return True
+
+
+# dual exponents q in {2, 3, 3/2, 7/4} and dimensions 1 to 8
+ASCENT_SPACES = [
+    "seq:2:1", "seq:2:2", "seq:3/2:2", "seq:2:3", "seq:3:2", "seq:7/3:3",
+    "seq:7/3:4", "seq:2:6", "seq:3/2:8",
+]
+
+
+class TestAscentRestart:
+    """The lower bound's search, which was a float ascent with seeded
+    restarts, is now the LP witnesses of the cut rounds.  Their points
+    and the certificate equal a reference that rebuilds every ray table in
+    full and finds each worst signed sum by a loop, also past the float
+    range."""
+
+    @pytest.mark.parametrize("text", ASCENT_SPACES)
+    def test_points_equal_the_reference(self, monkeypatch, text):
+        space = parse_space(text)
+        d = space.dim
+        rng = random.Random(text)
+        functions = [PwlFunction.from_expr(random_expr(rng, d, lattice_ops=2), d)]
+        for _ in range(3):
+            # fractional composition rows next to one coordinate row
+            arity = rng.randint(1, 3)
+            rows = [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
+                    for _ in range(arity - 1)]
+            rows.append([F(int(j == 0)) for j in range(d)])
+            functions.append(make_pwl(random_expr(rng, arity, lattice_ops=2), rows))
+        lps = 0
+        for f in functions:
+            got = _rounds(monkeypatch, f, space)
+            assert got == _reference_rounds(f, space), (f.expr, f.comp)
+            lps += len(got[0])
+        # above dimension 1 some witness is not admissible and gets a cut
+        assert lps > len(functions) or d == 1
+
+    @pytest.mark.parametrize(
+        "text, expr, fits",
+        [
+            ("seq:2:2", "1" + "0" * 400 + "*t2", False),
+            ("seq:2:2", r"t1 \/ 1" + "0" * 200 + "*t2", True),
+            # the dual exponent q = 1000 raises sums past the float range
+            ("seq:1000/999:2", r"t1 \/ 2*t2 - t1", True),
+        ],
+    )
+    def test_overflow_matches_the_reference(self, monkeypatch, text, expr, fits):
+        space, f = parse_space(text), pw(expr, 2)
+        assert _fits_a_float(f) == fits
+        got = _rounds(monkeypatch, f, space)
+        assert got == _reference_rounds(f, space)
+        lower, upper, _ = got[1]
+        assert 0 < lower <= upper
 
 
 class TestNormCertificateDispatch:
