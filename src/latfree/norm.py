@@ -331,37 +331,42 @@ def read_rows(f: PwlFunction) -> list[Vec]:
     return [f.comp[a - 1] for kind, a, _ in f.program.slots if kind is Var]
 
 
+class _Values(dict):
+    """f's exact value at each point evaluated so far; ray_lp takes the map
+    in place of f, through its eval_many."""
+
+    def add(self, f: PwlFunction, points) -> None:
+        """Evaluate f, in one batch, at the points it has no value at yet."""
+        new = [x for x in dict.fromkeys(points) if x not in self]
+        self.update(zip(new, f.eval_many(new)))
+
+    def eval_many(self, points) -> list:
+        return [self[x] for x in points]
+
+
 def _sweep_candidates(
-    f: PwlFunction, space: SpaceSpec, pieces, singles
-) -> list[FunctionalTuple]:
-    """The sweep's deterministic tuples on a non-polyhedral space: each ray
-    of `singles` (f's ray table) alone, the Hoelder peaks of f's pieces,
-    the sign vectors, and two bases; each also scaled to admissibility
-    about 1."""
+    f: PwlFunction, space: SpaceSpec, pieces, singles, values: _Values
+) -> list[tuple[Vec, ...]]:
+    """The sweep's distinct tuples on a non-polyhedral space, first seen
+    first: each ray of `singles` (f's ray table) alone, the Hoelder peaks
+    of f's pieces, the sign vectors, and two bases.  f is evaluated at
+    every point that `values` lacks in one batch."""
     d = space.dim
     out: list[tuple[Vec, ...]] = [(r,) for r in singles]
     # |piece| peaks on the dual ball where Hoelder's inequality is tight
     for piece in sorted(pieces):
         peak = peak_point(piece, space)
         out.extend(((peak,), (vec_scale(-1, peak),)))
-
-    for s in sign_patterns(d):
-        out.append((s,))
+    out.extend((s,) for s in sign_patterns(d))
 
     basis = identity(d)
     negated = tuple(vec_scale(-1, e) for e in basis)
-    size = [abs(v) for v in f.eval_many(basis + negated)]
-    out.append(tuple(e if size[i] >= size[d + i] else negated[i] for i, e in enumerate(basis)))
-    out.append(tuple(basis))
-
-    # each distinct tuple once, first seen first, plus a copy scaled to admissibility ~1
-    tuples: dict[tuple[Vec, ...], FunctionalTuple] = {}
-    for points in out:
-        cn = constraint_norm(tuples.setdefault(points, FunctionalTuple(space, points)))
-        if cn > 0 and cn != 1:
-            scaled = tuple(vec_scale(1 / cn, x) for x in points)
-            tuples.setdefault(scaled, FunctionalTuple(space, scaled))
-    return list(tuples.values())
+    values.add(f, [x for (x,) in out] + [*basis, *negated])
+    out.append(tuple(
+        e if abs(values[e]) >= abs(values[n]) else n for e, n in zip(basis, negated)
+    ))
+    out.append(basis)
+    return list(dict.fromkeys(out))
 
 
 # the cut rounds that follow the first LP, each adding one row.  On the
@@ -398,19 +403,14 @@ def _cut(u, space: SpaceSpec) -> tuple[tuple[int, ...], Fraction]:
     return tuple(c), Fraction(math.ceil(norm_upper(c, space.exponent) * scale), scale)
 
 
-def _halved(f: PwlFunction, table):
+def _halved(table, values: _Values):
     """The rays of a table closed under sign, one of each pair v, -v: the
     one where |f| is larger, v itself on a tie (v with its first nonzero
     entry positive).  The two have the same column |<v, b>| in every row,
     so the one kept dominates the other in the LP and in its dual check."""
     canon = [v for v in table if next(x for x in v if x) > 0]
     neg = [tuple(-x for x in v) for v in canon]
-    values = f.eval_many(canon + neg)
-    k = len(canon)
-    return [
-        w if abs(values[k + i]) > abs(values[i]) else v
-        for i, (v, w) in enumerate(zip(canon, neg))
-    ]
+    return [w if abs(values[w]) > abs(values[v]) else v for v, w in zip(canon, neg)]
 
 
 def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
@@ -420,15 +420,17 @@ def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     norm_certificate.
 
     One pieces_and_kinks fold gives the first ray table: the rays of f's
-    kinks, its composition rows and the coordinate normals.  The first LP
-    (ray_lp) has one row (s_j x_j, s_j ||x_j||) per composition row x_j
-    that f reads (read_rows), s_j the lcm of x_j's denominators and
-    ||x_j|| pnorm's certified norm_upper.  Each x_j / ||x_j|| lies in the
-    unit ball, so an admissible tuple meets every row, and the LP's checked
-    duals bound Sum_i |f(x_i)| on it.  Its value is 0 exactly when f
-    vanishes: a ray where f is nonzero has some <x_j, r> nonzero, since f
-    reads x only through the <x_j, x>.  That zero test runs ahead of the
-    sweep's cap, and the table's rays are the sweep's single points.
+    kinks, its composition rows and the coordinate normals.  f is evaluated
+    once at each ray (_Values), and each later table adds only its new
+    rays.  The first LP (ray_lp) has one row (s_j x_j, s_j ||x_j||) per
+    composition row x_j that f reads (read_rows), s_j the lcm of x_j's
+    denominators and ||x_j|| pnorm's certified norm_upper.  Each
+    x_j / ||x_j|| lies in the unit ball, so an admissible tuple meets every
+    row, and the LP's checked duals bound Sum_i |f(x_i)| on it.  Its value
+    is 0 exactly when f vanishes: a ray where f is nonzero has some
+    <x_j, r> nonzero, since f reads x only through the <x_j, x>.  That zero
+    test runs ahead of the sweep's cap, and the table's rays are the
+    sweep's single points.
 
     Then up to _CUT_ROUNDS rounds.  The LP's witness {lam_v v : lam_v > 0}
     is scored; if it is not admissible, its worst signed sum u
@@ -444,10 +446,17 @@ def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     admissible (its total is then the norm), when the cut is already a
     row, or when the rays on its plane would pass the ray caps.
 
-    The lower bound is the best exact value, total / max(1, admissibility),
-    over the sweep's tuples and every LP witness, ties going to the
-    lexicographically smaller witness.  A sweep tuple whose exact total
-    cannot beat the best so far skips its admissibility.
+    The lower bound is the best value, total / max(1, admissibility), over
+    the sweep's tuples, each also scaled by 1 / admissibility, and every LP
+    witness, ties going to the lexicographically smaller witness.  Both
+    sides are positively homogeneous: a tuple of total T and admissibility
+    cn, scaled by 1 / cn, has total T / cn and, on integer q (dual to p),
+    admissibility at most 1, the q-th power being exact, so its value is
+    T / cn.  A fractional q rounds the terms up, so there the copy's
+    admissibility is computed.  An LP witness's total is its LP value, and
+    a single point's admissibility, its q-norm, is computed once per |x|.
+    The winner alone is scored again (tuple_seminorm_value); a score it
+    does not reproduce is an InternalFaultError.
     """
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
@@ -458,41 +467,53 @@ def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     pieces, bends = pieces_and_kinks(f)
     normals = [*bends, *f.comp]
     table = rays(f.dim, normals)
+    values = _Values()
+    values.add(f, table)
     rows = []
     for row in read_rows(f):
         b, s = clear_denominators(row)
         rows.append((tuple(b), s * norm_upper(row, space.exponent)))
-    columns = _halved(f, table)
-    upper, point = ray_lp(f, columns, rows)
+    columns = _halved(table, values)
+    upper, point = ray_lp(values, columns, rows)
     if upper == 0:
         return _zero_certificate(space, "ray_lp_dual")
 
-    best_value = Fraction(0)
-    best_witness = functional_tuple(space, (zero_vec(space.dim),))
+    # the best value so far, and each (points, scale) that reaches it
+    best, tied = Fraction(0), []
 
-    def better(value, tup):
-        return value > best_value or (
-            value == best_value and tup.points < best_witness.points
-        )
+    def score(value, points, scale=1):
+        nonlocal best, tied
+        if value > best:
+            best, tied = value, [(points, scale)]
+        elif value == best:
+            tied.append((points, scale))
 
-    for tup in _sweep_candidates(f, space, pieces, table):
-        # value <= total, so a total that cannot win needs no admissibility
-        total = _tuple_total(f, tup)
-        if better(total, tup):
-            value = total / max(Fraction(1), constraint_norm(tup))
-            if better(value, tup):
-                best_value, best_witness = value, tup
+    integral = dual_exponent(space.exponent).denominator == 1
+    bounds = {}  # admissibility by tuple, of a single point by |x|
+    for points in _sweep_candidates(f, space, pieces, table, values):
+        total = sum(abs(values[x]) for x in points)
+        if not total:
+            continue  # it and its copy score 0
+        key = tuple(map(abs, points[0])) if len(points) == 1 else points
+        if key not in bounds:
+            bounds[key] = worst_signed_sum(points, space)[0]
+        cn = bounds[key]
+        score(total / max(1, cn), points)
+        value = total / cn
+        if cn != 1 and (integral or value >= best):
+            # a fractional q rounds each term up, so the copy's bound can pass 1
+            if not integral:
+                scaled = [vec_scale(1 / cn, x) for x in points]
+                value /= max(1, admissibility_upper(scaled, space))
+            score(value, points, 1 / cn)
 
     seen = {b for b, _ in rows} | {tuple(-x for x in b) for b, _ in rows}
     for rounds_left in range(_CUT_ROUNDS, -1, -1):
-        points = sorted(vec_scale(lam, v) for lam, v in zip(point, columns) if lam > 0)
+        points = tuple(sorted(vec_scale(lam, v) for lam, v in zip(point, columns) if lam > 0))
         if 2 ** (len(points) - 1) > MAX_SIGNS:
             break  # its admissibility would pass the sign-vector cap
-        tup = FunctionalTuple(space, tuple(points))
-        cn, u = worst_signed_sum(tup.points, space)
-        value = _tuple_total(f, tup) / max(Fraction(1), cn)
-        if better(value, tup):
-            best_value, best_witness = value, tup
+        cn, u = worst_signed_sum(points, space)
+        score(upper / max(1, cn), points)
         if not rounds_left or cn <= 1:
             break
         c, n = _cut(u, space)
@@ -502,16 +523,22 @@ def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
             table = rays_with(f.dim, normals, table, c)
         except CapacityError:
             break
+        values.add(f, table)
         normals.append(c)
         rows.append((c, n))
         seen |= {c, tuple(-x for x in c)}
-        columns = _halved(f, table)
-        upper, point = ray_lp(f, columns, rows)
+        columns = _halved(table, values)
+        upper, point = ray_lp(values, columns, rows)
 
+    witness = FunctionalTuple(
+        space, min(tuple(vec_scale(s, x) for x in p) for p, s in tied)
+    )
+    if tuple_seminorm_value(f, witness) != best:
+        raise InternalFaultError("the best witness does not reproduce its score")
     return NormCertificate(
-        lower=best_value,
+        lower=best,
         upper=upper,
-        witness=best_witness,
+        witness=witness,
         upper_method="ray_lp_dual",
     )
 

@@ -30,6 +30,7 @@ from .qmath import (
 )
 
 INF_P = "inf"
+_ONE = Fraction(1)
 
 # rounded roots are within 2**-_BITS above the true root
 _BITS = 64
@@ -80,17 +81,17 @@ class SpaceSpec(namedtuple("SpaceSpec", "kind dim p")):
     @property
     def exponent(self) -> Fraction | str:
         """p of the norm on the space; fvl is normed like l_1."""
-        return Fraction(1) if self.kind == "fvl" else self.p
+        return _ONE if self.p is None else self.p
 
     @property
     def is_polyhedral(self) -> bool:
         """The admissible-tuple region is a polyhedron (exact path applies)."""
-        return self.exponent in (Fraction(1), INF_P)
+        return self.p in (None, 1, INF_P)
 
     @property
     def coordinate_budget(self) -> bool:
         """Admissibility bounds each coordinate's Sum_i |x_ij| (fvl, seq:1)."""
-        return self.exponent == Fraction(1)
+        return self.p in (None, 1)
 
 
 def fvl_space(n: int) -> SpaceSpec:
@@ -116,8 +117,9 @@ def parse_space(text: str) -> SpaceSpec:
     )
 
 
+@functools.cache
 def dual_exponent(p: Fraction | str) -> Fraction | str:
-    """q with 1/p + 1/q = 1."""
+    """q with 1/p + 1/q = 1, computed once per exponent."""
     if p == INF_P:
         return Fraction(1)
     if p == 1:
@@ -230,11 +232,11 @@ def norm_leq(v, p: Fraction | str, bound) -> bool:
 # sign vectors (+-1, .., +-1) modulo sign, 2**(k-1): the sandwich's sweep
 # scores each, a seq:inf source's operator bound and the seq:inf budget take
 # a max over them, and so does the admissibility of a k-point tuple off the
-# polyhedral spaces.  Measured on a 2-core x86 box with Python 3.11: a sweep
-# vector costs about 0.2 ms (an exact admissibility, two exact totals, and
-# an admissibility of its scaled copy only when that can win), so the cap
-# admits seq:2:18, whose norm of t1 takes 35 s and 615 MB (seq:2:16 takes
-# 6 s), and `extend` from seq:inf:18 takes 5.5 s.
+# polyhedral spaces.  Measured on a 2-core x86 box with Python 3.11: the
+# sweep's sign vectors share one admissibility, so each costs an exact
+# value of f and its total, and the cap admits seq:2:18, whose norm of t1
+# takes 7.2 s and 89 MB (seq:2:16 takes 1.5 s), and `extend` from
+# seq:inf:18 takes 5.5 s.
 MAX_SIGNS = 1 << 17
 
 
@@ -249,10 +251,13 @@ def sign_patterns(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _signed_sums(points):
-    """Sum_i s_i x_i for every sign pattern s, summed from the left."""
+    """Sum_i s_i x_i for every sign pattern s, summed from the left; one
+    point is its own only sum."""
+    if len(points) == 1:
+        return points
     columns = list(zip(*points))
-    for s in sign_patterns(len(points)):
-        yield [sum(map(operator.mul, s, col)) for col in columns]
+    return ([sum(map(operator.mul, s, col)) for col in columns]
+            for s in sign_patterns(len(points)))
 
 
 def budget_directions(space: SpaceSpec) -> tuple[Vec, ...]:

@@ -37,6 +37,9 @@ def int_or_fraction(x) -> int | Fraction:
 def clear_denominators(values) -> tuple[list[int], int]:
     """([s * v for each value v], s) with s the lcm of the denominators, so
     every s * v is an int."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     s = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (s // v.denominator) for v in values], s

@@ -165,6 +165,25 @@ class TestNorm:
             "795256969161080832/356546713267274489", "2531487/1048576"
         )
 
+    @pytest.mark.parametrize(
+        "space,expr,lower,upper",
+        [
+            ("seq:5/2:3", r"(-2*t3) \/ (-1*t2) \/ (3*t1)",
+             "110680464442257309696/35660914430746706671", "11064413/2097152"),
+            # scoring its scaled copies as total / admissibility ends in
+            # an internal fault here
+            ("seq:7/3:4", r"t1 /\ ((-2*t4) + (-3*t1))",
+             "83102260766716416818/24067608342671828805", "1935567/524288"),
+        ],
+    )
+    def test_fractional_sandwich_is_pinned(self, capsys, space, expr, lower, upper):
+        # q = 5/3 and 7/4 are fractional: the sweep's scaled copies get
+        # their own admissibility, since a rounded-up q-norm can pass 1
+        code, out, _ = run_main(["norm", "--space", space, "--expr", expr], capsys)
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert (cert["lower"], cert["upper"]) == (lower, upper)
+
     def test_ascent_sandwich_is_pinned(self, capsys):
         # the lower bound is the value of the last LP's four-point witness:
         # its total over its admissibility bound, a rounded square root

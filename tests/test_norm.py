@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -17,7 +18,9 @@ from latfree.errors import (
 from latfree.expr import Scale, parse
 from latfree.lp import LpResult
 from latfree.norm import (
+    FunctionalTuple,
     _sweep_candidates,
+    _Values,
     budget_directions,
     constraint_norm,
     evaluation_seminorm,
@@ -338,10 +341,11 @@ class TestSandwichWork:
 
     def test_ascent_work_of_the_cli_sandwich(self, monkeypatch, capsys):
         # the lower bound's search, once a float ascent, is the sweep and
-        # the LP witnesses: the sweep's 16 re-scored tuples whose exact
-        # total can still win get an exact admissibility, of 27 totals, and
-        # each of the three LP witnesses gets one worst signed sum, which
-        # is its admissibility
+        # the LP witnesses.  The sweep's 6 admissibilities are one per
+        # distinct |x| of its single points and one per basis; its scaled
+        # copies are scored by homogeneity (q = 2), and each of the three
+        # LP witnesses gets one worst signed sum.  The winner alone is
+        # scored again: one total and one admissibility
         import latfree.norm as norm_module
         from latfree import cli
 
@@ -353,7 +357,37 @@ class TestSandwichWork:
             )
         assert cli.main(self.ARGV + [r"(1*t3) /\ (2*t2)"]) == 0
         capsys.readouterr()
-        assert calls == {"admissibility": 16, "worst": 3, "total": 27}
+        assert calls == {"admissibility": 1, "worst": 9, "total": 1}
+
+    def test_each_ray_is_evaluated_once(self, monkeypatch, capsys):
+        # f's values at the rays are kept: every ray of the final table is
+        # evaluated once, by the LPs, the halving and the sweep together
+        import latfree.norm as norm_module
+        import latfree.pwl as pwl_module
+        from latfree import cli
+
+        evaluated, tables = [], []
+        real_eval = pwl_module.PwlFunction.eval_many
+
+        def eval_many(self, points):
+            evaluated.extend(map(tuple, points))
+            return real_eval(self, points)
+
+        def recorded(real):
+            def wrapper(*args):
+                tables.append(real(*args))
+                return tables[-1]
+            return wrapper
+
+        monkeypatch.setattr(pwl_module.PwlFunction, "eval_many", eval_many)
+        for name in ("rays", "rays_with"):
+            monkeypatch.setattr(norm_module, name, recorded(getattr(norm_module, name)))
+        assert cli.main(self.ARGV + [r"(1*t3) /\ (2*t2)"]) == 0
+        capsys.readouterr()
+        final = set(tables[-1])
+        assert len(tables) == 3 and len(final) > len(tables[0])
+        counts = collections.Counter(x for x in evaluated if x in final)
+        assert counts == dict.fromkeys(final, 1)
 
     def test_rounds_of_the_cli_sandwich(self, monkeypatch, capsys):
         # the first LP and two cut rounds, each round's rays from its new
@@ -501,6 +535,27 @@ class TestNormBounds:
             _check_restarts(_MAX_RESTARTS + 1)
         _check_restarts(_MAX_RESTARTS)
 
+    def test_a_derived_sweep_score_that_disagrees_is_a_fault(self, monkeypatch):
+        # (t1 + t2) / 3 on seq:2:2 is won by the basis scaled by 1 / cn, a
+        # copy scored by homogeneity alone.  A basis bound 1% too small
+        # raises that score, and the winner's exact re-score catches it
+        # ahead of the crossed bounds
+        import latfree.norm as norm_module
+
+        f, space = make_pwl(parse("t1", 1), [(F(1, 3), F(1, 3))]), seq_space(2, 2)
+        basis = ((1, 0), (0, 1))
+        scale = 1 / constraint_norm(functional_tuple(space, basis))
+        assert norm_bounds(f, space).witness.points == ((scale, 0), (0, scale))
+        real = norm_module.worst_signed_sum
+
+        def shrunk(points, space):
+            bound, u = real(points, space)
+            return (bound * F(99, 100) if points == basis else bound), u
+
+        monkeypatch.setattr(norm_module, "worst_signed_sum", shrunk)
+        with pytest.raises(InternalFaultError, match="does not reproduce its score"):
+            norm_bounds(f, space)
+
     def test_crossed_bounds_are_a_fault(self, monkeypatch):
         import latfree.norm as norm_module
 
@@ -513,6 +568,19 @@ class TestNormBounds:
         monkeypatch.setattr(norm_module, "ray_lp", halved)
         with pytest.raises(InternalFaultError):
             norm_bounds(pw("t1 + t2", 2), seq_space(F(3, 2), 2))
+
+
+def _sweep_tuples(f, space, pieces, table):
+    """The sweep's tuples built in full: each of _sweep_candidates' tuples
+    once, first seen first, each followed by its copy scaled by
+    1 / constraint_norm when that is neither 0 nor 1."""
+    tuples = {}
+    for points in _sweep_candidates(f, space, pieces, table, _Values()):
+        cn = constraint_norm(tuples.setdefault(points, FunctionalTuple(space, points)))
+        if cn > 0 and cn != 1:
+            scaled = tuple(vec_scale(1 / cn, x) for x in points)
+            tuples.setdefault(scaled, FunctionalTuple(space, scaled))
+    return list(tuples.values())
 
 
 def _full_rescore(monkeypatch, f, space):
@@ -536,7 +604,7 @@ def _full_rescore(monkeypatch, f, space):
     pieces, bends = pieces_and_kinks(f)
     table = rays(f.dim, [*bends, *f.comp])
     best_value, best_witness, ties = F(0), functional_tuple(space, [[0] * f.dim]), 0
-    sweep = _sweep_candidates(f, space, pieces, table)
+    sweep = _sweep_tuples(f, space, pieces, table)
     for tup in itertools.chain(sweep, (functional_tuple(space, w) for w in witnesses if w)):
         value = tuple_seminorm_value(f, tup)
         if value > best_value or (value == best_value and tup.points < best_witness.points):
@@ -546,8 +614,8 @@ def _full_rescore(monkeypatch, f, space):
 
 
 class TestPrunedRescore:
-    """norm_bounds skips the admissibility of a sweep tuple whose exact
-    total cannot win; its certificate is the full re-score's."""
+    """norm_bounds scores the sweep's scaled copies by homogeneity and
+    re-scores only the winner; its certificate is the full re-score's."""
 
     @pytest.mark.parametrize("p", ["2", "3/2", "3", "7/3"])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -690,7 +758,7 @@ def _reference_rounds(f, space):
     if upper == 0:
         return [], (F(0), F(0), (zero_vec(f.dim),))
     scored = [functional_tuple(space, [zero_vec(f.dim)])]
-    scored += _sweep_candidates(f, space, pieces, table)
+    scored += _sweep_tuples(f, space, pieces, table)
     witnesses = []
     for rounds_left in range(norm_module._CUT_ROUNDS, -1, -1):
         points = sorted(vec_scale(lam, v) for lam, v in zip(point, columns) if lam > 0)
