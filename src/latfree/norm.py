@@ -164,18 +164,47 @@ def _zero_certificate(space: SpaceSpec, method: str) -> NormCertificate:
     )
 
 
+class _Values(dict):
+    """f's exact value at each point evaluated so far, as fold_many leaves
+    it (an int where the entries it reads are); ray_lp takes the map in
+    place of f, through its eval_many."""
+
+    def add(self, f: PwlFunction, points) -> None:
+        """Evaluate f, in one batch, at the points it has no value at yet."""
+        new = [x for x in dict.fromkeys(points) if x not in self]
+        self.update(zip(new, f.fold_many(new)))
+
+    def eval_many(self, points) -> list:
+        return [self[x] for x in points]
+
+
+def _halved(table, values: _Values):
+    """The rays of a table closed under sign, one of each pair v, -v: the
+    one where |f| is larger, v itself on a tie (v with its first nonzero
+    entry positive).  The two have the same column |<v, b>| in every row,
+    so the one kept dominates the other in the LP and in its dual check."""
+    canon = [v for v in table if next(x for x in v if x) > 0]
+    neg = [tuple(-x for x in v) for v in canon]
+    return [w if abs(values[w]) > abs(values[v]) else v for v, w in zip(canon, neg)]
+
+
 def ray_lp(f: PwlFunction, columns, rows):
     """(value, point) of max { Sum_v lam_v |f(v)| : Sum_v lam_v |<v, b>| <= N
     for every row (b, N) } over the int ray columns v, b a vector of ints
     and N >= 0, with its exact duals checked.
 
     The duals y must be >= 0 with Sum_b y_b N_b = value and must dominate
-    every column, Sum_b y_b |<v, b>| >= |f(v)|.  When the columns are the
-    rays of an arrangement that holds f's kinks and every row's plane, f is
-    one linear piece and every |<., b>| is linear on each closed cell.  Splitting a point x over
-    its cell's rays, x = Sum_v mu_v v with mu >= 0, gives
+    every column, Sum_b y_b |<v, b>| >= |f(v)|, a check made on ints.  When
+    the columns are the rays of an arrangement that holds f's kinks and
+    every row's plane, f is one linear piece and every |<., b>| is linear
+    on each closed cell.  Splitting a point x over its cell's rays,
+    x = Sum_v mu_v v with mu >= 0, gives
     |f(x)| <= Sum_v mu_v |f(v)| <= Sum_b y_b |<x, b>|, so for any tuple with
-    Sum_i |<x_i, b>| <= N_b on every row, Sum_i |f(x_i)| <= value.
+    Sum_i |<x_i, b>| <= N_b on every row, Sum_i |f(x_i)| <= value.  The
+    columns may be one ray of each pair v, -v (_halved): -v has the same
+    column |<v, b>| in every row and no larger |f|, so it adds nothing to
+    the LP, and the duals that dominate v dominate it too.  f may be a
+    _Values map, whose int values keep the objective on ints.
     """
     objective = [abs(v) for v in f.eval_many(columns)]
     # rays and row vectors are int tuples, so |<v,b>| is taken on ints
@@ -206,14 +235,18 @@ def ray_lp(f: PwlFunction, columns, rows):
 def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     """Exact norm for fvl / seq:1 / seq:inf, with an LP-dual optimality proof.
 
-    The columns are the rays of the arrangement of f's kinks (from its join
+    The rays are those of the arrangement of f's kinks (from its join
     nodes) and the budget directions b, and the rows are (b, 1): the ray LP
-    (ray_lp).  Its dual bound holds for every admissible tuple.  Conversely,
-    splitting a tuple point over its cell's rays keeps every budget row's
-    value and cannot lower the objective, so the supremum is the LP value,
-    and the optimal basis gives the witness tuple {lam_v * v}.  The zero
-    element needs no separate test: its LP has value 0, and duals summing
-    to 0 certify |f| <= 0 on every ray.
+    (ray_lp).  As in norm_bounds, f is evaluated once per ray (_Values)
+    and the LP takes one column per pair v, -v (_halved), the one of larger
+    |f|: both have the same budget rows, so the dropped one changes
+    neither the LP's value nor its dual check.  The dual bound holds for
+    every admissible tuple.  Conversely, splitting a tuple point over its
+    cell's rays keeps every budget row's value and cannot lower the
+    objective, so the supremum is the LP value, and the optimal basis gives
+    the witness tuple {lam_v * v}.  The zero element needs no separate
+    test: its LP has value 0, and duals summing to 0 certify |f| <= 0 on
+    every ray.
     """
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
@@ -230,8 +263,11 @@ def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         if least > _MAX_RAY_SUBSETS:
             raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, least)
     budget = budget_directions(space)
-    columns = rays(f.dim, [*kinks(f), *budget])
-    value, point = ray_lp(f, columns, [(b, 1) for b in budget])
+    table = rays(f.dim, [*kinks(f), *budget])
+    values = _Values()
+    values.add(f, table)
+    columns = _halved(table, values)
+    value, point = ray_lp(values, columns, [(b, 1) for b in budget])
     if value == 0:
         return _zero_certificate(space, "exact_match")
 
@@ -331,19 +367,6 @@ def read_rows(f: PwlFunction) -> list[Vec]:
     return [f.comp[a - 1] for kind, a, _ in f.program.slots if kind is Var]
 
 
-class _Values(dict):
-    """f's exact value at each point evaluated so far; ray_lp takes the map
-    in place of f, through its eval_many."""
-
-    def add(self, f: PwlFunction, points) -> None:
-        """Evaluate f, in one batch, at the points it has no value at yet."""
-        new = [x for x in dict.fromkeys(points) if x not in self]
-        self.update(zip(new, f.eval_many(new)))
-
-    def eval_many(self, points) -> list:
-        return [self[x] for x in points]
-
-
 def _sweep_candidates(
     f: PwlFunction, space: SpaceSpec, pieces, singles, values: _Values
 ) -> list[tuple[Vec, ...]]:
@@ -403,16 +426,6 @@ def _cut(u, space: SpaceSpec) -> tuple[tuple[int, ...], Fraction]:
     return tuple(c), Fraction(math.ceil(norm_upper(c, space.exponent) * scale), scale)
 
 
-def _halved(table, values: _Values):
-    """The rays of a table closed under sign, one of each pair v, -v: the
-    one where |f| is larger, v itself on a tie (v with its first nonzero
-    entry positive).  The two have the same column |<v, b>| in every row,
-    so the one kept dominates the other in the LP and in its dual check."""
-    canon = [v for v in table if next(x for x in v if x) > 0]
-    neg = [tuple(-x for x in v) for v in canon]
-    return [w if abs(values[w]) > abs(values[v]) else v for v, w in zip(canon, neg)]
-
-
 def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     """Certified sandwich for a non-polyhedral space: sweep and LP-witness
     lower, ray-LP upper, with Kelley's cutting planes in between.  A
@@ -454,9 +467,12 @@ def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     admissibility at most 1, the q-th power being exact, so its value is
     T / cn.  A fractional q rounds the terms up, so there the copy's
     admissibility is computed.  An LP witness's total is its LP value, and
-    a single point's admissibility, its q-norm, is computed once per |x|.
-    The winner alone is scored again (tuple_seminorm_value); a score it
-    does not reproduce is an InternalFaultError.
+    its admissibility is taken on the int points z_v v over den, the lcm
+    of the lam_v's denominators (worst_signed_sum's scale).  A single
+    point's admissibility, its q-norm, is computed once per |x|.  Points
+    are built as Fractions only for the tied winners, and the winner alone
+    is scored again (tuple_seminorm_value); a score it does not reproduce
+    is an InternalFaultError.
     """
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
@@ -481,7 +497,7 @@ def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     # the best value so far, and each (points, scale) that reaches it
     best, tied = Fraction(0), []
 
-    def score(value, points, scale=1):
+    def score(value, points, scale=Fraction(1)):
         nonlocal best, tied
         if value > best:
             best, tied = value, [(points, scale)]
@@ -491,7 +507,8 @@ def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     integral = dual_exponent(space.exponent).denominator == 1
     bounds = {}  # admissibility by tuple, of a single point by |x|
     for points in _sweep_candidates(f, space, pieces, table, values):
-        total = sum(abs(values[x]) for x in points)
+        # a Fraction: an int total over max(1, cn) == 1 would be a float
+        total = Fraction(sum(abs(values[x]) for x in points))
         if not total:
             continue  # it and its copy score 0
         key = tuple(map(abs, points[0])) if len(points) == 1 else points
@@ -509,11 +526,16 @@ def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
 
     seen = {b for b, _ in rows} | {tuple(-x for x in b) for b, _ in rows}
     for rounds_left in range(_CUT_ROUNDS, -1, -1):
-        points = tuple(sorted(vec_scale(lam, v) for lam, v in zip(point, columns) if lam > 0))
+        # the witness {lam_v v : lam_v > 0} on ints: {z_v v} / den
+        support = [(lam, v) for lam, v in zip(point, columns) if lam > 0]
+        z, den = clear_denominators(lam for lam, _ in support)
+        points = tuple(sorted(
+            tuple(c * x for x in v) for c, (_, v) in zip(z, support)
+        ))
         if 2 ** (len(points) - 1) > MAX_SIGNS:
             break  # its admissibility would pass the sign-vector cap
-        cn, u = worst_signed_sum(points, space)
-        score(upper / max(1, cn), points)
+        cn, u = worst_signed_sum(points, space, den)
+        score(upper / max(1, cn), points, Fraction(1, den))
         if not rounds_left or cn <= 1:
             break
         c, n = _cut(u, space)

@@ -167,11 +167,14 @@ def _root_bracket(q: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
 
 def root_upper(q, k: int) -> Fraction:
     """Rational r >= q ** (1/k): the root itself when the numerator and the
-    denominator of q are perfect k-th powers, else the next multiple of
-    2**-_BITS above it, so that r**k > q > (r - 2**-_BITS)**k."""
+    denominator of q are perfect k-th powers (q itself when k = 1), else
+    the next multiple of 2**-_BITS above it, so that
+    r**k > q > (r - 2**-_BITS)**k."""
     q = Fraction(q)
     if q < 0:
         raise ValueError("root of a negative rational")
+    if k == 1:
+        return q
     return _root_bracket(q, k, _BITS)[1]
 
 
@@ -213,7 +216,7 @@ def norm_leq(v, p: Fraction | str, bound) -> bool:
         return sum((abs(x) ** a for x in v), Fraction(0)) <= bound**a
     if bound == 0:
         return not any(v)
-    powers = [(abs(x) / bound) ** a for x in v]
+    powers = [(abs(x) / Fraction(bound)) ** a for x in v]  # no float from int / int
     bits = _BITS
     while True:
         brackets = [_root_bracket(t, b, bits) for t in powers]
@@ -235,7 +238,7 @@ def norm_leq(v, p: Fraction | str, bound) -> bool:
 # polyhedral spaces.  Measured on a 2-core x86 box with Python 3.11: the
 # sweep's sign vectors share one admissibility, so each costs an exact
 # value of f and its total, and the cap admits seq:2:18, whose norm of t1
-# takes 7.2 s and 89 MB (seq:2:16 takes 1.5 s), and `extend` from
+# takes 1.6 s and 82 MB (seq:2:16 takes 0.4 s), and `extend` from
 # seq:inf:18 takes 5.5 s.
 MAX_SIGNS = 1 << 17
 
@@ -251,11 +254,15 @@ def sign_patterns(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _signed_sums(points):
-    """Sum_i s_i x_i for every sign pattern s, summed from the left; one
-    point is its own only sum."""
+    """Sum_i s_i x_i for every sign pattern s, summed from the left.  Where
+    no two points share a nonzero coordinate (one point among them), every
+    sum has the same |entries| as the first, s = (1, .., 1), which then
+    stands for all of them."""
     if len(points) == 1:
         return points
     columns = list(zip(*points))
+    if all(sum(1 for x in col if x) <= 1 for col in columns):
+        return [[sum(col) for col in columns]]
     return ([sum(map(operator.mul, s, col)) for col in columns]
             for s in sign_patterns(len(points)))
 
@@ -293,15 +300,21 @@ def admissibility_upper(points, space: SpaceSpec) -> Fraction:
     return worst_signed_sum(points, space)[0]
 
 
-def worst_signed_sum(points, space: SpaceSpec) -> tuple[Fraction, list]:
-    """(admissibility_upper(points, space), u) on a non-polyhedral space:
-    u is a positive multiple of the signed sum Sum_i s_i x_i whose q-norm
-    the bound is, the first such s in sign_patterns order."""
+def worst_signed_sum(points, space: SpaceSpec, scale: int = 1) -> tuple[Fraction, list]:
+    """(admissibility_upper(points / scale, space), u) on a non-polyhedral
+    space, for an int scale >= 1: u is a positive multiple of the signed
+    sum Sum_i s_i x_i whose q-norm the bound is, the first such s in
+    sign_patterns order.  u and the bound do not depend on how the tuple
+    is split between the points and the scale."""
     q = dual_exponent(space.exponent)
     if q.denominator == 1:
-        # on ints: the points times the lcm s of their denominators
+        # on ints: the points / scale times the lcm s of their denominators
         k, d = q.numerator, len(points[0])
         flat, s = clear_denominators([x for point in points for x in point])
+        if scale != 1:
+            # s and the gcd of flat are coprime, so this is the lcm again
+            g = math.gcd(scale, *flat)
+            flat, s = [x // g for x in flat], s * scale // g
         scaled = [flat[h : h + d] for h in range(0, len(flat), d)]
         power, u = max(
             ((sum(abs(c) ** k for c in combined), combined)
@@ -309,6 +322,8 @@ def worst_signed_sum(points, space: SpaceSpec) -> tuple[Fraction, list]:
             key=operator.itemgetter(0),
         )
         return root_upper(Fraction(power, s**k), k), u
+    if scale != 1:
+        points = [[Fraction(x, scale) for x in point] for point in points]
     return max(
         ((norm_upper(combined, q), combined) for combined in _signed_sums(points)),
         key=operator.itemgetter(0),

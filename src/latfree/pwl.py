@@ -19,7 +19,7 @@ differences of all pairs of pieces.  That arrangement serves only the
 cell-assignment norm oracle (`norm.norm_by_cell_assignment`), which reads
 no ray, so the oracle and `rays` check each other.
 
-The exact kernel runs on Python ints: `PwlFunction.eval_many` evaluates a
+The exact kernel runs on Python ints: `PwlFunction.fold_many` evaluates a
 whole batch of points in one fold with integral values as int, and each
 ray is one fraction-free integer solve (`qmath.null_line`).
 """
@@ -126,7 +126,12 @@ class PwlFunction(Frozen):
         return self.eval_many([x])[0]
 
     def eval_many(self, points) -> list[Fraction]:
-        """f at each point, in one fold over the whole batch.
+        """f at each point, as Fractions."""
+        return [v if type(v) is Fraction else Fraction(v) for v in self.fold_many(points)]
+
+    def fold_many(self, points) -> list[int | Fraction]:
+        """f at each point, in one fold over the whole batch: an int where
+        every entry the value reads is integral, else a Fraction.
 
         A slot's value is the list of its values at the points.  Integral
         coordinates, composition entries and coefficients travel as int, so
@@ -148,7 +153,7 @@ class PwlFunction(Frozen):
             c = int_or_fraction(c)
             return [c * u for u in v]
 
-        values = fold(
+        return fold(
             self.program,
             column,
             scale,
@@ -156,7 +161,6 @@ class PwlFunction(Frozen):
             lambda u, v: [a if a >= b else b for a, b in zip(u, v)],
             lambda u, v: [a if a <= b else b for a, b in zip(u, v)],
         )
-        return [v if type(v) is Fraction else Fraction(v) for v in values]
 
     @classmethod
     def from_expr(cls, expr: Expr, n: int) -> "PwlFunction":
@@ -302,9 +306,9 @@ def difference_normals(pieces) -> list[Vec]:
 # in dimension 5, and a whole equivalence check about 20 us per subset in
 # dimension 4, so the cap admits a few seconds of either.  The cap does
 # not bound the exact norm's vertex LP, which costs its ray columns times
-# its pivots: on the same box its integer simplex takes 1-2 us per
-# column per pivot, 0.12 s for the 538 columns, 8 rows and 102 pivots of
-# the seq:inf:4 norm of |t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|.
+# its pivots: on the same box its integer simplex took 0.21 s for the 650
+# columns, 16 rows and 110 pivots of the seq:inf:5 norm of
+# |t1-2*t2| + |t2-3*t3| + |t3+t4| + |t4-t5| + |t1+t5|.
 _MAX_RAY_SUBSETS = 150_000
 # Subsets times k^2, since an elimination's cost grows with the dimension
 # k: on the same box, equivalence of t1 \/ t2 \/ t3 with t3 \/ t2 \/ t1

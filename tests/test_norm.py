@@ -38,7 +38,7 @@ from latfree.norm import (
 )
 from latfree.pnorm import MAX_SIGNS, admissibility_upper, norm_upper, sign_patterns
 from latfree.pwl import PwlFunction, kinks, make_pwl, pieces_and_kinks, rays
-from latfree.qmath import clear_denominators, vec_scale, zero_vec
+from latfree.qmath import clear_denominators, dot, vec_scale, zero_vec
 from latfree.sampling import random_expr
 
 F = Fraction
@@ -271,19 +271,22 @@ class TestVertexLpCertificate:
 
 class TestVertexLpWork:
     """Bland's rule fixes the pivot sequence, so the vertex LP's pivot and
-    column counts are deterministic; a changed count flags a regression."""
+    column counts are deterministic; a changed count flags a regression.
+    The LP has one column per ray pair v, -v: half the rays."""
 
-    COUNTS = {  # (space, expression): (pivots, columns)
-        ("fvl:4", "|t1|+|t2|+|t3|+|t4|"): (4, 8),
-        ("fvl:4", "|t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|"): (10, 32),
-        ("seq:inf:3", "|t1|+|t2|+|t3|"): (5, 18),
-        ("fvl:6", "|t1|+|t2|+|t3|+|t4|+|t5|+|t6|"): (6, 12),
-        ("seq:inf:5", "|t1-t2|+|t2-t3|+|t3-t4|+|t4-t5|"): (525, 450),
+    COUNTS = {  # (space, expression): (norm, pivots, columns)
+        ("fvl:4", "|t1|+|t2|+|t3|+|t4|"): (4, 4, 4),
+        ("fvl:4", "|t1-t2| + |t2-2*t3| + |t3+t4| + |t1+t4|"): (9, 6, 16),
+        ("seq:inf:3", "|t1|+|t2|+|t3|"): (2, 5, 9),
+        ("fvl:6", "|t1|+|t2|+|t3|+|t4|+|t5|+|t6|"): (6, 6, 6),
+        ("seq:inf:5", "|t1-t2|+|t2-t3|+|t3-t4|+|t4-t5|"): (4, 42, 225),
+        ("seq:inf:5", "|t1-2*t2| + |t2-3*t3| + |t3+t4| + |t4-t5| + |t1+t5|"): (6, 110, 650),
     }
 
-    # about ten times the 1.75-2.0 s of the seq:inf:5 path-sum on a 2-core
-    # x86 box with Python 3.11
-    BUDGET_S = 20
+    # about ten times the 0.37-0.55 s of the seq:inf:5 five-abs, the
+    # slowest case, on a 2-core x86 box with Python 3.11 (it took 11.6-14.6 s
+    # with both rays of each pair as columns)
+    BUDGET_S = 5
 
     @pytest.mark.parametrize("space,text", list(COUNTS))
     def test_pivot_and_column_counts(self, monkeypatch, space, text):
@@ -307,12 +310,49 @@ class TestVertexLpWork:
         monkeypatch.setattr(norm_module, "simplex_standard", simplex)
         spec = parse_space(space)
         t0 = time.perf_counter()
-        norm_exact_polyhedral(pw(text, spec.dim), spec)
+        cert = norm_exact_polyhedral(pw(text, spec.dim), spec)
         elapsed = time.perf_counter() - t0
         assert elapsed < self.BUDGET_S, f"{elapsed:.1f}s exceeded {self.BUDGET_S}s"
-        pivots, columns = self.COUNTS[space, text]
+        value, pivots, columns = self.COUNTS[space, text]
+        assert cert.lower == value == cert.upper
         assert lengths == [columns]
         assert len(counted) == pivots
+
+
+def _both_signs_lp_norm(f, space):
+    """The exact norm's LP with both rays of each pair v, -v as columns."""
+    budget = budget_directions(space)
+    columns = rays(f.dim, [*kinks(f), *budget])
+    objective = [abs(v) for v in f.eval_many(columns)]
+    rows = [([abs(dot(v, b)) for v in columns], 1) for b in budget]
+    res = lp.simplex_standard(objective, rows)
+    assert res.status == "optimal"
+    return res.value
+
+
+class TestHalvedExactLp:
+    """One column per ray pair gives the norm of the LP with both."""
+
+    def test_values_match_the_both_signs_lp(self):
+        rng = random.Random(2701)
+        nonzero = 0
+        for i in range(72):
+            d = 2 + i % 3
+            space = parse_space(("fvl:{}", "seq:1:{}", "seq:inf:{}")[i // 3 % 3].format(d))
+            if i % 2:
+                f = PwlFunction.from_expr(random_expr(rng, d, lattice_ops=2), d)
+            else:
+                # fractional composition rows, so some values are Fractions
+                arity = rng.randint(1, 3)
+                rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+                        for _ in range(arity)]
+                f = make_pwl(random_expr(rng, arity, lattice_ops=2), rows)
+            cert = norm_exact_polyhedral(f, space)
+            assert cert.lower == _both_signs_lp_norm(f, space) == cert.upper, (f, space)
+            assert tuple_admissible(cert.witness)
+            assert tuple_seminorm_value(f, cert.witness) == cert.lower
+            nonzero += cert.lower > 0
+        assert nonzero >= 60
 
 
 class TestSandwichWork:
@@ -367,11 +407,12 @@ class TestSandwichWork:
         from latfree import cli
 
         evaluated, tables = [], []
-        real_eval = pwl_module.PwlFunction.eval_many
+        real_fold = pwl_module.PwlFunction.fold_many
 
-        def eval_many(self, points):
+        def fold_many(self, points):
+            # eval_many folds through here too
             evaluated.extend(map(tuple, points))
-            return real_eval(self, points)
+            return real_fold(self, points)
 
         def recorded(real):
             def wrapper(*args):
@@ -379,7 +420,7 @@ class TestSandwichWork:
                 return tables[-1]
             return wrapper
 
-        monkeypatch.setattr(pwl_module.PwlFunction, "eval_many", eval_many)
+        monkeypatch.setattr(pwl_module.PwlFunction, "fold_many", fold_many)
         for name in ("rays", "rays_with"):
             monkeypatch.setattr(norm_module, name, recorded(getattr(norm_module, name)))
         assert cli.main(self.ARGV + [r"(1*t3) /\ (2*t2)"]) == 0
@@ -548,13 +589,24 @@ class TestNormBounds:
         assert norm_bounds(f, space).witness.points == ((scale, 0), (0, scale))
         real = norm_module.worst_signed_sum
 
-        def shrunk(points, space):
-            bound, u = real(points, space)
+        def shrunk(points, space, *scale):
+            bound, u = real(points, space, *scale)
             return (bound * F(99, 100) if points == basis else bound), u
 
         monkeypatch.setattr(norm_module, "worst_signed_sum", shrunk)
         with pytest.raises(InternalFaultError, match="does not reproduce its score"):
             norm_bounds(f, space)
+
+    def test_an_int_total_over_a_unit_bound_stays_a_fraction(self):
+        # t1 on seq:2:2: the sweep's rays +-e1 have the int total 1 and the
+        # admissibility 1, where max(1, cn) is the int 1 and int / int a
+        # float; the certificate holds Fractions only
+        cert = norm_bounds(pw("t1", 2), seq_space(2, 2))
+        assert (cert.lower, cert.upper) == (1, 1)
+        assert type(cert.lower) is F and type(cert.upper) is F
+        assert cert.witness.points and all(
+            type(x) is F for point in cert.witness.points for x in point
+        )
 
     def test_crossed_bounds_are_a_fault(self, monkeypatch):
         import latfree.norm as norm_module

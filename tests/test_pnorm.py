@@ -90,6 +90,13 @@ class TestRoots:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             root_upper(F(-1), 2)
+        with pytest.raises(ValueError):
+            root_upper(F(-1), 1)
+
+    def test_first_root_is_the_rational_itself(self):
+        for q in _random_rationals(1, 50) + [F(0), 7, F(1, 1 << 200)]:
+            r = root_upper(q, 1)
+            assert r == q and type(r) is F
 
 
 class TestTargetSpace:
@@ -269,6 +276,11 @@ class TestExactDecisions:
                 assert lo > 1 or hi <= 1, "the reference bracket is too wide"
                 assert norm_leq(v, F(3, 2), bound) == (hi <= 1)
 
+    def test_int_entries_and_bound_stay_exact(self):
+        # int / int would be a float, which has no numerator to root
+        assert norm_leq((1, 0), F(3, 2), 1)
+        assert not norm_leq((1, 1), F(3, 2), 1)
+
     def test_a_rational_boundary_is_decided(self):
         # ||(1/4, 0)||_{3/2} = 1/4: each term |v_j / bound|^(3/2) is
         # rational, so the sum meets 1 exactly and brackets cannot split it
@@ -298,6 +310,56 @@ class TestExactDecisions:
                 if len(ratios) == 1 and ratios.pop() > 0:
                     matches.append(c)
             assert any(admissibility_upper([c], space) == bound for c in matches)
+
+    @pytest.mark.parametrize("p", [F(2), F(3, 2), F(3), F(7, 3)])
+    def test_a_scale_divides_the_points(self, p):
+        # int points over a scale give the bound and u of the Fraction
+        # points, whatever factor the points and the scale share
+        rng = random.Random(f"scale {p}")
+        for _ in range(30):
+            dim = rng.randint(1, 3)
+            common = rng.choice([1, 2, 6])
+            pts = [tuple(common * rng.randint(-9, 9) for _ in range(dim))
+                   for _ in range(rng.randint(1, 3))]
+            scale = common * rng.choice([1, 2, 5, 12, 1 << 64])
+            space = seq_space(p, dim)
+            fractions = [tuple(F(x, scale) for x in pt) for pt in pts]
+            bound, u = worst_signed_sum(pts, space, scale)
+            want, want_u = worst_signed_sum(fractions, space)
+            assert (bound, list(u)) == (want, list(want_u))
+
+    @pytest.mark.parametrize("p", [F(2), F(3, 2), F(3), F(7, 3)])
+    def test_disjoint_supports_take_the_all_plus_sum(self, p):
+        # no two points share a coordinate, so every signed sum has the
+        # same |entries|: the bound and u are those of the full max over
+        # the sign vectors, the all-plus sum being the first
+        rng = random.Random(f"disjoint {p}")
+        for _ in range(30):
+            dim = rng.randint(2, 5)
+            owner = [rng.randrange(4) for _ in range(dim)]
+            pts = [tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) if owner[j] == i else F(0)
+                         for j in range(dim)) for i in range(rng.randint(1, 4))]
+            space = seq_space(p, dim)
+            bound, u = None, None
+            for s in sign_patterns(len(pts)):
+                c = [sum(si * x[j] for si, x in zip(s, pts)) for j in range(dim)]
+                if bound is None or admissibility_upper([c], space) > bound:
+                    bound, u = admissibility_upper([c], space), c
+            got, got_u = worst_signed_sum(pts, space)
+            assert got == bound
+            assert len({F(a) / b for a, b in zip(got_u, u) if b}) <= 1
+            assert all(a * b > 0 for a, b in zip(got_u, u) if b)
+
+    def test_a_basis_past_the_sign_vector_cap_takes_one_sum(self):
+        # 2^19 sign vectors, were they enumerated: the bound is
+        # ||(1, .., 1)||_q, sqrt(20) on seq:2, and on seq:7/4 (q = 7/3) the
+        # exact decision reads the one sum too
+        basis = [tuple(int(i == j) for j in range(20)) for i in range(20)]
+        start = time.perf_counter()
+        bound, u = worst_signed_sum(basis, seq_space(2, 20))
+        assert (bound, list(u)) == (root_upper(20, 2), [1] * 20)
+        assert not admissible(basis, seq_space(F(7, 4), 20))
+        assert time.perf_counter() - start < 1
 
 
 class TestOperatorUpper:
