@@ -32,9 +32,8 @@ _EXPORTS = {
     "norm": (
         "AuditReport", "FunctionalTuple", "NormCertificate", "SpaceSpec",
         "constraint_norm", "evaluation_seminorm", "functional_tuple", "fvl_space",
-        "maximality_audit", "norm_bounds", "norm_by_cell_assignment",
-        "norm_certificate", "norm_exact_polyhedral", "parse_space", "seq_space",
-        "tuple_admissible", "tuple_seminorm_value",
+        "maximality_audit", "norm_by_cell_assignment", "norm_certificate",
+        "parse_space", "seq_space", "tuple_admissible", "tuple_seminorm_value",
     ),
     "pwl": (
         "PwlFunction", "equivalent", "is_zero", "linear_pieces", "make_pwl",

@@ -5,7 +5,9 @@ by default (selftest defaults to a pass/fail table); every rational is
 serialized as an exact "p/q" string, never a float.  Each subcommand takes
 only the flags it reads: --seed keys the random inputs of selftest, and
 norm and audit keep --seed and --restarts from their seeded search, which
-is gone (see _check_restarts).  The same arguments yield byte-identical
+is gone (see _check_restarts).  norm and audit take their certificate from
+norm.norm_certificate on every space: exact on fvl, seq:1 and seq:inf, a
+sandwich elsewhere.  The same arguments yield byte-identical
 reports; wall times only appear with --timing.  Each handler imports the
 modules it runs, so eval and equiv never load the norm code.
 

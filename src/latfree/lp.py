@@ -2,10 +2,12 @@
 
 `simplex_standard` maximizes c.z over z >= 0 and rows coeffs.z <= rhs
 with every rhs >= 0, so z = 0 is feasible and the slack basis is a
-starting vertex: there is no phase 1.  Every LP in the package (the cell
-LP, the vertex LP and the cell-assignment oracle) is written in this
-form.  Bland's rule makes termination unconditional, so optimal/unbounded
-is a total classification; an optimal result carries its dual multipliers.
+starting vertex: there is no phase 1.  Every LP in the package is
+written in this form: the norm's ray LP (norm.ray_lp), the strict-cell LP
+of the oracle's arrangement (pwl._strict_cell_point) and the
+cell-assignment oracle (norm.norm_by_cell_assignment).  Bland's rule
+makes termination unconditional, so optimal/unbounded is a total
+classification; an optimal result carries its dual multipliers.
 
 The arithmetic is on Python integers: a fraction-free tableau (Edmonds,
 1967; the integer pivoting of Avis's lrs).  Row i, rhs included, is

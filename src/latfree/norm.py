@@ -2,18 +2,19 @@
 
 The norm of a piecewise-linear element is the supremum of Sum_i |f(x_i)|
 over finite tuples of dual points whose admissibility value
-(constraint_norm) is at most 1.  One LP certifies every upper bound
-(ray_lp): its columns are the extreme rays (pwl.rays) of an arrangement
-on which f and each row's |<., b>| are linear cell by cell, its rows bound
-Sum_i |<x_i, b>| <= N for unit-ball points b / N, and its exact duals are
-checked.  For the polyhedral spaces the rows are the budget directions,
-so the value is the exact norm and the LP's optimal point its witness.
-For the remaining spaces the rows are the composition rows f reads,
-scaled into the unit ball, on one ray table of f's own: the rays of its
-kinks, its composition rows and the coordinate normals.  The value is a
-certified upper bound, 0 exactly when f vanishes, and cutting planes at
-the LP's inadmissible witnesses (Kelley 1960) lower it; the lower bound
-comes from the sweep and the LP witnesses.  Every l_p quantity comes from
+(constraint_norm) is at most 1.  norm_certificate computes it on every
+space with one LP (ray_lp): its columns are the extreme rays (pwl.rays)
+of an arrangement on which f and each row's |<., b>| are linear cell by
+cell, its rows bound Sum_i |<x_i, b>| <= N for unit-ball points b / N,
+and its exact duals are checked.  Only the rows change with the space.
+For the polyhedral spaces they are the budget directions, so the value
+is the exact norm and the LP's optimal point its witness.  For the
+remaining spaces they are the composition rows f reads, scaled into the
+unit ball, on one ray table of f's own: the rays of its kinks, its
+composition rows and the coordinate normals.  The value is a certified
+upper bound, 0 exactly when f vanishes, and cutting planes at the LP's
+inadmissible witnesses (Kelley 1960) lower it; the lower bound comes
+from the sweep and the LP witnesses.  Every l_p quantity comes from
 pnorm as a rational, so no float enters the norm path on any space.
 """
 
@@ -54,7 +55,6 @@ from .pwl import (
     PwlFunction,
     active_piece,
     arrangement_for,
-    kinks,
     linear_pieces,
     pieces_and_kinks,
     rays,
@@ -151,17 +151,8 @@ def tuple_seminorm_value(f: PwlFunction, tup: FunctionalTuple) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact norm on polyhedral spaces
+# the ray LP
 # ---------------------------------------------------------------------------
-
-
-def _zero_certificate(space: SpaceSpec, method: str) -> NormCertificate:
-    return NormCertificate(
-        lower=Fraction(0),
-        upper=Fraction(0),
-        witness=functional_tuple(space, (zero_vec(space.dim),)),
-        upper_method=method,
-    )
 
 
 class _Values(dict):
@@ -232,63 +223,6 @@ def ray_lp(f: PwlFunction, columns, rows):
     return value, res.point
 
 
-def norm_exact_polyhedral(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
-    """Exact norm for fvl / seq:1 / seq:inf, with an LP-dual optimality proof.
-
-    The rays are those of the arrangement of f's kinks (from its join
-    nodes) and the budget directions b, and the rows are (b, 1): the ray LP
-    (ray_lp).  As in norm_bounds, f is evaluated once per ray (_Values)
-    and the LP takes one column per pair v, -v (_halved), the one of larger
-    |f|: both have the same budget rows, so the dropped one changes
-    neither the LP's value nor its dual check.  The dual bound holds for
-    every admissible tuple.  Conversely, splitting a tuple point over its
-    cell's rays keeps every budget row's value and cannot lower the
-    objective, so the supremum is the LP value, and the optimal basis gives
-    the witness tuple {lam_v * v}.  The zero element needs no separate
-    test: its LP has value 0, and duals summing to 0 certify |f| <= 0 on
-    every ray.
-    """
-    if f.dim != space.dim:
-        raise DimensionError("function dimension does not match the space")
-    if not space.is_polyhedral:
-        raise UnsupportedSpaceError(
-            f"space {space} is not polyhedral; use norm_bounds"
-        )
-    if not space.coordinate_budget:
-        # seq:inf: the 2**(d-1) budget directions and the d coordinate
-        # normals are distinct planes, so rays would solve at least this
-        # many subsets; refuse before the directions are built
-        d = space.dim
-        least = math.comb(2 ** (d - 1) + d, d - 1)
-        if least > _MAX_RAY_SUBSETS:
-            raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, least)
-    budget = budget_directions(space)
-    table = rays(f.dim, [*kinks(f), *budget])
-    values = _Values()
-    values.add(f, table)
-    columns = _halved(table, values)
-    value, point = ray_lp(values, columns, [(b, 1) for b in budget])
-    if value == 0:
-        return _zero_certificate(space, "exact_match")
-
-    points = sorted(
-        vec_scale(lam, v)
-        for lam, v in zip(point, columns)
-        if lam > 0
-    )
-    witness = functional_tuple(space, points)
-    if not tuple_admissible(witness):
-        raise InternalFaultError("witness tuple is not admissible")
-    if tuple_seminorm_value(f, witness) != value:
-        raise InternalFaultError("witness does not reproduce the exact norm")
-    return NormCertificate(
-        lower=value,
-        upper=value,
-        witness=witness,
-        upper_method="exact_match",
-    )
-
-
 # ---------------------------------------------------------------------------
 # independent oracle: one LP slot per (cell, sign)
 # ---------------------------------------------------------------------------
@@ -357,7 +291,7 @@ def norm_by_cell_assignment(
 
 
 # ---------------------------------------------------------------------------
-# certified bounds for every space
+# the norm certificate on every space
 # ---------------------------------------------------------------------------
 
 
@@ -426,38 +360,45 @@ def _cut(u, space: SpaceSpec) -> tuple[tuple[int, ...], Fraction]:
     return tuple(c), Fraction(math.ceil(norm_upper(c, space.exponent) * scale), scale)
 
 
-def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
-    """Certified sandwich for a non-polyhedral space: sweep and LP-witness
-    lower, ray-LP upper, with Kelley's cutting planes in between.  A
-    polyhedral space raises UnsupportedSpaceError: its norm is exact, from
-    norm_certificate.
+def norm_certificate(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
+    """Exact norm on a polyhedral space (fvl, seq:1, seq:inf), a certified
+    sandwich on every other space, both from one ray-LP pipeline.
 
-    One pieces_and_kinks fold gives the first ray table: the rays of f's
-    kinks, its composition rows and the coordinate normals.  f is evaluated
-    once at each ray (_Values), and each later table adds only its new
-    rays.  The first LP (ray_lp) has one row (s_j x_j, s_j ||x_j||) per
-    composition row x_j that f reads (read_rows), s_j the lcm of x_j's
-    denominators and ||x_j|| pnorm's certified norm_upper.  Each
-    x_j / ||x_j|| lies in the unit ball, so an admissible tuple meets every
-    row, and the LP's checked duals bound Sum_i |f(x_i)| on it.  Its value
-    is 0 exactly when f vanishes: a ray where f is nonzero has some
-    <x_j, r> nonzero, since f reads x only through the <x_j, x>.  That zero
-    test runs ahead of the sweep's cap, and the table's rays are the
-    sweep's single points.
+    One pieces_and_kinks fold gives f's kinks, and the ray table is that of
+    the kinks and a set of planes (rays).  f is evaluated once at each ray
+    (_Values), and the first ray LP (ray_lp) takes one column per ray pair
+    (_halved).  Its checked duals bound Sum_i |f(x_i)| on every admissible
+    tuple, because each row (b, N) has b / N in the unit ball.  The planes
+    and the rows depend on the space:
+    - polyhedral: the planes are the budget directions b and the rows are
+      (b, 1).  On seq:inf, 2**(d-1) directions that would pass the ray
+      subset cap are refused before the fold.  Splitting a tuple point
+      over its cell's rays keeps every budget row and cannot lower the
+      objective, so the LP value is the norm, and the LP's optimal point
+      gives the witness {lam_v v}, checked admissible and to reproduce it
+      ("exact_match").
+    - otherwise: the planes are f's composition rows, and there is one row
+      (s_j x_j, s_j ||x_j||) per composition row x_j that f reads
+      (read_rows), s_j the lcm of x_j's denominators and ||x_j|| pnorm's
+      certified norm_upper ("ray_lp_dual").  The value is 0 exactly when
+      f vanishes: a ray where f is nonzero has some <x_j, r> nonzero, since
+      f reads x only through the <x_j, x>.
+    A value of 0 is answered with the zero tuple, so on a sandwich the
+    zero test runs ahead of the sweep's cap.
 
-    Then up to _CUT_ROUNDS rounds.  The LP's witness {lam_v v : lam_v > 0}
-    is scored; if it is not admissible, its worst signed sum u
-    (worst_signed_sum) gives the cut (c, N) of _cut, a row that the witness
-    breaks and every admissible tuple keeps.  The ray table gains the rays
-    on c's plane (rays_with), so f and every row stay linear on each cell,
-    and the LP is solved again.  Each LP's value bounds the norm, and none
-    rises: a new ray splits over the rays of its old cell, on which f and
-    every old row are linear, so it adds nothing the old columns lacked,
-    and the new row only cuts.  Every LP takes one ray of each pair v, -v
-    (_halved): the other has the same rows and no larger |f|, so the
-    checked duals dominate it too.  The rounds end early when the witness is
-    admissible (its total is then the norm), when the cut is already a
-    row, or when the rays on its plane would pass the ray caps.
+    Off the polyhedral spaces the table's rays are the sweep's single
+    points, and up to _CUT_ROUNDS rounds follow.  The LP's witness
+    {lam_v v : lam_v > 0} is scored; if it is not admissible, its worst
+    signed sum u (worst_signed_sum) gives the cut (c, N) of _cut, a row
+    that the witness breaks and every admissible tuple keeps.  The ray
+    table gains the rays on c's plane (rays_with), so f and every row stay
+    linear on each cell, and the LP is solved again.  Each LP's value
+    bounds the norm, and none rises: a new ray splits over the rays of its
+    old cell, on which f and every old row are linear, so it adds nothing
+    the old columns lacked, and the new row only cuts.  The rounds end
+    early when the witness is admissible (its total is then the norm),
+    when the cut is already a row, or when the rays on its plane would
+    pass the ray caps.
 
     The lower bound is the best value, total / max(1, admissibility), over
     the sweep's tuples, each also scaled by 1 / admissibility, and every LP
@@ -476,23 +417,43 @@ def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     """
     if f.dim != space.dim:
         raise DimensionError("function dimension does not match the space")
-    if space.is_polyhedral:
-        raise UnsupportedSpaceError(
-            f"space {space} is polyhedral; its exact norm comes from norm_certificate"
-        )
+    polyhedral = space.is_polyhedral
+    if polyhedral and not space.coordinate_budget:
+        # seq:inf: the 2**(d-1) budget directions and the d coordinate
+        # normals are distinct planes, so rays would solve at least this
+        # many subsets; refuse before the directions are built
+        d = space.dim
+        least = math.comb(2 ** (d - 1) + d, d - 1)
+        if least > _MAX_RAY_SUBSETS:
+            raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, least)
     pieces, bends = pieces_and_kinks(f)
-    normals = [*bends, *f.comp]
+    planes = budget_directions(space) if polyhedral else f.comp
+    normals = [*bends, *planes]
     table = rays(f.dim, normals)
     values = _Values()
     values.add(f, table)
-    rows = []
-    for row in read_rows(f):
-        b, s = clear_denominators(row)
-        rows.append((tuple(b), s * norm_upper(row, space.exponent)))
+    if polyhedral:
+        rows = [(b, 1) for b in planes]
+    else:
+        rows = []
+        for row in read_rows(f):
+            b, s = clear_denominators(row)
+            rows.append((tuple(b), s * norm_upper(row, space.exponent)))
+    method = "exact_match" if polyhedral else "ray_lp_dual"
     columns = _halved(table, values)
     upper, point = ray_lp(values, columns, rows)
     if upper == 0:
-        return _zero_certificate(space, "ray_lp_dual")
+        zero = functional_tuple(space, (zero_vec(space.dim),))
+        return NormCertificate(Fraction(0), Fraction(0), zero, method)
+    if polyhedral:
+        witness = functional_tuple(
+            space, sorted(vec_scale(lam, v) for lam, v in zip(point, columns) if lam > 0)
+        )
+        if not tuple_admissible(witness):
+            raise InternalFaultError("witness tuple is not admissible")
+        if tuple_seminorm_value(f, witness) != upper:
+            raise InternalFaultError("witness does not reproduce the exact norm")
+        return NormCertificate(upper, upper, witness, method)
 
     # the best value so far, and each (points, scale) that reaches it
     best, tied = Fraction(0), []
@@ -561,15 +522,8 @@ def norm_bounds(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         lower=best,
         upper=upper,
         witness=witness,
-        upper_method="ray_lp_dual",
+        upper_method=method,
     )
-
-
-def norm_certificate(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
-    """Exact norm when the space is polyhedral, else certified bounds."""
-    if space.is_polyhedral:
-        return norm_exact_polyhedral(f, space)
-    return norm_bounds(f, space)
 
 
 # ---------------------------------------------------------------------------

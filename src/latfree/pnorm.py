@@ -278,7 +278,7 @@ def budget_directions(space: SpaceSpec) -> tuple[Vec, ...]:
     if space.exponent == INF_P:
         return sign_patterns(d)
     raise UnsupportedSpaceError(
-        f"space {space} has a non-polyhedral unit ball; use norm_bounds"
+        f"space {space} has a non-polyhedral unit ball; use norm_certificate"
     )
 
 

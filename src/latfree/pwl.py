@@ -305,7 +305,7 @@ def difference_normals(pieces) -> list[Vec]:
 # Python 3.11: solving a subset costs about 35 us in dimension 4 and 55 us
 # in dimension 5, and a whole equivalence check about 20 us per subset in
 # dimension 4, so the cap admits a few seconds of either.  The cap does
-# not bound the exact norm's vertex LP, which costs its ray columns times
+# not bound the exact norm's ray LP, which costs its ray columns times
 # its pivots: on the same box its integer simplex took 0.21 s for the 650
 # columns, 16 rows and 110 pivots of the seq:inf:5 norm of
 # |t1-2*t2| + |t2-3*t3| + |t3+t4| + |t4-t5| + |t1+t5|.

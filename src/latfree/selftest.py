@@ -24,10 +24,8 @@ from .free import (
 from .norm import (
     fvl_space,
     maximality_audit,
-    norm_bounds,
     norm_by_cell_assignment,
     norm_certificate,
-    norm_exact_polyhedral,
     seq_space,
     tuple_seminorm_value,
 )
@@ -90,7 +88,7 @@ def _c1_generator_norms(seed: int):
     ok = True
     for n in range(1, 5):
         t0 = time.perf_counter()
-        cert = norm_exact_polyhedral(generator(fvl_space(n), 1), fvl_space(n))
+        cert = norm_certificate(generator(fvl_space(n), 1), fvl_space(n))
         ok &= cert.exact and cert.lower == 1 == cert.upper
         ok &= time.perf_counter() - t0 < 1.0
         values.append(format_fraction(cert.lower))
@@ -147,7 +145,7 @@ def _exact_suite_certs():
     out = []
     for text, n, expected in _EXACT_SUITE:
         f = PwlFunction.from_expr(parse(text, n), n)
-        cert = norm_exact_polyhedral(f, fvl_space(n))
+        cert = norm_certificate(f, fvl_space(n))
         out.append((text, n, expected, f, cert))
     return out
 
@@ -170,8 +168,8 @@ def _c4_l1_agreement(seed: int):
     for _ in range(50):
         n = rng.randint(1, 3)
         f = PwlFunction.from_expr(random_expr(rng, n), n)
-        ca = norm_exact_polyhedral(f, fvl_space(n))
-        cb = norm_exact_polyhedral(f, seq_space(1, n))
+        ca = norm_certificate(f, fvl_space(n))
+        cb = norm_certificate(f, seq_space(1, n))
         if (ca.lower, ca.upper) != (cb.lower, cb.upper):
             mismatches += 1
     return mismatches == 0, f"50 expressions, {mismatches} fvl/seq:1 mismatches"
@@ -189,14 +187,12 @@ def _c5_norm_extension(seed: int):
             x = (Fraction(1),) + x[1:]
         space = seq_space(Fraction(p) if p != "inf" else "inf", m)
         xhat = embed(x, space)
+        cert = norm_certificate(xhat, space)
         if p == "1":
-            cert = norm_exact_polyhedral(xhat, space)
             ok &= cert.exact and cert.lower == sum(map(abs, x)) == cert.upper
         elif p == "inf":
-            cert = norm_exact_polyhedral(xhat, space)
             ok &= cert.exact and cert.lower == max(map(abs, x)) == cert.upper
         else:
-            cert = norm_bounds(xhat, space)
             true = math.sqrt(sum(float(v) ** 2 for v in x))
             ok &= cert.lower <= cert.upper
             ok &= abs(float(cert.lower) - true) < 1e-9
@@ -217,12 +213,12 @@ def _c6_norm_axioms(seed: int):
         space = fvl_space(n)
         f = PwlFunction.from_expr(random_expr(rng, n, max_pieces=3), n)
         g = PwlFunction.from_expr(random_expr(rng, n, max_pieces=3), n)
-        nf = norm_exact_polyhedral(f, space).lower
-        ng = norm_exact_polyhedral(g, space).lower
-        nsum = norm_exact_polyhedral(pwl_add(f, g), space).lower
+        nf = norm_certificate(f, space).lower
+        ng = norm_certificate(g, space).lower
+        nsum = norm_certificate(pwl_add(f, g), space).lower
         ok &= nsum <= nf + ng
         c = Fraction(rng.choice([-3, -2, -1, 2, 3]))
-        ok &= norm_exact_polyhedral(pwl_scale(c, f), space).lower == abs(c) * nf
+        ok &= norm_certificate(pwl_scale(c, f), space).lower == abs(c) * nf
         # monotonicity: dominate |f| by c_max*(|x1|+|x2|), certify the
         # domination through the equivalence engine, then compare norms
         c_max = max(
@@ -233,7 +229,7 @@ def _c6_norm_axioms(seed: int):
             big = pwl_scale(c_max, abs_sum)
             eq, _ = equivalent(pwl_sup(pwl_abs(f), big), big)
             ok &= eq
-            ok &= nf <= norm_exact_polyhedral(big, space).lower
+            ok &= nf <= norm_certificate(big, space).lower
         if not is_zero(f):
             ok &= nf > 0
     return ok, "50 pairs: triangle, homogeneity, monotonicity, nondegeneracy"
@@ -313,8 +309,8 @@ def _c9_slot_sufficiency(seed: int):
 def _c10_determinism(seed: int):
     f = PwlFunction.from_expr(parse(r"t1 /\ t2 + t1 \/ (2*t3)", 3), 3)
     space = seq_space(2, 3)
-    b1 = norm_bounds(f, space)
-    b2 = norm_bounds(f, space)
+    b1 = norm_certificate(f, space)
+    b2 = norm_certificate(f, space)
     same_bounds = (
         b1.lower == b2.lower
         and b1.upper == b2.upper

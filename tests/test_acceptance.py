@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from latfree.expr import parse
 from latfree.free import generator
-from latfree.norm import fvl_space, norm_exact_polyhedral, seq_space
+from latfree.norm import fvl_space, norm_certificate, seq_space
 from latfree.pwl import PwlFunction, equivalent
 from latfree.selftest import (
     _c1_generator_norms,
@@ -42,7 +42,7 @@ def run_budgeted(fn, budget_s):
 
 def test_01_generator_norms_are_exactly_one():
     for n in range(1, 5):
-        cert = norm_exact_polyhedral(generator(fvl_space(n), 1), fvl_space(n))
+        cert = norm_certificate(generator(fvl_space(n), 1), fvl_space(n))
         assert cert.exact and cert.lower == 1 == cert.upper
     run_budgeted(_c1_generator_norms, 10)
 
@@ -71,7 +71,7 @@ def test_03_exact_norm_table():
     ]
     for text, n, expected in expectations:
         f = PwlFunction.from_expr(parse(text, n), n)
-        cert = norm_exact_polyhedral(f, fvl_space(n))
+        cert = norm_certificate(f, fvl_space(n))
         assert cert.exact and cert.lower == expected == cert.upper
     run_budgeted(_c3_exact_norms, 50)
 

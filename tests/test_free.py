@@ -16,7 +16,6 @@ from latfree.norm import (
     fvl_space,
     maximality_audit,
     norm_certificate,
-    norm_exact_polyhedral,
     seq_space,
 )
 from latfree.pwl import PwlFunction, equivalent, make_pwl, zero_pwl
@@ -257,7 +256,7 @@ class TestPullbackSeminorm:
             images=((1, 0), (0, 1)),
         )
         fab = from_text(r"t1 \/ t2", 2)
-        cert = norm_exact_polyhedral(fab, fvl_space(2))
+        cert = norm_certificate(fab, fvl_space(2))
         rep = maximality_audit(fab, fvl_space(2), [pullback_seminorm(phi)], cert)
         assert rep.passed
 

@@ -6,7 +6,7 @@ import pytest
 from latfree import lp
 from latfree.errors import InternalFaultError
 from latfree.lp import LpResult, simplex_standard
-from latfree.norm import norm_exact_polyhedral, parse_space
+from latfree.norm import norm_certificate, parse_space
 from latfree.pwl import PwlFunction
 from latfree.sampling import random_expr
 
@@ -289,7 +289,7 @@ def _vertex_lps(monkeypatch):
         dim = 2 + i % 2
         space = parse_space(f"{kind}:{dim}")
         f = PwlFunction.from_expr(random_expr(rng, dim, max_pieces=3), dim)
-        norm_exact_polyhedral(f, space)
+        norm_certificate(f, space)
     monkeypatch.setattr(norm_module, "simplex_standard", simplex_standard)
     return captured
 

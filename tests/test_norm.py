@@ -27,10 +27,8 @@ from latfree.norm import (
     functional_tuple,
     fvl_space,
     maximality_audit,
-    norm_bounds,
     norm_by_cell_assignment,
     norm_certificate,
-    norm_exact_polyhedral,
     parse_space,
     seq_space,
     tuple_admissible,
@@ -123,7 +121,7 @@ class TestExactPolyhedralNorm:
     @pytest.mark.parametrize("text,n,expected", EXACT_CASES)
     def test_frozen_values(self, text, n, expected):
         f = pw(text, n)
-        cert = norm_exact_polyhedral(f, fvl_space(n))
+        cert = norm_certificate(f, fvl_space(n))
         assert cert.exact
         assert cert.lower == expected == cert.upper
         assert cert.upper_method == "exact_match"
@@ -131,7 +129,7 @@ class TestExactPolyhedralNorm:
     @pytest.mark.parametrize("text,n,expected", EXACT_CASES)
     def test_witness_rescoring(self, text, n, expected):
         f = pw(text, n)
-        cert = norm_exact_polyhedral(f, fvl_space(n))
+        cert = norm_certificate(f, fvl_space(n))
         assert tuple_admissible(cert.witness)
         assert tuple_seminorm_value(f, cert.witness) == expected
 
@@ -140,35 +138,33 @@ class TestExactPolyhedralNorm:
         assert norm_by_cell_assignment(pw(text, n), fvl_space(n)) == expected
 
     def test_join_witness_is_the_basis_pair(self):
-        cert = norm_exact_polyhedral(pw(r"t1 \/ t2", 2), fvl_space(2))
+        cert = norm_certificate(pw(r"t1 \/ t2", 2), fvl_space(2))
         assert set(cert.witness.points) == {(F(1), F(0)), (F(0), F(1))}
 
     def test_running_example_norm(self):
         f = pw(r"t1 /\ t2 + t1 \/ (2*t3)", 3)
-        cert = norm_exact_polyhedral(f, fvl_space(3))
+        cert = norm_certificate(f, fvl_space(3))
         assert cert.exact and cert.lower == 4 == cert.upper
         assert norm_by_cell_assignment(f, fvl_space(3)) == 4
 
     def test_zero_function(self):
-        cert = norm_exact_polyhedral(pw("0*t1", 2), fvl_space(2))
+        cert = norm_certificate(pw("0*t1", 2), fvl_space(2))
         assert cert.lower == 0 == cert.upper and cert.exact
 
     def test_seq_inf_join(self):
-        cert = norm_exact_polyhedral(pw(r"t1 \/ t2", 2), seq_space("inf", 2))
+        cert = norm_certificate(pw(r"t1 \/ t2", 2), seq_space("inf", 2))
         assert cert.exact and cert.lower == 1 == cert.upper
 
     def test_embedded_vector_recovers_its_norm(self):
         xhat = make_pwl(parse("t1", 1), [(2, -3)])
-        assert norm_exact_polyhedral(xhat, seq_space("inf", 2)).lower == 3
-        assert norm_exact_polyhedral(xhat, seq_space(1, 2)).lower == 5
+        assert norm_certificate(xhat, seq_space("inf", 2)).lower == 3
+        assert norm_certificate(xhat, seq_space(1, 2)).lower == 5
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            norm_exact_polyhedral(pw("t1", 1), fvl_space(2))
-
-    def test_non_polyhedral_space_rejected(self):
-        with pytest.raises(UnsupportedSpaceError):
-            norm_exact_polyhedral(pw("t1", 2), seq_space(2, 2))
+    # the polyhedral spaces and the sandwich's, each in dimension 2
+    @pytest.mark.parametrize("space", ["fvl:2", "seq:1:2", "seq:inf:2", "seq:2:2", "seq:3/2:2"])
+    def test_dimension_mismatch(self, space):
+        with pytest.raises(DimensionError, match="function dimension does not match"):
+            norm_certificate(pw("t1", 1), parse_space(space))
 
 
 # (id, tamper, message): a tampered ray-LP answer and the fault it raises
@@ -216,7 +212,7 @@ class TestVertexLpCertificate:
     def test_tampered_answer_is_a_fault(self, monkeypatch, tamper, message):
         _tampered(monkeypatch, tamper)
         with pytest.raises(InternalFaultError, match=message):
-            norm_exact_polyhedral(pw("2*t1 + t2", 2), fvl_space(2))
+            norm_certificate(pw("2*t1 + t2", 2), fvl_space(2))
 
     @pytest.mark.parametrize(
         "tamper,message",
@@ -226,7 +222,7 @@ class TestVertexLpCertificate:
     def test_tampered_bounds_answer_is_a_fault(self, monkeypatch, tamper, message):
         _tampered(monkeypatch, tamper)
         with pytest.raises(InternalFaultError, match=message):
-            norm_bounds(pw("2*t1 + t2", 2), seq_space(2, 2))
+            norm_certificate(pw("2*t1 + t2", 2), seq_space(2, 2))
 
     @pytest.mark.parametrize(
         "tamper,message",
@@ -248,7 +244,7 @@ class TestVertexLpCertificate:
 
         monkeypatch.setattr(norm_module, "simplex_standard", simplex)
         with pytest.raises(InternalFaultError, match=message):
-            norm_bounds(pw("2*t1 + t2", 2), seq_space(2, 2))
+            norm_certificate(pw("2*t1 + t2", 2), seq_space(2, 2))
         assert calls == [2, 3, 4][: call + 1]
 
     def test_untampered_answer_passes(self, monkeypatch):
@@ -262,7 +258,7 @@ class TestVertexLpCertificate:
             return answers[-1]
 
         monkeypatch.setattr(norm_module, "simplex_standard", recorded)
-        cert = norm_exact_polyhedral(pw("2*t1 + t2", 2), fvl_space(2))
+        cert = norm_certificate(pw("2*t1 + t2", 2), fvl_space(2))
         assert cert.lower == 3 == cert.upper
         (res,) = answers
         assert res.value == 3 and res.duals == (2, 1)
@@ -310,7 +306,7 @@ class TestVertexLpWork:
         monkeypatch.setattr(norm_module, "simplex_standard", simplex)
         spec = parse_space(space)
         t0 = time.perf_counter()
-        cert = norm_exact_polyhedral(pw(text, spec.dim), spec)
+        cert = norm_certificate(pw(text, spec.dim), spec)
         elapsed = time.perf_counter() - t0
         assert elapsed < self.BUDGET_S, f"{elapsed:.1f}s exceeded {self.BUDGET_S}s"
         value, pivots, columns = self.COUNTS[space, text]
@@ -347,7 +343,7 @@ class TestHalvedExactLp:
                 rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
                         for _ in range(arity)]
                 f = make_pwl(random_expr(rng, arity, lattice_ops=2), rows)
-            cert = norm_exact_polyhedral(f, space)
+            cert = norm_certificate(f, space)
             assert cert.lower == _both_signs_lp_norm(f, space) == cert.upper, (f, space)
             assert tuple_admissible(cert.witness)
             assert tuple_seminorm_value(f, cert.witness) == cert.lower
@@ -488,79 +484,75 @@ class TestRayLpUpper:
             return out
 
         monkeypatch.setattr(norm_module, "ray_lp", recorded)
-        cert = norm_bounds(pw(r"t1 \/ t2", 2), seq_space(2, 2))
+        cert = norm_certificate(pw(r"t1 \/ t2", 2), seq_space(2, 2))
         assert values == [2, F(3580063, 2097152), F(1482911, 1048576)]
         assert cert.upper == F(1482911, 1048576)
         assert cert.lower**2 <= 2 <= cert.upper**2
 
     def test_scaled_function_is_exact(self):
-        cert = norm_bounds(pw("3*t1", 1), seq_space(2, 1))
+        cert = norm_certificate(pw("3*t1", 1), seq_space(2, 1))
         assert (cert.lower, cert.upper) == (3, 3)
 
     def test_abs_of_a_coordinate_is_exact(self):
         # |t1| <= |t1| on every ray: the one dual 1 on the row e1
-        cert = norm_bounds(pw("|t1|", 2), seq_space(2, 2))
+        cert = norm_certificate(pw("|t1|", 2), seq_space(2, 2))
         assert (cert.lower, cert.upper) == (1, 1)
 
     def test_unread_rows_stay_out_of_the_upper_bound(self):
         # t1 reads row 1 only, so the LP has the one row (e_1, 1) and the
         # upper bound is 1, not the sum of all four rows' norms
-        cert = norm_bounds(pw("t1", 4), seq_space(2, 4))
+        cert = norm_certificate(pw("t1", 4), seq_space(2, 4))
         assert (cert.lower, cert.upper) == (1, 1)
 
 
 class TestNormBounds:
     def test_exact_on_polyhedral_space(self):
-        # a polyhedral norm is exact: norm_bounds refuses it and names
-        # norm_certificate, which returns it
         f = pw(r"t1 \/ t2", 2)
         for spec in (fvl_space(2), seq_space(1, 2), seq_space("inf", 2)):
-            with pytest.raises(UnsupportedSpaceError, match="norm_certificate"):
-                norm_bounds(f, spec)
             cert = norm_certificate(f, spec)
             assert cert.exact and cert.upper_method == "exact_match"
 
     def test_euclidean_pythagorean_vector_is_exact(self):
         xhat = make_pwl(parse("t1", 1), [(3, 4)])
-        cert = norm_bounds(xhat, seq_space(2, 2))
+        cert = norm_certificate(xhat, seq_space(2, 2))
         assert cert.exact and cert.lower == 5 == cert.upper
 
     def test_euclidean_irrational_sandwich(self):
         xhat = make_pwl(parse("t1", 1), [(1, 1)])
-        cert = norm_bounds(xhat, seq_space(2, 2))
+        cert = norm_certificate(xhat, seq_space(2, 2))
         assert not cert.exact
         assert cert.lower <= cert.upper
         assert abs(float(cert.lower) - math.sqrt(2)) < 1e-9
         assert float(cert.upper - cert.lower) < 1e-9
 
     def test_zero_function(self):
-        cert = norm_bounds(pw("0*t1", 2), seq_space(2, 2))
+        cert = norm_certificate(pw("0*t1", 2), seq_space(2, 2))
         assert cert.lower == 0 == cert.upper and cert.exact
 
     @pytest.mark.parametrize("space", ["seq:3/2:2"])
     def test_zero_element_gets_the_zero_certificate(self, space):
         # kinks but no value: the LP value 0 is the zero test
         spec = parse_space(space)
-        cert = norm_bounds(pw(r"t1 \/ t2 - t2 \/ t1", 2), spec)
+        cert = norm_certificate(pw(r"t1 \/ t2 - t2 \/ t1", 2), spec)
         assert cert.lower == 0 == cert.upper and cert.upper_method == "ray_lp_dual"
         assert cert.witness.points == ((F(0), F(0)),)
 
     def test_nondegeneracy_of_small_elements(self):
-        cert = norm_bounds(pw(r"1/7*(t1 /\ t2)", 2), seq_space(2, 2))
+        cert = norm_certificate(pw(r"1/7*(t1 /\ t2)", 2), seq_space(2, 2))
         assert cert.lower > 0
 
     def test_witness_rescoring_matches_lower(self):
         f = pw(r"t1 - 2*t2", 2)
-        cert = norm_bounds(f, seq_space(2, 2))
+        cert = norm_certificate(f, seq_space(2, 2))
         assert tuple_seminorm_value(f, cert.witness) == cert.lower
 
     def test_seq_three_halves_is_certified(self):
         # (1, 1) in l_{3/2} has norm 2^(2/3); lower and upper are rationals
-        cert = norm_bounds(make_pwl(parse("t1", 1), [(1, 1)]), seq_space(F(3, 2), 2))
+        cert = norm_certificate(make_pwl(parse("t1", 1), [(1, 1)]), seq_space(F(3, 2), 2))
         assert cert.lower**3 <= 4 <= cert.upper**3
         assert not cert.exact
 
-    # norm_bounds takes no search settings; the CLI still range-checks
+    # norm_certificate takes no search settings; the CLI still range-checks
     # --restarts, which it accepts and no longer reads
     @pytest.mark.parametrize(
         "settings", [{"restarts": -3}, {"restarts": -1}]
@@ -569,7 +561,7 @@ class TestNormBounds:
         with pytest.raises(ValueError):
             _check_restarts(**settings)
         with pytest.raises(TypeError):
-            norm_bounds(pw("t1 - t2", 2), seq_space(2, 2), **settings)
+            norm_certificate(pw("t1 - t2", 2), seq_space(2, 2), **settings)
 
     def test_restarts_above_the_cap_are_refused(self):
         with pytest.raises(CapacityError, match="ascent restarts: 1025 exceeds the cap of 1024"):
@@ -586,7 +578,7 @@ class TestNormBounds:
         f, space = make_pwl(parse("t1", 1), [(F(1, 3), F(1, 3))]), seq_space(2, 2)
         basis = ((1, 0), (0, 1))
         scale = 1 / constraint_norm(functional_tuple(space, basis))
-        assert norm_bounds(f, space).witness.points == ((scale, 0), (0, scale))
+        assert norm_certificate(f, space).witness.points == ((scale, 0), (0, scale))
         real = norm_module.worst_signed_sum
 
         def shrunk(points, space, *scale):
@@ -595,13 +587,13 @@ class TestNormBounds:
 
         monkeypatch.setattr(norm_module, "worst_signed_sum", shrunk)
         with pytest.raises(InternalFaultError, match="does not reproduce its score"):
-            norm_bounds(f, space)
+            norm_certificate(f, space)
 
     def test_an_int_total_over_a_unit_bound_stays_a_fraction(self):
         # t1 on seq:2:2: the sweep's rays +-e1 have the int total 1 and the
         # admissibility 1, where max(1, cn) is the int 1 and int / int a
         # float; the certificate holds Fractions only
-        cert = norm_bounds(pw("t1", 2), seq_space(2, 2))
+        cert = norm_certificate(pw("t1", 2), seq_space(2, 2))
         assert (cert.lower, cert.upper) == (1, 1)
         assert type(cert.lower) is F and type(cert.upper) is F
         assert cert.witness.points and all(
@@ -619,7 +611,7 @@ class TestNormBounds:
 
         monkeypatch.setattr(norm_module, "ray_lp", halved)
         with pytest.raises(InternalFaultError):
-            norm_bounds(pw("t1 + t2", 2), seq_space(F(3, 2), 2))
+            norm_certificate(pw("t1 + t2", 2), seq_space(F(3, 2), 2))
 
 
 def _sweep_tuples(f, space, pieces, table):
@@ -636,7 +628,7 @@ def _sweep_tuples(f, space, pieces, table):
 
 
 def _full_rescore(monkeypatch, f, space):
-    """(certificate, lower, witness, ties): norm_bounds' certificate, and a
+    """(certificate, lower, witness, ties): norm_certificate's certificate, and a
     full re-score of every sweep tuple and every LP witness it made, each
     scored by tuple_seminorm_value, the best kept by value, then by smaller
     points; ties counts the tuples that won on points."""
@@ -652,7 +644,7 @@ def _full_rescore(monkeypatch, f, space):
 
     with monkeypatch.context() as m:
         m.setattr(norm_module, "ray_lp", recorded)
-        cert = norm_bounds(f, space)
+        cert = norm_certificate(f, space)
     pieces, bends = pieces_and_kinks(f)
     table = rays(f.dim, [*bends, *f.comp])
     best_value, best_witness, ties = F(0), functional_tuple(space, [[0] * f.dim]), 0
@@ -666,7 +658,7 @@ def _full_rescore(monkeypatch, f, space):
 
 
 class TestPrunedRescore:
-    """norm_bounds scores the sweep's scaled copies by homogeneity and
+    """norm_certificate scores the sweep's scaled copies by homogeneity and
     re-scores only the winner; its certificate is the full re-score's."""
 
     @pytest.mark.parametrize("p", ["2", "3/2", "3", "7/3"])
@@ -729,7 +721,7 @@ class TestCutRounds:
     def test_bounds_bracket_the_closed_forms(self):
         exact = 0
         for f, space, (power, r) in _closed_form_inputs():
-            cert = norm_bounds(f, space)
+            cert = norm_certificate(f, space)
             assert cert.lower**r <= power <= cert.upper**r, (f.comp, space)
             assert tuple_seminorm_value(f, cert.witness) == cert.lower
             exact += cert.exact
@@ -754,7 +746,7 @@ class TestCutRounds:
             space = seq_space((2, F(3, 2), 3)[i % 3], d)
             f = PwlFunction.from_expr(random_expr(rng, d, lattice_ops=2), d)
             tables.clear()
-            norm_bounds(f, space)
+            norm_certificate(f, space)
             bends = kinks(f)
             for columns, rows in tables:
                 full = rays(d, [*bends, *f.comp, *rows])
@@ -776,14 +768,14 @@ class TestCutRounds:
             raise CapacityError("ray subsets", 1, 2)
 
         monkeypatch.setattr(norm_module, "rays_with", refused)
-        cert = norm_bounds(pw(r"t1 \/ t2", 2), seq_space(2, 2))
+        cert = norm_certificate(pw(r"t1 \/ t2", 2), seq_space(2, 2))
         assert cert.upper == 2
         assert cli.main(["norm", "--space", "seq:2:2", "--expr", r"t1 \/ t2"]) == 0
         assert '"upper": "2"' in capsys.readouterr().out
 
 
 def _reference_rounds(f, space):
-    """(witnesses, certificate) of norm_bounds computed another way: every
+    """(witnesses, certificate) of norm_certificate computed another way: every
     LP's table rebuilt by rays of all its planes, each pair v, -v halved by
     evaluating both, the worst signed sum the first of largest bound in a
     loop over sign_patterns, and every tuple scored by
@@ -836,7 +828,7 @@ def _reference_rounds(f, space):
 
 
 def _rounds(monkeypatch, f, space):
-    """(witnesses, certificate) of norm_bounds, each LP's witness points
+    """(witnesses, certificate) of norm_certificate, each LP's witness points
     recorded."""
     import latfree.norm as norm_module
 
@@ -850,7 +842,7 @@ def _rounds(monkeypatch, f, space):
 
     with monkeypatch.context() as m:
         m.setattr(norm_module, "ray_lp", recorded)
-        cert = norm_bounds(f, space)
+        cert = norm_certificate(f, space)
     if cert.upper == 0:
         witnesses = []
     return witnesses, (cert.lower, cert.upper, cert.witness.points)
@@ -945,7 +937,7 @@ class TestMaximalityAudit:
     def test_admissible_seminorms_stay_below_certificate(self):
         f = pw(r"t1 \/ t2", 2)
         space = fvl_space(2)
-        cert = norm_exact_polyhedral(f, space)
+        cert = norm_certificate(f, space)
         family = [
             evaluation_seminorm(functional_tuple(space, [(1, 1)]), "all_ones"),
             evaluation_seminorm(
@@ -969,7 +961,7 @@ class TestMaximalityAudit:
 
         f = pw(r"t1 \/ t2", 2)
         space = fvl_space(2)
-        cert = norm_exact_polyhedral(f, space)
+        cert = norm_certificate(f, space)
         broken = SeminormHandle(
             name="broken",
             leq=lambda func, bound: False,

@@ -23,8 +23,7 @@ from latfree.norm import (
     budget_directions,
     fvl_space,
     norm_by_cell_assignment,
-    norm_exact_polyhedral,
-    norm_bounds,
+    norm_certificate,
     seq_space,
     tuple_admissible,
     tuple_seminorm_value,
@@ -321,7 +320,7 @@ class TestLambdaReference:
             space = seq_space((2, F(3, 2), 3, F(7, 3))[i % 4], d)
             lam = _image_subspace_lam(f)
             values.clear()
-            upper = norm_bounds(f, space).upper
+            upper = norm_certificate(f, space).upper
             assert upper == values[-1]
             assert all(a >= b for a, b in zip(values, values[1:]))
             unit = sum(norm_upper(r, space.exponent) for r in norm.read_rows(f))
@@ -475,7 +474,7 @@ class TestDifferential:
             f = pw(text, 3)
             cases += [(f, fvl_space(3)), (f, seq_space(1, 3))]
         for f, space in cases:
-            cert = norm_exact_polyhedral(f, space)
+            cert = norm_certificate(f, space)
             assert cert.lower == norm_by_cell_assignment(f, space)
             assert tuple_admissible(cert.witness)
             assert tuple_seminorm_value(f, cert.witness) == cert.lower
@@ -500,7 +499,7 @@ class TestDifferential:
             dim = 2 + i % 3
             f = PwlFunction.from_expr(random_expr(rng, dim), dim)
             space = seq_space("inf", dim)
-            cert = norm_exact_polyhedral(f, space)
+            cert = norm_certificate(f, space)
             assert cert.lower == _zero_set_lp_norm(f, space)
             assert tuple_seminorm_value(f, cert.witness) == cert.lower
 
@@ -546,7 +545,7 @@ def timed(fn, budget_s):
 class TestDimensionFour:
     def test_abs_sum_norm(self):
         f = pw(ABS_SUM_4, 4)
-        cert = timed(lambda: norm_exact_polyhedral(f, fvl_space(4)), 30)
+        cert = timed(lambda: norm_certificate(f, fvl_space(4)), 30)
         assert cert.exact and cert.lower == 4 == cert.upper
         assert tuple_admissible(cert.witness)
         assert tuple_seminorm_value(f, cert.witness) == 4
@@ -575,7 +574,7 @@ class TestKinkCapacity:
 
     def test_abs_sum_norm_in_dimension_five(self):
         f = pw(ABS_SUM_5, 5)
-        cert = timed(lambda: norm_exact_polyhedral(f, fvl_space(5)), 5)
+        cert = timed(lambda: norm_certificate(f, fvl_space(5)), 5)
         assert cert.exact and cert.lower == 5 == cert.upper
         assert tuple_admissible(cert.witness)
         assert tuple_seminorm_value(f, cert.witness) == 5
@@ -590,6 +589,6 @@ class TestKinkCapacity:
 
     def test_four_abs_norm_on_seq_inf_four(self):
         f = pw(FOUR_ABS, 4)
-        cert = timed(lambda: norm_exact_polyhedral(f, seq_space("inf", 4)), 5)
+        cert = timed(lambda: norm_certificate(f, seq_space("inf", 4)), 5)
         assert cert.exact and cert.lower == 5 == cert.upper
         assert tuple_seminorm_value(f, cert.witness) == 5
