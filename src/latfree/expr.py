@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ArityError, CapacityError, DimensionError, ExprSyntaxError
-from .qmath import MAX_DIM, to_fraction
+from .qmath import MAX_DIM, int_or_fraction, to_fraction
 
 
 class Frozen:
@@ -144,16 +144,17 @@ _NODE_TYPES = (Var, Scale, Add, Sup, Inf)
 
 class Program(namedtuple("Program", "slots max_var")):
     """Interned slots (kind, a, b) in topological order, the root last:
-    (Var, i, None) reads t_i, (Scale, c, s) is c times slot s, and
-    (Add | Sup | Inf, s, u) combines slots s and u.  No two slots are
-    equal, so equal expressions compile to equal programs.  max_var is
-    the highest variable index."""
+    (Var, i, None) reads t_i, (Scale, c, s) is c times slot s, with c an
+    int where integral, and (Add | Sup | Inf, s, u) combines slots s and u.
+    No two slots are equal, so equal expressions compile to equal programs.
+    max_var is the highest variable index."""
 
     __slots__ = ()
 
 
 def compile_expr(e: Expr) -> Program:
-    """Intern e bottom-up, visiting each node object once, without recursion."""
+    """Intern e bottom-up, visiting each node object once, without recursion;
+    a coefficient is interned as an int where it is integral."""
     interned: dict[tuple, int] = {}  # slot -> its index, in slot order
     slot_of: dict[int, int] = {}  # id(node) -> index of its slot
     stack = [e]
@@ -171,7 +172,7 @@ def compile_expr(e: Expr) -> Program:
                 stack.extend(reversed(todo))
                 continue
             a, b = slot_of[id(kids[0])], slot_of[id(kids[-1])]
-            key = (Scale, to_fraction(node.coeff), a) if kind is Scale else (kind, a, b)
+            key = (Scale, int_or_fraction(node.coeff), a) if kind is Scale else (kind, a, b)
         stack.pop()
         slot_of[id(node)] = interned.setdefault(key, len(interned))
     slots = tuple(interned)

@@ -134,8 +134,9 @@ class PwlFunction(Frozen):
         every entry the value reads is integral, else a Fraction.
 
         A slot's value is the list of its values at the points.  Integral
-        coordinates, composition entries and coefficients travel as int, so
-        a Fraction (and its gcd) appears only where an entry is not integral.
+        coordinates and composition entries are read as int, as the program
+        holds integral coefficients, so a Fraction (and its gcd) appears
+        only where an entry is not integral.
         """
         xs = [tuple(map(int_or_fraction, x)) for x in points]
         for x in xs:
@@ -149,14 +150,10 @@ class PwlFunction(Frozen):
                 return [x[j] for x in xs]
             return [sum(c * x[j] for j, c in row) for x in xs]
 
-        def scale(c, v):
-            c = int_or_fraction(c)
-            return [c * u for u in v]
-
         return fold(
             self.program,
             column,
-            scale,
+            lambda c, v: [c * u for u in v],
             lambda u, v: list(map(operator.add, u, v)),
             lambda u, v: [a if a >= b else b for a, b in zip(u, v)],
             lambda u, v: [a if a <= b else b for a, b in zip(u, v)],
@@ -216,8 +213,8 @@ def pwl_abs(f: PwlFunction) -> PwlFunction:
 
 
 def pieces_and_kinks(f: PwlFunction) -> tuple[frozenset[Vec], frozenset[Vec]]:
-    """f's candidate pieces, as coefficient vectors, and its kinks, from one
-    fold over its program.
+    """f's candidate pieces, as coefficient vectors with int entries where
+    integral, and its kinks, from one fold over its program.
 
     A slot carries (pieces, kinks).  A Sup or Inf node adds the primitive
     normals of p - q for p a piece of its left operand and q a piece of its
@@ -246,7 +243,7 @@ def pieces_and_kinks(f: PwlFunction) -> tuple[frozenset[Vec], frozenset[Vec]]:
 
     return fold(
         f.program,
-        lambda i: (frozenset((tuple(f.comp[i - 1]),)), frozenset()),
+        lambda i: (frozenset((tuple(map(int_or_fraction, f.comp[i - 1])),)), frozenset()),
         lambda c, s: (frozenset(tuple(c * v for v in t) for t in s[0]), s[1]),
         add,
         join,
@@ -474,12 +471,12 @@ def equivalent(f: PwlFunction, g: PwlFunction):
     Both functions are linear on every closed cell of the arrangement of
     their kinks and the coordinate normals, so they agree everywhere exactly
     when they agree on its extreme rays; the witness is the first ray where
-    they differ.
+    they differ.  The values are compared exactly as fold_many leaves them.
     """
     if f.dim != g.dim:
         raise DimensionError("cannot compare functions over different dimensions")
     points = rays(f.dim, kinks(f) | kinks(g))
-    pairs = zip(points, f.eval_many(points), g.eval_many(points))
+    pairs = zip(points, f.fold_many(points), g.fold_many(points))
     witness = next((p for p, a, b in pairs if a != b), None)
     return witness is None, witness
 

@@ -194,6 +194,25 @@ class TestCompile:
     def test_coefficients_are_normalised(self):
         assert compile_expr(Scale(2, Var(1))) == compile_expr(Scale(F(2), Var(1)))
 
+    def test_integral_coefficients_compile_to_ints(self):
+        two, int_two = compile_expr(Scale(F(2), Var(1))), compile_expr(Scale(2, Var(1)))
+        assert two == int_two and hash(two) == hash(int_two)
+        assert [type(c) for kind, c, _ in two.slots if kind is Scale] == [int]
+        half = compile_expr(parse(r"1/2*t1 \/ 4/2*t2", 2))
+        assert [type(c) for kind, c, _ in half.slots if kind is Scale] == [Fraction, int]
+
+    def test_fractional_coefficients_round_trip(self):
+        assert print_expr(parse(r"1/2*t1 \/ -3/4*t2", 2)) == r"(1/2*t1) \/ (-3/4*t2)"
+        rng = random.Random(37)
+        for _ in range(100):
+            arity = rng.randint(1, 3)
+            images = [
+                Scale(F(rng.randint(-9, 9), rng.randint(1, 5)), Var(i + 1))
+                for i in range(arity)
+            ]
+            e = Scale(F(rng.choice((1, -3)), 4), substitute(random_expr(rng, arity), images))
+            assert parse(print_expr(e), arity) == e
+
     def test_equality_hash_and_repr_go_through_the_program(self):
         assert Sup(Var(1), Var(2)) == parse(r"t1 \/ t2", 2)
         assert Sup(Var(1), Var(2)) != Sup(Var(2), Var(1))

@@ -18,6 +18,7 @@ from latfree.pwl import (
     kinks,
     linear_pieces,
     make_pwl,
+    pieces_and_kinks,
     pwl_abs,
     pwl_add,
     pwl_inf,
@@ -167,6 +168,89 @@ class TestEvalMany:
         f = pw(r"2*t1 \/ 3*t2", 2)
         g = pw(r"2*t1 \/ 3*t2 + ((t1 - 6*t2) /\ (7*t2 - t1))^+", 2)
         assert equivalent(f, g) == reference(f, g) == (False, (F(13), F(2)))
+
+
+_COEFFS = (F(1, 2), F(-3, 4), F(2, 3), F(-5, 2), 3, -1)
+
+
+def _fractional_pair(rng, dim):
+    """(f, g) with coefficients such as 1/2 and -3/4 and fractional rows: g
+    is f's rewrite, f with its coefficients moved into its rows (equal to
+    f), or f plus a multiple of a bump on a thin cone."""
+    arity = rng.randint(1, 3)
+    fe, ge, _ = random_pair(rng, arity)
+    cs = [rng.choice(_COEFFS) for _ in range(arity)]
+    rows = [
+        tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(dim))
+        for _ in range(arity)
+    ]
+    images = [Scale(c, Var(i + 1)) for i, c in enumerate(cs)]
+    f = make_pwl(substitute(fe, images), rows)
+    roll = rng.randrange(3)
+    if roll == 0:
+        return f, make_pwl(substitute(ge, images), rows)
+    if roll == 1:
+        return f, make_pwl(fe, [tuple(c * v for v in row) for c, row in zip(cs, rows)])
+    bump = make_pwl(
+        parse(r"((t1 - 6*t2) /\ (7*t2 - t1))^+", 2),
+        [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)) for _ in "uw"],
+    )
+    return f, pwl_add(f, pwl_scale(rng.choice(_COEFFS), bump))
+
+
+def _entries(f, points):
+    """Every number in f's pieces, kinks and fold_many values at points."""
+    pieces, bends = pieces_and_kinks(f)
+    return [v for t in (*pieces, *bends) for v in t] + f.fold_many(points)
+
+
+class TestIntKernel:
+    def test_equivalent_matches_an_eval_many_reference(self):
+        def reference(f, g):
+            points = rays(f.dim, kinks(f) | kinks(g))
+            pairs = zip(points, f.eval_many(points), g.eval_many(points))
+            return next(((False, p) for p, a, b in pairs if a != b), (True, None))
+
+        rng = random.Random(34)
+        verdicts = []
+        for _ in range(240):
+            f, g = _fractional_pair(rng, rng.randint(2, 4))
+            got = equivalent(f, g)
+            assert got == reference(f, g)
+            verdicts.append(got[0])
+        assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+    def test_integral_input_keeps_ints(self):
+        rng = random.Random(35)
+        for _ in range(100):
+            dim, arity = rng.randint(1, 4), rng.randint(1, 3)
+            rows = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(arity)]
+            points = [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(6)]
+            for f in (
+                PwlFunction.from_expr(random_expr(rng, dim), dim),
+                make_pwl(random_expr(rng, arity), rows),
+            ):
+                assert all(type(v) is int for v in _entries(f, points))
+                assert all(type(v) is Fraction for v in f.eval_many(points))
+        f = pw(r"2*t1 \/ -3*t2 + |t1 - 4*t2|", 2)
+        assert all(type(v) is int for v in _entries(f, [(1, 2), (-3, 5)]))
+
+    def test_a_fraction_only_in_the_half_piece(self):
+        pieces, bends = pieces_and_kinks(pw(r"1/2*t1 \/ t2", 2))
+        assert pieces == {(F(1, 2), 0), (0, 1)}
+        for piece in pieces:
+            kind = Fraction if piece[0] else int
+            assert all(type(v) is kind for v in piece)
+        assert bends == {(1, -2)} and all(type(v) is int for b in bends for v in b)
+
+    def test_no_float_on_fractional_input(self):
+        rng = random.Random(36)
+        for _ in range(100):
+            dim = rng.randint(1, 4)
+            f = _rational_pwl(rng, rng.randint(1, 3), dim)
+            points = [_mixed_point(rng, dim) for _ in range(6)]
+            values = _entries(f, points) + f.eval_many(points)
+            assert all(type(v) in (int, Fraction) for v in values)
 
 
 class TestLinearPieces:
