@@ -35,7 +35,6 @@ from .errors import (
 from .expr import Var
 from .lp import simplex_standard
 from .pnorm import (  # the space constructors are re-exported from here
-    MAX_SIGNS,
     SpaceSpec,
     admissibility_upper,
     admissible,
@@ -45,16 +44,14 @@ from .pnorm import (  # the space constructors are re-exported from here
     norm_upper,
     parse_space,
     peak_point,
-    root_upper,
     seq_space,
-    sign_patterns,
     worst_signed_sum,
 )
 from .pwl import (
-    _MAX_RAY_SUBSETS,
     PwlFunction,
     active_piece,
     arrangement_for,
+    check_ray_caps,
     linear_pieces,
     pieces_and_kinks,
     rays,
@@ -306,17 +303,15 @@ def _sweep_candidates(
 ) -> list[tuple[Vec, ...]]:
     """The sweep's distinct tuples on a non-polyhedral space, first seen
     first: each ray of `singles` (f's ray table) alone, the Hoelder peaks
-    of f's pieces, the sign vectors, and two bases.  f is evaluated at
-    every point that `values` lacks in one batch."""
-    d = space.dim
+    of f's pieces, and two bases.  f is evaluated at every point that
+    `values` lacks in one batch."""
     out: list[tuple[Vec, ...]] = [(r,) for r in singles]
     # |piece| peaks on the dual ball where Hoelder's inequality is tight
     for piece in sorted(pieces):
-        peak = peak_point(piece, space)
+        peak = peak_point(piece, space.exponent)
         out.extend(((peak,), (vec_scale(-1, peak),)))
-    out.extend((s,) for s in sign_patterns(d))
 
-    basis = identity(d)
+    basis = identity(space.dim)
     negated = tuple(vec_scale(-1, e) for e in basis)
     values.add(f, [x for (x,) in out] + [*basis, *negated])
     out.append(tuple(
@@ -344,16 +339,15 @@ def _cut(u, space: SpaceSpec) -> tuple[tuple[int, ...], Fraction]:
     the unit ball.
 
     Hoelder's equality case puts the peak of <u, .> at
-    sign(u_j) |u_j| ** (q - 1), q dual to p.  Its entries are rounded up
-    to rationals (root_upper), then to the int shape c with
-    max |c_j| = _CUT_SCALE and sign up to a global one; N >= ||c||_p, so
-    c / N lies in the unit ball.
+    sign(u_j) |u_j| ** (q - 1), q dual to p (peak_point, roots rounded
+    up), rounded to the int shape c with max |c_j| = _CUT_SCALE (half to
+    even, which is symmetric in sign) and sign up to a global one;
+    N >= ||c||_p, so c / N lies in the unit ball.
     """
-    e = dual_exponent(space.exponent) - 1
     ints, _ = clear_denominators(u)
-    peak = [root_upper(abs(x) ** e.numerator, e.denominator) for x in ints]
-    top = max(peak)
-    c = [round(_CUT_SCALE * w / top) * (-1 if x < 0 else 1) for w, x in zip(peak, ints)]
+    peak = peak_point(ints, dual_exponent(space.exponent))
+    top = max(map(abs, peak))
+    c = [round(_CUT_SCALE * w / top) for w in peak]
     if next(x for x in c if x) < 0:
         c = [-x for x in c]
     scale = 1 << _CUT_BITS
@@ -383,8 +377,7 @@ def norm_certificate(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
       certified norm_upper ("ray_lp_dual").  The value is 0 exactly when
       f vanishes: a ray where f is nonzero has some <x_j, r> nonzero, since
       f reads x only through the <x_j, x>.
-    A value of 0 is answered with the zero tuple, so on a sandwich the
-    zero test runs ahead of the sweep's cap.
+    A value of 0 is answered with the zero tuple, ahead of the sweep.
 
     Off the polyhedral spaces the table's rays are the sweep's single
     points, and up to _CUT_ROUNDS rounds follow.  The LP's witness
@@ -397,8 +390,9 @@ def norm_certificate(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     old cell, on which f and every old row are linear, so it adds nothing
     the old columns lacked, and the new row only cuts.  The rounds end
     early when the witness is admissible (its total is then the norm),
-    when the cut is already a row, or when the rays on its plane would
-    pass the ray caps.
+    when the cut is already a row, when the rays on its plane would pass
+    the ray caps, or when the witness's admissibility would pass the
+    sign-vector cap (worst_signed_sum).
 
     The lower bound is the best value, total / max(1, admissibility), over
     the sweep's tuples, each also scaled by 1 / admissibility, and every LP
@@ -423,9 +417,7 @@ def norm_certificate(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         # normals are distinct planes, so rays would solve at least this
         # many subsets; refuse before the directions are built
         d = space.dim
-        least = math.comb(2 ** (d - 1) + d, d - 1)
-        if least > _MAX_RAY_SUBSETS:
-            raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, least)
+        check_ray_caps(math.comb(2 ** (d - 1) + d, d - 1), d)
     pieces, bends = pieces_and_kinks(f)
     planes = budget_directions(space) if polyhedral else f.comp
     normals = [*bends, *planes]
@@ -493,9 +485,10 @@ def norm_certificate(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         points = tuple(sorted(
             tuple(c * x for x in v) for c, (_, v) in zip(z, support)
         ))
-        if 2 ** (len(points) - 1) > MAX_SIGNS:
+        try:
+            cn, u = worst_signed_sum(points, space, den)
+        except CapacityError:
             break  # its admissibility would pass the sign-vector cap
-        cn, u = worst_signed_sum(points, space, den)
         score(upper / max(1, cn), points, Fraction(1, den))
         if not rounds_left or cn <= 1:
             break

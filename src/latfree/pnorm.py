@@ -232,14 +232,11 @@ def norm_leq(v, p: Fraction | str, bound) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# sign vectors (+-1, .., +-1) modulo sign, 2**(k-1): the sandwich's sweep
-# scores each, a seq:inf source's operator bound and the seq:inf budget take
-# a max over them, and so does the admissibility of a k-point tuple off the
-# polyhedral spaces.  Measured on a 2-core x86 box with Python 3.11: the
-# sweep's sign vectors share one admissibility, so each costs an exact
-# value of f and its total, and the cap admits seq:2:18, whose norm of t1
-# takes 1.6 s and 82 MB (seq:2:16 takes 0.4 s), and `extend` from
-# seq:inf:18 takes 5.5 s.
+# sign vectors (+-1, .., +-1) modulo sign, 2**(k-1): a seq:inf source's
+# operator bound and the seq:inf budget take a max over them, and so does
+# the admissibility of a k-point tuple off the polyhedral spaces, unless no
+# two of its points share a coordinate.  Measured on a 2-core x86 box with
+# Python 3.11: the cap admits `extend` from seq:inf:18, which takes 5.5 s.
 MAX_SIGNS = 1 << 17
 
 
@@ -350,14 +347,14 @@ def admissible(points, space: SpaceSpec, upper=None) -> bool:
     )
 
 
-def peak_point(a: Vec, space: SpaceSpec) -> Vec:
-    """A dual point where |<a, .>| peaks on the dual unit ball, up to scale.
+def peak_point(a, p: Fraction) -> Vec:
+    """A point where |<a, .>| peaks on the l_q unit ball, up to scale.
 
-    Hoelder's equality case: x_j = sign(a_j) |a_j| ** (p-1), so
-    <a, x> = ||a||_p ||x||_q; for p = 2 this is a itself.  Non-polyhedral
-    spaces only; roots are rounded up, which keeps x a candidate.
+    Hoelder's equality case, q dual to a rational p > 1:
+    x_j = sign(a_j) |a_j| ** (p-1), so <a, x> = ||a||_p ||x||_q; for p = 2
+    this is a itself.  Roots are rounded up, which keeps x a candidate.
     """
-    e = space.exponent - 1
+    e = p - 1
     return tuple(
         (1 if c > 0 else -1) * root_upper(abs(c) ** e.numerator, e.denominator)
         for c in a

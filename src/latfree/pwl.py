@@ -322,15 +322,20 @@ def _ray_planes(dim: int, normals) -> list[tuple[int, ...]]:
     return planes
 
 
-def _solved_lines(subsets, count: int, dim: int) -> set[tuple[int, ...]]:
-    """The lines of `count` subsets of dim - 1 planes, both signs of each;
-    CapacityError before any is solved when the count or its eliminations'
-    size pass the caps."""
+def check_ray_caps(count: int, dim: int) -> None:
+    """CapacityError when `count` subsets in dimension dim pass a ray cap."""
     if count > _MAX_RAY_SUBSETS:
         raise CapacityError("ray subsets", _MAX_RAY_SUBSETS, count)
     work = count * dim * dim
     if work > _MAX_RAY_WORK:
         raise CapacityError("ray work", _MAX_RAY_WORK, work)
+
+
+def _solved_lines(subsets, count: int, dim: int) -> set[tuple[int, ...]]:
+    """The lines of `count` subsets of dim - 1 planes, both signs of each;
+    CapacityError before any is solved when the count or its eliminations'
+    size pass the caps."""
+    check_ray_caps(count, dim)
     lines = set()
     for subset in subsets:
         line = null_line(subset, dim)

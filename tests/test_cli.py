@@ -387,13 +387,23 @@ class TestExitCodes:
         assert code == 4
         assert "candidate pieces: 729 exceeds the cap of 256" in err
 
-    def test_sweep_sign_vector_cap_exits_four(self, capsys):
-        # 2^29 sign vectors would take days; the cap refuses them up front
-        start = time.perf_counter()
-        code, out, err = run_main(["norm", "--space", "seq:2:30", "--expr", "t1"], capsys)
-        assert time.perf_counter() - start < 5
-        assert code == 4 and out == ""
-        assert "sign vectors: 536870912 exceeds the cap of 131072" in err
+    def test_high_dimension_sandwiches_are_answered(self, capsys):
+        # the sweep enumerates no sign vectors, so no sandwich is refused
+        # for its dimension: t1 takes about 0.05 s and t1 - t2 on seq:2:24
+        # about 1.2 s on a 2-core x86 box
+        for space, expr, budget in [("seq:2:30", "t1", 5), ("seq:7/3:32", "t1", 5),
+                                    ("seq:2:24", "t1 - t2", 30)]:
+            start = time.perf_counter()
+            code, out, err = run_main(["norm", "--space", space, "--expr", expr], capsys)
+            assert time.perf_counter() - start < budget, space
+            assert code == 0 and err == ""
+            cert = json.loads(out)["certificate"]
+            lower, upper = Fraction(cert["lower"]), Fraction(cert["upper"])
+            if expr == "t1":
+                assert lower == 1 == upper
+            else:
+                # ||e1 - e2||_2 = sqrt(2)
+                assert lower**2 <= 2 <= upper**2
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -377,7 +377,7 @@ class TestSandwichWork:
 
     def test_ascent_work_of_the_cli_sandwich(self, monkeypatch, capsys):
         # the lower bound's search, once a float ascent, is the sweep and
-        # the LP witnesses.  The sweep's 6 admissibilities are one per
+        # the LP witnesses.  The sweep's 5 admissibilities are one per
         # distinct |x| of its single points and one per basis; its scaled
         # copies are scored by homogeneity (q = 2), and each of the three
         # LP witnesses gets one worst signed sum.  The winner alone is
@@ -393,7 +393,7 @@ class TestSandwichWork:
             )
         assert cli.main(self.ARGV + [r"(1*t3) /\ (2*t2)"]) == 0
         capsys.readouterr()
-        assert calls == {"admissibility": 1, "worst": 9, "total": 1}
+        assert calls == {"admissibility": 1, "worst": 8, "total": 1}
 
     def test_each_ray_is_evaluated_once(self, monkeypatch, capsys):
         # f's values at the rays are kept: every ray of the final table is
@@ -688,6 +688,45 @@ class TestPrunedRescore:
         cert, lower, witness, ties = _full_rescore(monkeypatch, f, space)
         assert ties > 0
         assert (cert.lower, cert.witness) == (lower, witness)
+
+
+class TestSweepWithoutSignVectors:
+    """The sweep scores no sign vector: putting the 2^(d-1) sign vectors
+    (+-1, .., +-1) back as single points changes no bound and no
+    witness."""
+
+    @pytest.mark.parametrize("p", ["2", "3/2", "3", "7/3", "5/2"])
+    def test_sign_vectors_change_no_certificate(self, monkeypatch, p):
+        import latfree.norm as norm_module
+
+        real = norm_module._sweep_candidates
+
+        def with_signs(f, space, pieces, singles, values):
+            signs = [(s,) for s in sign_patterns(space.dim)]
+            out = real(f, space, pieces, singles, values)
+            values.add(f, [s for (s,) in signs])
+            return list(dict.fromkeys(out + signs))
+
+        rng = random.Random(f"sign vectors {p}")
+        nonzero = 0
+        for d in range(1, 5):
+            space = seq_space(F(p), d)
+            for i in range(16):
+                if i % 2:
+                    f = PwlFunction.from_expr(random_expr(rng, d, lattice_ops=2), d)
+                else:
+                    # an embedded vector with fractional entries
+                    a = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+                    f = make_pwl(parse("t1", 1), [a])
+                cert = norm_certificate(f, space)
+                with monkeypatch.context() as m:
+                    m.setattr(norm_module, "_sweep_candidates", with_signs)
+                    ref = norm_certificate(f, space)
+                assert (cert.lower, cert.upper, cert.witness) == (
+                    ref.lower, ref.upper, ref.witness
+                ), (f.expr, f.comp, space)
+                nonzero += cert.upper > 0
+        assert nonzero >= 48
 
 
 def _closed_form_inputs():
