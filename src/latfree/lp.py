@@ -23,6 +23,12 @@ Bland's rule takes the pivots it would take on the unscaled rational
 tableau.  At the end a basic z_j in row i is T[i][-1] / D, the value is
 -T_obj[-1] / (D * s_0), and the dual of row i is
 -T_obj[n+i] * s_i / (D * s_0): slack_i's column is s_i times u_i's.
+
+The result keeps the optimum on the tableau's common divisor: the point
+as the int numerators T[i][-1] over D, and the duals as the int weights
+-T_obj[n+i] * s_i over D * s_0, D and s_0 being positive.  Only the value
+is a Fraction, so a caller such as norm.ray_lp checks the duals and reads
+the point's support on ints; LpResult.point and .duals build Fractions.
 """
 
 from __future__ import annotations
@@ -34,8 +40,32 @@ from .errors import InternalFaultError
 from .qmath import clear_denominators
 
 
-# status is "optimal" or "unbounded"; only an optimal result has the rest
-LpResult = namedtuple("LpResult", "status value point duals", defaults=(None, None, None))
+class LpResult(
+    namedtuple(
+        "LpResult",
+        "status value numerators divisor weights weight_divisor",
+        defaults=(None,) * 5,
+    )
+):
+    """status is "optimal" or "unbounded"; only an optimal result has the
+    rest.  value is a rational; the optimal point and the duals stay on the
+    tableau's ints: z_j = numerators[j] / divisor and
+    y_i = weights[i] / weight_divisor, both divisors positive.  point and
+    duals build them as Fractions."""
+
+    __slots__ = ()
+
+    @property
+    def point(self) -> tuple[Fraction, ...] | None:
+        if self.numerators is None:
+            return None
+        return tuple(Fraction(z, self.divisor) for z in self.numerators)
+
+    @property
+    def duals(self) -> tuple[Fraction, ...] | None:
+        if self.weights is None:
+            return None
+        return tuple(Fraction(w, self.weight_divisor) for w in self.weights)
 
 
 class _Tableau:
@@ -107,7 +137,9 @@ def simplex_standard(c, rows) -> LpResult:
 
     Every rhs must be nonnegative.  An optimal result carries the duals:
     duals[i] >= 0 is the multiplier of row i, with Sum_i duals[i] * rhs_i
-    equal to the value and Sum_i duals[i] * coeffs_i >= c columnwise.
+    equal to the value and Sum_i duals[i] * coeffs_i >= c columnwise.  The
+    point and the duals are returned on ints over their divisors
+    (LpResult).
     """
     obj, obj_scale = clear_denominators(c)
     n = len(obj)
@@ -128,15 +160,16 @@ def simplex_standard(c, rows) -> LpResult:
 
     if tab.run() == "unbounded":
         return LpResult(status="unbounded")
-    d = tab.divisor
-    point = [Fraction(0)] * n
+    numerators = [0] * n
     for i, col in enumerate(tab.basis):
         if col < n:
-            point[col] = Fraction(tab.rows[i][-1], d)
-    scale = d * obj_scale
+            numerators[col] = tab.rows[i][-1]
+    scale = tab.divisor * obj_scale
     return LpResult(
         status="optimal",
         value=Fraction(-tab.obj[-1], scale),
-        point=tuple(point),
-        duals=tuple(Fraction(-tab.obj[n + i] * s, scale) for i, s in enumerate(row_scales)),
+        numerators=tuple(numerators),
+        divisor=tab.divisor,
+        weights=tuple(-tab.obj[n + i] * s for i, s in enumerate(row_scales)),
+        weight_divisor=scale,
     )

@@ -54,12 +54,14 @@ from .pwl import (
     check_ray_caps,
     linear_pieces,
     pieces_and_kinks,
+    ray_planes,
     rays,
     rays_with,
 )
 from .qmath import (
     Vec,
     clear_denominators,
+    clear_point_denominators,
     format_fraction,
     identity,
     vec,
@@ -136,8 +138,11 @@ def tuple_admissible(tup: FunctionalTuple) -> bool:
 
 
 def _tuple_total(f: PwlFunction, tup: FunctionalTuple) -> Fraction:
-    """Sum_i |f(x_i)|, exactly."""
-    return sum((abs(v) for v in f.eval_many(tup.points)), Fraction(0))
+    """Sum_i |f(x_i)|, exactly: f is positively homogeneous, so it is folded
+    on the int points s x_i, s the lcm of the tuple's denominators, and the
+    sum is divided by s once."""
+    ints, s = clear_point_denominators(tup.points)
+    return Fraction(sum(abs(v) for v in f.fold_many(ints)), s)
 
 
 def tuple_seminorm_value(f: PwlFunction, tup: FunctionalTuple) -> Fraction:
@@ -177,12 +182,16 @@ def _halved(table, values: _Values):
 
 
 def ray_lp(f: PwlFunction, columns, rows):
-    """(value, point) of max { Sum_v lam_v |f(v)| : Sum_v lam_v |<v, b>| <= N
-    for every row (b, N) } over the int ray columns v, b a vector of ints
-    and N >= 0, with its exact duals checked.
+    """(value, (points, den)) of max { Sum_v lam_v |f(v)| :
+    Sum_v lam_v |<v, b>| <= N for every row (b, N) } over the int ray
+    columns v, b a vector of ints and N >= 0, with its exact duals checked.
+    The optimal lam is returned as its witness {lam_v v : lam_v > 0}: the
+    sorted int points z_v v over den, lam_v = z_v / den.
 
     The duals y must be >= 0 with Sum_b y_b N_b = value and must dominate
-    every column, Sum_b y_b |<v, b>| >= |f(v)|, a check made on ints.  When
+    every column, Sum_b y_b |<v, b>| >= |f(v)|.  simplex_standard returns
+    y as int weights over one divisor, so both checks, and the witness,
+    are made on ints.  When
     the columns are the rays of an arrangement that holds f's kinks and
     every row's plane, f is one linear piece and every |<., b>| is linear
     on each closed cell.  Splitting a point x over its cell's rays,
@@ -204,20 +213,26 @@ def ray_lp(f: PwlFunction, columns, rows):
     if value < 0:
         raise InternalFaultError("ray LP returned a negative norm")
 
-    duals = res.duals
-    if duals is None or len(duals) != len(rows):
+    # y_b = weights[b] / common
+    weights, common = res.weights, res.weight_divisor
+    if weights is None or len(weights) != len(rows):
         raise InternalFaultError("ray LP returned no usable duals")
-    if any(y < 0 for y in duals):
+    if common < 1 or any(w < 0 for w in weights):
         raise InternalFaultError("negative LP dual on a <= row")
-    if sum((y * n for y, (_, n) in zip(duals, rows)), Fraction(0)) != value:
+    # Sum_b y_b N_b = value, with N_b = rhs[b] / t
+    rhs, t = clear_denominators(n for _, n in rows)
+    if sum(map(operator.mul, weights, rhs)) * value.denominator != value.numerator * common * t:
         raise InternalFaultError("LP dual value does not match the optimum")
-    # Sum_b y_b |<v,b>| >= |f(v)| on ints: y_b = weights[b] / common
-    weights, common = clear_denominators(duals)
     for c, column in zip(objective, zip(*matrix)):
         covered = sum(map(operator.mul, weights, column))
         if covered * c.denominator < c.numerator * common:
             raise InternalFaultError("LP dual fails to dominate a ray column")
-    return value, res.point
+
+    # lam_v = numerators[v] / divisor; den is the lcm of the lam_v's denominators
+    support = [(z, v) for z, v in zip(res.numerators, columns) if z > 0]
+    g = math.gcd(res.divisor, *(z for z, _ in support))
+    points = sorted(tuple(z // g * x for x in v) for z, v in support)
+    return value, (tuple(points), res.divisor // g)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +362,8 @@ def _cut(u, space: SpaceSpec) -> tuple[tuple[int, ...], Fraction]:
     ints, _ = clear_denominators(u)
     peak = peak_point(ints, dual_exponent(space.exponent))
     top = max(map(abs, peak))
-    c = [round(_CUT_SCALE * w / top) for w in peak]
+    # a Fraction: the peak of an integral exponent is ints, and int / int a float
+    c = [round(Fraction(_CUT_SCALE * w, top)) for w in peak]
     if next(x for x in c if x) < 0:
         c = [-x for x in c]
     scale = 1 << _CUT_BITS
@@ -420,7 +436,7 @@ def norm_certificate(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
         check_ray_caps(math.comb(2 ** (d - 1) + d, d - 1), d)
     pieces, bends = pieces_and_kinks(f)
     planes = budget_directions(space) if polyhedral else f.comp
-    normals = [*bends, *planes]
+    normals = ray_planes(f.dim, [*bends, *planes])
     table = rays(f.dim, normals)
     values = _Values()
     values.add(f, table)
@@ -432,14 +448,13 @@ def norm_certificate(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
             b, s = clear_denominators(row)
             rows.append((tuple(b), s * norm_upper(row, space.exponent)))
     method = "exact_match" if polyhedral else "ray_lp_dual"
-    columns = _halved(table, values)
-    upper, point = ray_lp(values, columns, rows)
+    upper, (support, den) = ray_lp(values, _halved(table, values), rows)
     if upper == 0:
         zero = functional_tuple(space, (zero_vec(space.dim),))
         return NormCertificate(Fraction(0), Fraction(0), zero, method)
     if polyhedral:
-        witness = functional_tuple(
-            space, sorted(vec_scale(lam, v) for lam, v in zip(point, columns) if lam > 0)
+        witness = FunctionalTuple(
+            space, tuple(tuple(Fraction(x, den) for x in p) for p in support)
         )
         if not tuple_admissible(witness):
             raise InternalFaultError("witness tuple is not admissible")
@@ -479,32 +494,25 @@ def norm_certificate(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
 
     seen = {b for b, _ in rows} | {tuple(-x for x in b) for b, _ in rows}
     for rounds_left in range(_CUT_ROUNDS, -1, -1):
-        # the witness {lam_v v : lam_v > 0} on ints: {z_v v} / den
-        support = [(lam, v) for lam, v in zip(point, columns) if lam > 0]
-        z, den = clear_denominators(lam for lam, _ in support)
-        points = tuple(sorted(
-            tuple(c * x for x in v) for c, (_, v) in zip(z, support)
-        ))
+        # the LP witness {lam_v v : lam_v > 0} is the int points over den
         try:
-            cn, u = worst_signed_sum(points, space, den)
+            cn, u = worst_signed_sum(support, space, den)
         except CapacityError:
             break  # its admissibility would pass the sign-vector cap
-        score(upper / max(1, cn), points, Fraction(1, den))
+        score(upper / max(1, cn), support, Fraction(1, den))
         if not rounds_left or cn <= 1:
             break
         c, n = _cut(u, space)
         if c in seen:
             break
         try:
-            table = rays_with(f.dim, normals, table, c)
+            table, normals = rays_with(f.dim, normals, table, c)
         except CapacityError:
             break
         values.add(f, table)
-        normals.append(c)
         rows.append((c, n))
         seen |= {c, tuple(-x for x in c)}
-        columns = _halved(table, values)
-        upper, point = ray_lp(values, columns, rows)
+        upper, (support, den) = ray_lp(values, _halved(table, values), rows)
 
     witness = FunctionalTuple(
         space, min(tuple(vec_scale(s, x) for x in p) for p, s in tied)

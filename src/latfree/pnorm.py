@@ -5,6 +5,14 @@ Each is an exact rational or a certified rational upper bound, computed
 with `int` and `Fraction` only: p = 1 and p = inf need no root, other
 rational p round k-th roots up (`root_upper`).  No float enters this
 module.
+
+The arithmetic stays on ints where the exponent allows.  A vector's or a
+tuple's denominators are cleared once (`qmath.clear_denominators`), and
+integral powers, the polyhedral budget sums and the signed sums of an
+integral q are taken on those ints.  A root reads the numerator and the
+denominator it is given, and a Fraction is built once, for the bound it
+returns.  A Hoelder peak of an integral exponent takes no root, so int
+coefficients give an int peak.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from .qmath import (
     MAX_DIM,
     Vec,
     clear_denominators,
-    dot,
+    clear_point_denominators,
     format_fraction,
     identity,
     to_fraction,
@@ -154,28 +162,44 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def _root_bracket(q: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
-    """(lo, hi) with lo <= q ** (1/k) <= hi for a rational q >= 0: both the
-    root itself when the numerator and the denominator of q are perfect
-    k-th powers, else adjacent multiples of 2**-bits."""
-    num, den = iroot(q.numerator, k), iroot(q.denominator, k)
-    if num**k == q.numerator and den**k == q.denominator:
-        return Fraction(num, den), Fraction(num, den)
-    low = iroot((q.numerator << (k * bits)) // q.denominator, k)
-    return Fraction(low, 1 << bits), Fraction(low + 1, 1 << bits)
+def _bracket(n: int, d: int, k: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with lo / den <= (n / d) ** (1/k) <= hi / den for ints
+    n >= 0 and d >= 1: lo = hi = the root of n and den = the root of d when
+    both are perfect k-th powers, else hi = lo + 1 and den = 2**bits.
+
+    When d is a perfect k-th power, n / d need not be in lowest terms: the
+    root of n / d is rational exactly when n is a perfect k-th power, and
+    floor(n * 2**(k*bits) / d) depends only on the ratio."""
+    num, den = iroot(n, k), iroot(d, k)
+    if num**k == n and den**k == d:
+        return num, num, den
+    low = iroot((n << (k * bits)) // d, k)
+    return low, low + 1, 1 << bits
+
+
+def _root_bracket(q, k: int, bits: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= q ** (1/k) <= hi for a rational q >= 0, an int or
+    a Fraction: both the root itself when the numerator and the denominator
+    of q are perfect k-th powers, else adjacent multiples of 2**-bits."""
+    lo, hi, den = _bracket(q.numerator, q.denominator, k, bits)
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def _root_up(n: int, d: int, k: int) -> Fraction:
+    """root_upper(n / d, k) for ints n >= 0 and d >= 1, n / d in lowest
+    terms or d a perfect k-th power (_bracket)."""
+    _, hi, den = _bracket(n, d, k, _BITS)
+    return Fraction(hi, den)
 
 
 def root_upper(q, k: int) -> Fraction:
-    """Rational r >= q ** (1/k): the root itself when the numerator and the
-    denominator of q are perfect k-th powers (q itself when k = 1), else
-    the next multiple of 2**-_BITS above it, so that
-    r**k > q > (r - 2**-_BITS)**k."""
-    q = Fraction(q)
+    """Rational r >= q ** (1/k) for an int or a Fraction q >= 0: the root
+    itself when the numerator and the denominator of q are perfect k-th
+    powers (q itself when k = 1), else the next multiple of 2**-_BITS above
+    it, so that r**k > q > (r - 2**-_BITS)**k."""
     if q < 0:
         raise ValueError("root of a negative rational")
-    if k == 1:
-        return q
-    return _root_bracket(q, k, _BITS)[1]
+    return _root_up(q.numerator, q.denominator, k)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +212,11 @@ def norm_upper(v, p: Fraction | str) -> Fraction:
     integer p whenever the norm is rational."""
     if p == INF_P:
         return max((abs(x) for x in v), default=Fraction(0))
-    if p == 1:
-        return sum((abs(x) for x in v), Fraction(0))
     a, b = p.numerator, p.denominator
+    if b == 1:
+        # Sum_j |s v_j| ** a on ints, s the lcm of the denominators, over s ** a
+        ints, s = clear_denominators(v)
+        return _root_up(sum(abs(x) ** a for x in ints), s**a, a)
     # Sum_j |v_j| ** (a/b), each term rounded up, then its (b/a)-th power
     total = sum((root_upper(abs(x) ** a, b) for x in v), Fraction(0))
     return root_upper(total**b, a)
@@ -290,10 +316,12 @@ def admissibility_upper(points, space: SpaceSpec) -> Fraction:
     exactly when the value is.
     """
     if space.is_polyhedral:
-        return max(
-            sum((abs(dot(x, b)) for x in points), Fraction(0))
+        # Sum_i |<s x_i, b>| on ints, s the lcm of the tuple's denominators
+        ints, s = clear_point_denominators(points)
+        return Fraction(max(
+            sum(abs(sum(map(operator.mul, x, b))) for x in ints)
             for b in budget_directions(space)
-        )
+        ), s)
     return worst_signed_sum(points, space)[0]
 
 
@@ -306,19 +334,18 @@ def worst_signed_sum(points, space: SpaceSpec, scale: int = 1) -> tuple[Fraction
     q = dual_exponent(space.exponent)
     if q.denominator == 1:
         # on ints: the points / scale times the lcm s of their denominators
-        k, d = q.numerator, len(points[0])
-        flat, s = clear_denominators([x for point in points for x in point])
+        k = q.numerator
+        scaled, s = clear_point_denominators(points)
         if scale != 1:
-            # s and the gcd of flat are coprime, so this is the lcm again
-            g = math.gcd(scale, *flat)
-            flat, s = [x // g for x in flat], s * scale // g
-        scaled = [flat[h : h + d] for h in range(0, len(flat), d)]
+            # s and the gcd of the entries are coprime, so this is the lcm again
+            g = math.gcd(scale, *(x for point in scaled for x in point))
+            scaled, s = [[x // g for x in point] for point in scaled], s * scale // g
         power, u = max(
             ((sum(abs(c) ** k for c in combined), combined)
              for combined in _signed_sums(scaled)),
             key=operator.itemgetter(0),
         )
-        return root_upper(Fraction(power, s**k), k), u
+        return _root_up(power, s**k, k), u
     if scale != 1:
         points = [[Fraction(x, scale) for x in point] for point in points]
     return max(
@@ -353,12 +380,15 @@ def peak_point(a, p: Fraction) -> Vec:
     Hoelder's equality case, q dual to a rational p > 1:
     x_j = sign(a_j) |a_j| ** (p-1), so <a, x> = ||a||_p ||x||_q; for p = 2
     this is a itself.  Roots are rounded up, which keeps x a candidate.
+    An integral exponent takes no root: int entries of a give ints.
     """
     e = p - 1
-    return tuple(
-        (1 if c > 0 else -1) * root_upper(abs(c) ** e.numerator, e.denominator)
-        for c in a
-    )
+
+    def power(c):
+        m = abs(c) ** e.numerator
+        return m if e.denominator == 1 else root_upper(m, e.denominator)
+
+    return tuple(power(c) if c > 0 else -power(c) for c in a)
 
 
 # ---------------------------------------------------------------------------

@@ -314,8 +314,9 @@ _MAX_RAY_SUBSETS = 150_000
 _MAX_RAY_WORK = 25 * _MAX_RAY_SUBSETS
 
 
-def _ray_planes(dim: int, normals) -> list[tuple[int, ...]]:
-    """The canonical `normals` plus the coordinate normals."""
+def ray_planes(dim: int, normals) -> list[tuple[int, ...]]:
+    """The planes of rays(dim, normals): the canonical `normals` plus the
+    coordinate normals."""
     planes = canonical_normals(list(normals) + list(identity(dim)))
     if any(len(n) != dim for n in planes):
         raise DimensionError("hyperplane normal has wrong length")
@@ -356,29 +357,33 @@ def rays(dim: int, normals) -> tuple[tuple[int, ...], ...]:
     integer normals (`null_line`).  Returns the primitive integer rays as
     int tuples, closed under sign, sorted.
     """
-    planes = _ray_planes(dim, normals)
+    planes = ray_planes(dim, normals)
     subsets = itertools.combinations(planes, dim - 1)
     return tuple(sorted(_solved_lines(subsets, comb(len(planes), dim - 1), dim)))
 
 
-def rays_with(dim: int, normals, table, normal) -> tuple[tuple[int, ...], ...]:
-    """rays(dim, [*normals, normal]), given table = rays(dim, normals).
+def rays_with(
+    dim: int, planes, table, normal
+) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
+    """(rays(dim, [*planes, normal]), its planes), given table =
+    rays(dim, planes) and planes = ray_planes(dim, normals).
 
+    The planes come canonical and go on canonical, the new one appended,
+    so a loop that adds one plane per round canonicalizes each plane once.
     A line of the new arrangement that is not a line of the old one lies
     on the new plane, so it is where the new plane meets dim - 2 old ones:
     C(H, dim - 2) subsets of the H old planes are solved, not
     C(H + 1, dim - 1).  A plane that is already there adds nothing.  The
     caps of `rays` apply to the subsets solved here.
     """
-    planes = _ray_planes(dim, normals)
     plane = primitive_normal(normal)
     if len(plane) != dim:
         raise DimensionError("hyperplane normal has wrong length")
     if is_zero_vec(plane) or plane in planes:
-        return tuple(table)
+        return tuple(table), planes
     subsets = ((*s, plane) for s in itertools.combinations(planes, dim - 2))
     lines = _solved_lines(subsets, comb(len(planes), dim - 2), dim)
-    return tuple(sorted(lines.union(table)))
+    return tuple(sorted(lines.union(table))), [*planes, plane]
 
 
 def _strict_cell_point(normals: list[Vec], signs, dim: int):

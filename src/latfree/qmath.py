@@ -45,6 +45,14 @@ def clear_denominators(values) -> tuple[list[int], int]:
     return [v.numerator * (s // v.denominator) for v in values], s
 
 
+def clear_point_denominators(points) -> tuple[list[list[int]], int]:
+    """([s * x for each point x], s) for points of one length, s the lcm
+    of every entry's denominator, so every s * x is a list of ints."""
+    flat, s = clear_denominators([c for x in points for c in x])
+    d = len(points[0])
+    return [flat[h : h + d] for h in range(0, len(flat), d)], s
+
+
 def vec(values) -> Vec:
     return tuple(to_fraction(v) for v in values)
 
@@ -85,8 +93,9 @@ def primitive_normal(a: Vec) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def format_fraction(q: Fraction) -> str:
-    return str(Fraction(q))
+def format_fraction(q: int | Fraction) -> str:
+    """q, an int or a Fraction, as "n" or "n/d"."""
+    return str(q)
 
 
 # ---------------------------------------------------------------------------

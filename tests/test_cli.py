@@ -225,6 +225,72 @@ class TestNorm:
         assert code == 0 and "timing" in json.loads(out)
 
 
+class TestPinnedCertificates:
+    """The exact (lower, upper, witness) of sandwiches, read at the commit
+    before the certificate arithmetic moved onto ints: a join and an
+    embedded vector on each bench space, the CI's seq:5/2:3, seq:7/3:2
+    and seq:3/2 inputs.  A moved bound or witness fails here."""
+
+    PINNED = {
+        ("seq:2:2", r"(2*t1) /\ (-3*t2)"): (
+            "8827754559041437696/2495826992870921423", "2007199/524288",
+            [["-434335/1048576", "0"], ["0", "1"]],
+        ),
+        ("seq:2:2", "(-4*t1) + (1*t2)"): (
+            "78398662313265594368/19014468566160273243", "4628639/1048576", [["-4", "1"]],
+        ),
+        ("seq:3/2:2", r"(2*t2) \/ (-3*t1)"): (
+            "92233720368547758080/23241441160490167843", "2188799/524288",
+            [["-1", "0"], ["0", "1"]],
+        ),
+        ("seq:3/2:2", "(-4*t1) + (-4*t2)"): (
+            "295147905179352825856/46482882320980335685", "1664511/262144", [["-2", "-2"]],
+        ),
+        ("seq:2:3", r"(-3*t3) \/ (-2*t1)"): (
+            "8827754559041437696/2495826992870921423", "2007199/524288",
+            [["-434335/1048576", "0", "0"], ["0", "0", "-1"]],
+        ),
+        ("seq:2:3", "(4*t1) + (4*t2) + (1*t3)"): (
+            "50728546202701266944/8830706413006553155", "8107643/1048576",
+            [["-4", "-4", "-1"]],
+        ),
+        ("seq:5/2:3", r"(-2*t3) \/ (-1*t2) \/ (3*t1)"): (
+            "110680464442257309696/35660914430746706671", "11064413/2097152",
+            [["0", "-1", "0"], ["0", "0", "-1"], ["1", "0", "0"]],
+        ),
+        ("seq:7/3:2", "1/1000000000000*t1+t2"): (
+            "1", "458752000000062777/458752000000000000", [["0", "-1"]],
+        ),
+        ("seq:3/2:2", r"t1 \/ (2*t2 - t1)"): (
+            "11770335895840113411/4809596028668167919", "2713087/1048576",
+            [["-1", "26087635650665564425/18446744073709551616"]],
+        ),
+        ("seq:3/2:3", r"(-2*t3) \/ (-1*t2) \/ (3*t1)"): (
+            "18446744073709551616/4434134785646388813", "5809155/1048576",
+            [["0", "-1", "0"], ["0", "0", "-1"], ["1", "0", "0"]],
+        ),
+    }
+
+    @pytest.mark.parametrize("space,expr", list(PINNED))
+    def test_certificate_is_pinned(self, capsys, space, expr):
+        code, out, _ = run_main(["norm", "--space", space, "--expr", expr], capsys)
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert (cert["lower"], cert["upper"], cert["witness"]) == self.PINNED[space, expr]
+
+    # about ten times the 1.4-1.6 s of seq:1000:2, nearly all of it in the
+    # degree-999 roots of the fractional dual exponent q = 1000/999, and
+    # the 0.1 s of seq:1000/999:2 (2-core x86 box, Python 3.11)
+    @pytest.mark.parametrize("space,budget", [("seq:1000:2", 15), ("seq:1000/999:2", 2)])
+    def test_large_exponents_within_budget(self, capsys, space, budget):
+        start = time.perf_counter()
+        code, out, err = run_main(["norm", "--space", space, "--expr", r"t1 \/ 2*t2 - t1"], capsys)
+        assert time.perf_counter() - start < budget, space
+        assert code == 0 and err == ""
+        cert = json.loads(out)["certificate"]
+        assert Fraction(cert["lower"]) <= Fraction(cert["upper"])
+
+
 class TestExtend:
     def test_join_of_generators(self, capsys):
         code, out, _ = run_main(

@@ -5,7 +5,7 @@ import pytest
 
 from latfree import lp
 from latfree.errors import InternalFaultError
-from latfree.lp import LpResult, simplex_standard
+from latfree.lp import simplex_standard
 from latfree.norm import norm_certificate, parse_space
 from latfree.pwl import PwlFunction
 from latfree.sampling import random_expr
@@ -188,7 +188,7 @@ class _FractionTableau:
 
 
 def _fraction_simplex(c, rows):
-    """(LpResult, pivots) from the reference tableau."""
+    """((status, value, point, duals), pivots) from the reference tableau."""
     c = [F(v) for v in c]
     n, m = len(c), len(rows)
     tab = _FractionTableau(m, n + m)
@@ -200,20 +200,13 @@ def _fraction_simplex(c, rows):
         tab.basis[i] = n + i
     tab.obj[:n] = c
     if tab.run() == "unbounded":
-        return LpResult(status="unbounded"), tab.pivots
+        return ("unbounded", None, None, None), tab.pivots
     point = [F(0)] * n
     for i, col in enumerate(tab.basis):
         if col < n:
             point[col] = tab.rows[i][-1]
-    return (
-        LpResult(
-            status="optimal",
-            value=-tab.obj[-1],
-            point=tuple(point),
-            duals=tuple(-tab.obj[n + i] for i in range(m)),
-        ),
-        tab.pivots,
-    )
+    duals = tuple(-tab.obj[n + i] for i in range(m))
+    return ("optimal", -tab.obj[-1], tuple(point), duals), tab.pivots
 
 
 @pytest.fixture
@@ -307,7 +300,11 @@ def test_integer_tableau_matches_the_fraction_tableau(integer_simplex, monkeypat
     for c, rows in cases:
         res, pivots = integer_simplex(c, rows)
         ref, ref_pivots = _fraction_simplex(c, rows)
-        assert res == ref
+        assert (res.status, res.value, res.point, res.duals) == ref
+        # the point and the duals are ints over positive divisors
+        if res.status == "optimal":
+            assert res.divisor > 0 and res.weight_divisor > 0
+            assert all(type(x) is int for x in res.numerators + res.weights)
         assert pivots == ref_pivots
         statuses.add(res.status)
         pivoted += bool(pivots)

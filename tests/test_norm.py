@@ -1,11 +1,14 @@
 import collections
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latfree import lp
 from latfree.cli import _MAX_RESTARTS, _check_restarts
@@ -20,6 +23,7 @@ from latfree.lp import LpResult
 from latfree.norm import (
     FunctionalTuple,
     _sweep_candidates,
+    _tuple_total,
     _Values,
     budget_directions,
     constraint_norm,
@@ -167,24 +171,26 @@ class TestExactPolyhedralNorm:
             norm_certificate(pw("t1", 1), parse_space(space))
 
 
-# (id, tamper, message): a tampered ray-LP answer and the fault it raises
+# (id, tamper, message): a tampered ray-LP answer and the fault it raises.
+# The duals are int weights over weight_divisor, the point int numerators
+# over divisor.
 _DUAL_TAMPERS = [
     ("unbounded", lambda r: LpResult(status="unbounded"), "ended unbounded"),
     ("value_negated", lambda r: r._replace(value=-r.value), "negative norm"),
     ("value_zeroed", lambda r: r._replace(value=0), "does not match"),
-    ("duals_missing", lambda r: r._replace(duals=None), "no usable duals"),
-    ("duals_halved", lambda r: r._replace(duals=tuple(y / 2 for y in r.duals)), "does not match"),
-    ("dual_negative", lambda r: r._replace(duals=(-r.duals[0],) + r.duals[1:]), "negative LP dual"),
-    ("column_uncovered", lambda r: r._replace(duals=r.duals[::-1]), "fails to dominate"),
+    ("duals_missing", lambda r: r._replace(weights=None), "no usable duals"),
+    ("duals_halved", lambda r: r._replace(weight_divisor=2 * r.weight_divisor), "does not match"),
+    ("dual_negative", lambda r: r._replace(weights=(-r.weights[0],) + r.weights[1:]), "negative LP dual"),
+    ("column_uncovered", lambda r: r._replace(weights=r.weights[::-1]), "fails to dominate"),
 ]
 # a cut round's rows have unequal rhs, so reversed duals break the dual
 # sum first; duals swapped between the rows e1 and e2 (rhs 1 each) keep it
 _ROUND_TAMPERS = _DUAL_TAMPERS[:-1] + [
-    ("column_uncovered", lambda r: r._replace(duals=r.duals[1::-1] + r.duals[2:]), "fails to dominate"),
+    ("column_uncovered", lambda r: r._replace(weights=r.weights[1::-1] + r.weights[2:]), "fails to dominate"),
 ]
 _WITNESS_TAMPERS = [
-    ("point_scaled_up", lambda r: r._replace(point=tuple(2 * z for z in r.point)), "not admissible"),
-    ("point_scaled_down", lambda r: r._replace(point=tuple(z / 2 for z in r.point)), "does not reproduce"),
+    ("point_scaled_up", lambda r: r._replace(numerators=tuple(2 * z for z in r.numerators)), "not admissible"),
+    ("point_scaled_down", lambda r: r._replace(divisor=2 * r.divisor), "does not reproduce"),
 ]
 
 
@@ -410,15 +416,19 @@ class TestSandwichWork:
             evaluated.extend(map(tuple, points))
             return real_fold(self, points)
 
-        def recorded(real):
+        def recorded(real, table):
             def wrapper(*args):
-                tables.append(real(*args))
-                return tables[-1]
+                out = real(*args)
+                tables.append(table(out))
+                return out
             return wrapper
 
         monkeypatch.setattr(pwl_module.PwlFunction, "fold_many", fold_many)
-        for name in ("rays", "rays_with"):
-            monkeypatch.setattr(norm_module, name, recorded(getattr(norm_module, name)))
+        # rays returns a table, rays_with a table and its planes
+        monkeypatch.setattr(norm_module, "rays", recorded(norm_module.rays, lambda t: t))
+        monkeypatch.setattr(
+            norm_module, "rays_with", recorded(norm_module.rays_with, operator.itemgetter(0))
+        )
         assert cli.main(self.ARGV + [r"(1*t3) /\ (2*t2)"]) == 0
         capsys.readouterr()
         final = set(tables[-1])
@@ -606,8 +616,8 @@ class TestNormBounds:
         real = norm_module.ray_lp
 
         def halved(f, columns, rows):
-            value, point = real(f, columns, rows)
-            return value / 2, point
+            value, witness = real(f, columns, rows)
+            return value / 2, witness
 
         monkeypatch.setattr(norm_module, "ray_lp", halved)
         with pytest.raises(InternalFaultError):
@@ -638,9 +648,9 @@ def _full_rescore(monkeypatch, f, space):
     real = norm_module.ray_lp
 
     def recorded(f, columns, rows):
-        value, point = real(f, columns, rows)
-        witnesses.append(sorted(vec_scale(lam, v) for lam, v in zip(point, columns) if lam > 0))
-        return value, point
+        value, (points, den) = real(f, columns, rows)
+        witnesses.append([vec_scale(F(1, den), x) for x in points])
+        return value, (points, den)
 
     with monkeypatch.context() as m:
         m.setattr(norm_module, "ray_lp", recorded)
@@ -829,13 +839,18 @@ def _reference_rounds(f, space):
         rows.append((tuple(b), s * norm_upper(row, space.exponent)))
 
     def solve():
+        # the LP solved here, its point read as Fractions (LpResult.point)
         table = rays(f.dim, planes)
         columns = []
         for v in table:
             if next(x for x in v if x) > 0:
                 w = tuple(-x for x in v)
                 columns.append(w if abs(f.eval(w)) > abs(f.eval(v)) else v)
-        return table, columns, norm_module.ray_lp(f, columns, rows)
+        objective = [abs(f.eval(v)) for v in columns]
+        res = lp.simplex_standard(
+            objective, [([abs(dot(v, b)) for v in columns], n) for b, n in rows]
+        )
+        return table, columns, (res.value, res.point)
 
     table, columns, (upper, point) = solve()
     if upper == 0:
@@ -875,9 +890,9 @@ def _rounds(monkeypatch, f, space):
     real = norm_module.ray_lp
 
     def recorded(f, columns, rows):
-        value, point = real(f, columns, rows)
-        witnesses.append(sorted(vec_scale(lam, v) for lam, v in zip(point, columns) if lam > 0))
-        return value, point
+        value, (points, den) = real(f, columns, rows)
+        witnesses.append([vec_scale(F(1, den), x) for x in points])
+        return value, (points, den)
 
     with monkeypatch.context() as m:
         m.setattr(norm_module, "ray_lp", recorded)
@@ -1010,3 +1025,147 @@ class TestMaximalityAudit:
         assert not report.passed
         assert len(report.violations) == 1
         assert report.violations[0].name == "broken"
+
+
+# ---------------------------------------------------------------------------
+# the int certificate paths against the Fraction formulas they replaced
+# ---------------------------------------------------------------------------
+
+
+def _fraction_total(f, tup):
+    """Sum_i |f(x_i)| of the Fraction values at the points themselves."""
+    return sum((abs(v) for v in f.eval_many(tup.points)), F(0))
+
+
+def _fraction_ray_lp(f, columns, rows):
+    """ray_lp's checks made on the Fraction duals (LpResult.duals), and its
+    witness read from the Fraction point (LpResult.point)."""
+    objective = [abs(v) for v in f.eval_many(columns)]
+    matrix = [[abs(dot(v, b)) for v in columns] for b, _ in rows]
+    res = lp.simplex_standard(objective, [(m, n) for m, (_, n) in zip(matrix, rows)])
+    assert res.status == "optimal" and res.value >= 0
+    duals = res.duals
+    assert all(y >= 0 for y in duals)
+    assert sum((y * n for y, (_, n) in zip(duals, rows)), F(0)) == res.value
+    for c, column in zip(objective, zip(*matrix)):
+        assert sum((y * a for y, a in zip(duals, column)), F(0)) >= c
+    witness = sorted(vec_scale(lam, v) for lam, v in zip(res.point, columns) if lam > 0)
+    return res.value, witness
+
+
+def _points(rng, dim, count):
+    """count points of ints, Fractions and zeros."""
+    def entry():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(-9, 9)
+        if kind == 1:
+            return F(rng.randint(-9, 9), rng.randint(1, 12))
+        return rng.choice([0, F(0)])
+    return [tuple(entry() for _ in range(dim)) for _ in range(count)]
+
+
+def _fractional_function(rng, dim):
+    """A random element over random Fraction composition rows."""
+    n = rng.randint(1, 3)
+    rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)] for _ in range(n)]
+    return make_pwl(random_expr(rng, n), rows)
+
+
+SANDWICH_SPACES = ["seq:2:2", "seq:3/2:2", "seq:2:3", "seq:5/2:3", "seq:7/3:2",
+                   "seq:1000/999:2", "fvl:2", "seq:1:3", "seq:inf:2"]
+
+
+class TestIntCertificatePaths:
+    """_tuple_total folds f on the int points s x_i and divides once, and
+    ray_lp checks the duals and reads the witness on the LP's ints: both
+    give the numbers of the Fraction formulas they replaced."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**9), st.integers(1, 3), st.integers(1, 4), st.booleans())
+    def test_tuple_total(self, seed, dim, count, fractional):
+        rng = random.Random(seed)
+        if fractional:
+            f = _fractional_function(rng, dim)
+        else:
+            f = PwlFunction.from_expr(random_expr(rng, dim), dim)
+        tup = FunctionalTuple(seq_space(2, dim), tuple(_points(rng, dim, count)))
+        total = _tuple_total(f, tup)
+        assert total == _fraction_total(f, tup) and type(total) is F
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**9), st.sampled_from(SANDWICH_SPACES), st.booleans())
+    def test_ray_lp_matches_the_fraction_duals(self, seed, space, fractional):
+        import latfree.norm as norm_module
+
+        spec = parse_space(space)
+        rng = random.Random(seed)
+        if fractional:
+            f = _fractional_function(rng, spec.dim)
+        else:
+            f = PwlFunction.from_expr(random_expr(rng, spec.dim), spec.dim)
+        calls = []
+        real = norm_module.ray_lp
+
+        def recorded(values, columns, rows):
+            out = real(values, columns, rows)
+            calls.append((dict(values), list(columns), list(rows), out))
+            return out
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(norm_module, "ray_lp", recorded)
+            norm_certificate(f, spec)
+        assert calls
+        for values, columns, rows, (value, (points, den)) in calls:
+            ref_value, ref_witness = _fraction_ray_lp(_Values(values), columns, rows)
+            assert value == ref_value
+            assert [vec_scale(F(1, den), x) for x in points] == ref_witness
+            assert all(type(x) is int for x in itertools.chain(*points)) and den >= 1
+
+    # 2*t1 + t2 on fvl:2 has the nonzero duals (2, 1); the seq:2:3 join's
+    # first LP has two nonzero duals too
+    @pytest.mark.parametrize("space,text", [("fvl:2", "2*t1 + t2"), ("seq:2:3", r"(1*t3) /\ (2*t2)")])
+    def test_each_dual_weight_is_sign_checked(self, monkeypatch, space, text):
+        import latfree.norm as norm_module
+
+        spec = parse_space(space)
+        real = norm_module.simplex_standard
+        res = []
+        monkeypatch.setattr(norm_module, "simplex_standard", lambda c, rows: res.append(real(c, rows)) or res[-1])
+        norm_certificate(pw(text, spec.dim), spec)
+        nonzero = [i for i, w in enumerate(res[0].weights) if w]
+        assert len(nonzero) >= 2
+        for i in nonzero:
+            def flipped(c, rows, i=i):
+                r = real(c, rows)
+                return r._replace(weights=r.weights[:i] + (-r.weights[i],) + r.weights[i + 1:])
+            monkeypatch.setattr(norm_module, "simplex_standard", flipped)
+            with pytest.raises(InternalFaultError, match="negative LP dual"):
+                norm_certificate(pw(text, spec.dim), spec)
+
+    @pytest.mark.parametrize("space,text", [("fvl:2", r"|t1 - t2| + t1 \/ 2*t2"), ("seq:2:3", r"(1*t3) /\ (2*t2)")])
+    def test_each_column_is_domination_checked(self, monkeypatch, space, text):
+        # the LP answer of the true objective, checked against an objective
+        # whose one column j is raised past what the duals cover: only
+        # column j's domination check can see it
+        import latfree.norm as norm_module
+
+        spec = parse_space(space)
+        f = pw(text, spec.dim)
+        calls = []
+        real = norm_module.ray_lp
+        monkeypatch.setattr(
+            norm_module, "ray_lp",
+            lambda values, columns, rows: calls.append((_Values(values), columns, rows)) or real(values, columns, rows),
+        )
+        norm_certificate(f, spec)
+        values, columns, rows = calls[0]
+        assert len(columns) >= 3
+        answer = lp.simplex_standard([abs(values[v]) for v in columns],
+                                     [([abs(dot(v, b)) for v in columns], n) for b, n in rows])
+        monkeypatch.setattr(norm_module, "simplex_standard", lambda c, rows: answer)
+        for j, v in enumerate(columns):
+            raised = _Values(values)
+            raised[v] = 10**9
+            with pytest.raises(InternalFaultError, match="fails to dominate"):
+                real(raised, columns, rows)

@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latfree.errors import CapacityError, UnsupportedSpaceError
 from latfree.pnorm import (
@@ -10,16 +12,21 @@ from latfree.pnorm import (
     _root_bracket,
     admissibility_upper,
     admissible,
+    budget_directions,
+    dual_exponent,
     fvl_space,
     iroot,
     norm_leq,
     norm_upper,
     operator_upper,
+    parse_space,
+    peak_point,
     root_upper,
     seq_space,
     sign_patterns,
     worst_signed_sum,
 )
+from latfree.qmath import dot, format_fraction
 
 F = Fraction
 
@@ -395,3 +402,148 @@ class TestOperatorUpper:
         assert bound == root_upper(F(2), 3)
         # x -> (x, x) from l_2 to l_1 has norm 2; its one column is (1, 1)
         assert operator_upper(((F(1), F(1)),), seq_space(2, 1), seq_space(1, 2)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the int paths against the Fraction formulas they replaced
+# ---------------------------------------------------------------------------
+
+
+def _fraction_bracket(q, k, bits):
+    """The bracket on Fraction(q), as root_upper took it before its int path."""
+    q = F(q)
+    num, den = iroot(q.numerator, k), iroot(q.denominator, k)
+    if num**k == q.numerator and den**k == q.denominator:
+        return F(num, den), F(num, den)
+    low = iroot((q.numerator << (k * bits)) // q.denominator, k)
+    return F(low, 1 << bits), F(low + 1, 1 << bits)
+
+
+def _fraction_root_upper(q, k):
+    q = F(q)
+    return q if k == 1 else _fraction_bracket(q, k, _BITS)[1]
+
+
+def _fraction_norm_upper(v, p):
+    """Each |v_j| ** p as a Fraction, summed from Fraction(0)."""
+    if p == "inf":
+        return max((abs(x) for x in v), default=F(0))
+    if p == 1:
+        return sum((abs(x) for x in v), F(0))
+    a, b = p.numerator, p.denominator
+    total = sum((_fraction_root_upper(abs(x) ** a, b) for x in v), F(0))
+    return _fraction_root_upper(total**b, a)
+
+
+def _fraction_peak_point(a, p):
+    e = p - 1
+    return tuple(
+        (1 if c > 0 else -1) * _fraction_root_upper(abs(c) ** e.numerator, e.denominator)
+        for c in a
+    )
+
+
+def _fraction_polyhedral_admissibility(points, space):
+    return max(
+        sum((abs(dot(x, b)) for x in points), F(0)) for b in budget_directions(space)
+    )
+
+
+EXPONENTS = [F(1), F(3, 2), F(2), F(5, 2), F(7, 3), F(1000, 999), "inf"]
+
+_ints = st.integers(-10**4, 10**4)
+_fractions = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4)
+
+
+@st.composite
+def _vectors(draw, dim=None):
+    """An int vector, a Fraction vector (integral entries as Fractions too),
+    a zero vector, or a vector of perfect powers and their negatives."""
+    n = draw(st.integers(1, 4)) if dim is None else dim
+    kind = draw(st.sampled_from(["int", "fraction", "zero", "powers"]))
+    if kind == "int":
+        return [draw(_ints) for _ in range(n)]
+    if kind == "fraction":
+        return [F(draw(st.one_of(_fractions, _ints))) for _ in range(n)]
+    if kind == "zero":
+        return [draw(st.sampled_from([0, F(0)])) for _ in range(n)]
+    k = draw(st.sampled_from([2, 3]))
+    return [
+        draw(st.sampled_from([1, -1]))
+        * F(draw(st.integers(0, 9)) ** k, draw(st.integers(1, 9)) ** k)
+        for _ in range(n)
+    ]
+
+
+_rationals = st.one_of(
+    st.integers(0, 10**40),
+    st.fractions(min_value=0, max_value=10**12, max_denominator=10**12),
+    st.builds(lambda n, d, k: F(n**k, d**k), st.integers(0, 10**6), st.integers(1, 10**6),
+              st.sampled_from([2, 3, 7, 999])),
+)
+
+
+class TestIntPathsMatchTheFractionFormulas:
+    """Each int path of this module gives the Fraction formula's number, on
+    seeded inputs: ints, Fractions, zeros and perfect k-th powers."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_rationals, st.sampled_from([1, 2, 3, 7, 999]))
+    def test_root_upper_and_bracket(self, q, k):
+        r = root_upper(q, k)
+        assert r == _fraction_root_upper(q, k) and type(r) is F
+        for bits in (_BITS, 200):
+            assert _root_bracket(q, k, bits) == _fraction_bracket(q, k, bits)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_vectors(), st.sampled_from(EXPONENTS))
+    def test_norm_upper(self, v, p):
+        got = norm_upper(v, p)
+        assert got == _fraction_norm_upper(v, p)
+        if p != "inf":
+            assert type(got) is F
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_vectors(), st.sampled_from([e for e in EXPONENTS if e not in (1, "inf")]))
+    def test_peak_point(self, a, p):
+        peak = peak_point(a, p)
+        assert peak == _fraction_peak_point(a, p)
+        if (p - 1).denominator == 1 and all(type(c) is int for c in a):
+            assert all(type(x) is int for x in peak)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data(), st.sampled_from(["fvl", "seq:1", "seq:inf"]), st.integers(1, 4))
+    def test_polyhedral_admissibility(self, data, kind, dim):
+        space = parse_space(f"{kind}:{dim}")
+        points = data.draw(st.lists(_vectors(dim), min_size=1, max_size=3))
+        got = admissibility_upper(points, space)
+        assert got == _fraction_polyhedral_admissibility(points, space) and type(got) is F
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data(), st.sampled_from([F(2), F(3, 2), F(5, 4)]), st.integers(1, 3),
+           st.integers(1, 10**6))
+    def test_integral_q_signed_sums(self, data, p, dim, scale):
+        # q = 2, 3, 5: the worst signed sum of the points / scale, its q-norm
+        # taken on Fractions
+        space = seq_space(p, dim)
+        points = data.draw(st.lists(_vectors(dim), min_size=1, max_size=3))
+        bound, u = worst_signed_sum(points, space, scale)
+        q = dual_exponent(p)
+        scaled = [[F(x) / scale for x in point] for point in points]
+        sums = [
+            [sum(si * x[j] for si, x in zip(s, scaled)) for j in range(dim)]
+            for s in sign_patterns(len(points))
+        ]
+        norms = [_fraction_norm_upper(c, q) for c in sums]
+        assert bound == max(norms) and type(bound) is F
+        # u is a positive multiple of a sum of that norm
+        assert any(
+            norm == bound and len({F(a) / b for a, b in zip(u, c) if b}) <= 1
+            and all((a > 0) == (b > 0) for a, b in zip(u, c))
+            for norm, c in zip(norms, sums)
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(_ints, _fractions, st.integers(-10**40, 10**40)))
+    def test_format_fraction(self, q):
+        assert format_fraction(q) == str(F(q))

@@ -39,6 +39,7 @@ from latfree.pwl import (
     linear_pieces,
     make_pwl,
     pieces_and_kinks,
+    ray_planes,
     rays,
     rays_with,
 )
@@ -227,7 +228,10 @@ class TestIncrementalRays:
                 extra = [tuple(-2 * x for x in rng.choice(normals))]
             elif rng.random() < 0.1:
                 extra = [rng.choice([identity(dim)[0], (0,) * dim])]
-            assert rays_with(dim, normals, table, extra[0]) == rays(dim, normals + extra)
+            grown, planes = rays_with(dim, ray_planes(dim, normals), table, extra[0])
+            assert grown == rays(dim, normals + extra)
+            # the planes go on canonical: the new one appended, if it is new
+            assert sorted(planes) == ray_planes(dim, normals + extra)
 
     def test_solves_only_the_subsets_through_the_new_plane(self, monkeypatch):
         # 4 planes in dimension 4: C(4, 2) = 6 subsets through the fifth,
@@ -237,19 +241,19 @@ class TestIncrementalRays:
         monkeypatch.setattr(pwl, "null_line", lambda rows, dim: solved.append(rows) or real(rows, dim))
         table = rays(4, [])
         solved.clear()
-        rays_with(4, [], table, (1, 2, 3, 4))
+        rays_with(4, ray_planes(4, []), table, (1, 2, 3, 4))
         assert len(solved) == 6 and all(rows[-1] == (1, 2, 3, 4) for rows in solved)
 
     def test_caps_apply_to_the_new_subsets(self, monkeypatch):
         table = rays(4, [(1, 1, 0, 0)])
         monkeypatch.setattr(pwl, "_MAX_RAY_SUBSETS", 9)
         with pytest.raises(CapacityError) as info:
-            rays_with(4, [(1, 1, 0, 0)], table, (1, 2, 3, 4))
+            rays_with(4, ray_planes(4, [(1, 1, 0, 0)]), table, (1, 2, 3, 4))
         assert info.value.measured == math.comb(5, 2)
 
     def test_wrong_length_normal(self):
         with pytest.raises(DimensionError):
-            rays_with(2, [], rays(2, []), (1, 2, 3))
+            rays_with(2, ray_planes(2, []), rays(2, []), (1, 2, 3))
 
 
 def _image_subspace_lam(f: PwlFunction) -> Fraction:
