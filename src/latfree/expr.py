@@ -5,8 +5,11 @@ scaling, addition, and the binary lattice joins/meets.  Absolute value,
 positive/negative part, and subtraction are surface syntax only; the
 parser expands them, so the core AST has exactly five node kinds.  |e|,
 e^+ and e^- use e twice, so an AST is a DAG.  Every walk over it is a
-`fold` over the `Program` that `compile_expr` interns from it, one slot
-per distinct subterm, so no walk recurses or repeats a shared subterm.
+`fold` over its `Program`, one interned slot per distinct subterm, so no
+walk recurses or repeats a shared subterm.  `parse` interns the slots
+while it reads the text and returns the program's fold into nodes;
+`compile_expr` interns the program of a tree built with the constructors,
+and gives the same slots for the tree that the text spells out.
 
 Grammar (whitespace-insensitive)::
 
@@ -21,13 +24,15 @@ Grammar (whitespace-insensitive)::
 "/\\" binds tighter than "\\/"; both bind tighter than "+"/"-"; all are
 left-associative.  The leading "-" on a rational is accepted so that
 printed negative coefficients round-trip.  "(", "|" and "c*" may nest at
-most 100 deep; deeper input is an ExprSyntaxError.  The printer writes a
-join back as |x|, (x)^+ or (x)^- when it is that expansion.
+most 100 deep; deeper input is an ExprSyntaxError, and so is an integer
+literal longer than the interpreter converts from a string.  The printer
+writes a join back as |x|, (x)^+ or (x)^- when it is that expansion.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -113,26 +118,6 @@ class Inf(_Pair):
 
 
 Expr = Var | Scale | Add | Sup | Inf
-
-
-def abs_expr(e: Expr) -> Expr:
-    """|e| as core syntax: e join (-1)*e."""
-    return Sup(e, Scale(Fraction(-1), e))
-
-
-def pos_part(e: Expr) -> Expr:
-    """e^+ as core syntax: e join 0*e."""
-    return Sup(e, Scale(Fraction(0), e))
-
-
-def neg_part(e: Expr) -> Expr:
-    """e^- as core syntax: (-1)*e join 0*e."""
-    return Sup(Scale(Fraction(-1), e), Scale(Fraction(0), e))
-
-
-def sub_expr(left: Expr, right: Expr) -> Expr:
-    """left - right as core syntax: left + (-1)*right."""
-    return Add(left, Scale(Fraction(-1), right))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +217,20 @@ _SIMPLE_TOKENS = {"+": "PLUS", "-": "MINUS", "*": "STAR", "|": "PIPE",
                   "(": "LPAREN", ")": "RPAREN"}
 
 
+def _int_literal(text: str, i: int, j: int, at: int) -> int:
+    """The int written in text[i:j]; decimal digits past the interpreter's
+    limit on int-string conversion are an ExprSyntaxError at `at`."""
+    try:
+        return int(text[i:j])
+    except ValueError:
+        if not text[i:j].isdecimal():
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise ExprSyntaxError(
+            f"integer literal of {j - i} digits exceeds the limit of {limit}", at
+        ) from None
+
+
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
@@ -274,7 +273,7 @@ def _tokenize(text: str):
                 j += 1
             if j == i + 1:
                 raise ExprSyntaxError("'t' must be followed by a variable index", i)
-            index = int(text[i + 1 : j])
+            index = _int_literal(text, i + 1, j, i)
             if index < 1:
                 raise ExprSyntaxError("variable indices start at t1", i)
             tokens.append(("VAR", index, i))
@@ -284,7 +283,7 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("INT", int(text[i:j]), i))
+            tokens.append(("INT", _int_literal(text, i, j, i), i))
             i = j
             continue
         raise ExprSyntaxError(f"unexpected character {ch!r}", i)
@@ -295,68 +294,85 @@ def _tokenize(text: str):
 # Each "(", "|" or "c*" prefix costs a few Python frames of the descent.
 _MAX_NESTING = 100
 
+# binding power of each binary operator: "/\" over "\/" over "+" and "-"
+_BINDING = {"PLUS": 1, "MINUS": 1, "SUP": 2, "INF": 3}
+_BINARY_KIND = {"PLUS": Add, "MINUS": Add, "SUP": Sup, "INF": Inf}
+
 
 class _Parser:
+    """Recursive descent that interns each slot (kind, a, b) of the program
+    as its subterm is read, so a parse method returns a slot index.  The
+    sugar expands in the post-order in which compile_expr visits its
+    expansion, so the slots come out as compile_expr would intern them."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.slots: dict[tuple, int] = {}  # slot -> its index, in slot order
+
+    def intern(self, kind, a, b=None) -> int:
+        slots = self.slots
+        return slots.setdefault((kind, a, b), len(slots))
 
     def peek(self):
         return self.tokens[self.pos]
 
-    def next(self):
+    def expect(self, kind: str, what: str):
         tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str):
-        tok = self.next()
         if tok[0] != kind:
             raise ExprSyntaxError(f"expected {what}", tok[2])
         return tok
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_sup()
-        while self.peek()[0] in ("PLUS", "MINUS"):
-            op = self.next()[0]
-            right = self.parse_sup()
-            node = Add(node, right) if op == "PLUS" else sub_expr(node, right)
-        return node
-
-    def parse_sup(self) -> Expr:
-        node = self.parse_inf()
-        while self.peek()[0] == "SUP":
-            self.next()
-            node = Sup(node, self.parse_inf())
-        return node
-
-    def parse_inf(self) -> Expr:
+    def parse_expr(self) -> int:
+        """Factors joined by + - \\/ /\\, by precedence climbing: `pending`
+        holds (operand, operator) pairs of strictly rising binding power,
+        and an operator first combines those that bind at least as tight."""
+        pending = []
         node = self.parse_factor()
-        while self.peek()[0] == "INF":
-            self.next()
-            node = Inf(node, self.parse_factor())
-        return node
+        while True:
+            op = self.peek()[0]
+            power = _BINDING.get(op, 0)
+            while pending and _BINDING[pending[-1][1]] >= power:
+                left, left_op = pending.pop()
+                if left_op == "MINUS":
+                    node = self.intern(Scale, -1, node)
+                node = self.intern(_BINARY_KIND[left_op], left, node)
+            if not power:
+                return node
+            self.pos += 1
+            pending.append((node, op))
+            node = self.parse_factor()
 
-    def parse_factor(self) -> Expr:
+    def neg_part(self, e: int) -> int:
+        """e^-: (-1)*e join 0*e, interning (-1)*e first."""
+        neg = self.intern(Scale, -1, e)
+        return self.intern(Sup, neg, self.intern(Scale, 0, e))
+
+    def parse_factor(self) -> int:
         node = self.parse_primary()
-        while self.peek()[0] in ("POSPART", "NEGPART"):
-            kind = self.next()[0]
-            node = pos_part(node) if kind == "POSPART" else neg_part(node)
+        while (kind := self.peek()[0]) in ("POSPART", "NEGPART"):
+            self.pos += 1
+            if kind == "POSPART":  # e^+: e join 0*e
+                node = self.intern(Sup, node, self.intern(Scale, 0, node))
+            else:
+                node = self.neg_part(node)
         return node
 
-    def parse_rational(self, negative: bool) -> Fraction:
+    def parse_rational(self, negative: bool) -> int | Fraction:
+        """The coefficient as compile_expr interns it: an int where integral."""
         tok = self.expect("INT", "an integer")
         num = -tok[1] if negative else tok[1]
         if self.peek()[0] == "SLASH":
-            self.next()
+            self.pos += 1
             den_tok = self.expect("INT", "a positive denominator")
             if den_tok[1] == 0:
                 raise ExprSyntaxError("zero denominator", den_tok[2])
-            return Fraction(num, den_tok[1])
-        return Fraction(num)
+            return int_or_fraction(Fraction(num, den_tok[1]))
+        return num
 
-    def nested(self, parse, at: int) -> Expr:
+    def nested(self, parse, at: int) -> int:
         """parse() one nesting level deeper; past _MAX_NESTING levels, fail at `at`."""
         if self.depth == _MAX_NESTING:
             raise ExprSyntaxError(f"nesting deeper than {_MAX_NESTING} levels", at)
@@ -365,25 +381,24 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self) -> int:
         kind, value, at = self.peek()
         if kind == "VAR":
-            self.next()
-            return Var(value)
+            self.pos += 1
+            return self.intern(Var, value)
         if kind in ("INT", "MINUS"):
             negative = kind == "MINUS"
-            if negative:
-                self.next()
+            self.pos += negative  # past the sign
             coeff = self.parse_rational(negative)
             self.expect("STAR", "'*' after a coefficient")
-            return Scale(coeff, self.nested(self.parse_factor, at))
-        if kind == "PIPE":
-            self.next()
+            return self.intern(Scale, coeff, self.nested(self.parse_factor, at))
+        if kind == "PIPE":  # |e|: e join (-1)*e
+            self.pos += 1
             inner = self.nested(self.parse_expr, at)
             self.expect("PIPE", "a closing '|'")
-            return abs_expr(inner)
+            return self.intern(Sup, inner, self.intern(Scale, -1, inner))
         if kind == "LPAREN":
-            self.next()
+            self.pos += 1
             inner = self.nested(self.parse_expr, at)
             self.expect("RPAREN", "a closing ')'")
             return inner
@@ -391,14 +406,19 @@ class _Parser:
 
 
 def parse(text: str, arity: int) -> Expr:
-    """Parse expression text; every variable index must be <= arity."""
+    """Parse expression text; every variable index must be <= arity.
+
+    The text is read straight into its program, and the result is that
+    program's fold into nodes, one per slot, with the program already
+    cached on the root: nothing compiles the text a second time.
+    """
     if arity < 1:
         raise ArityError("arity must be at least 1")
     if arity > MAX_DIM:
         raise CapacityError("arity", MAX_DIM, arity)
     tokens = _tokenize(text)
     parser = _Parser(tokens)
-    node = parser.parse_expr()
+    parser.parse_expr()
     kind, _, at = parser.peek()
     if kind != "EOF":
         raise ExprSyntaxError("unexpected trailing input", at)
@@ -407,7 +427,10 @@ def parse(text: str, arity: int) -> Expr:
         raise ArityError(
             f"variable t{highest} exceeds declared arity {arity}"
         )
-    return node
+    prog = Program(tuple(parser.slots), highest)
+    root = fold(prog, Var, Scale, Add, Sup, Inf)
+    root.__dict__["program"] = prog
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from .expr import (
     Scale,
     Sup,
     Var,
-    abs_expr,
     fold,
     substitute,
 )
@@ -204,7 +203,9 @@ def pwl_scale(c, f: PwlFunction) -> PwlFunction:
 
 
 def pwl_abs(f: PwlFunction) -> PwlFunction:
-    return PwlFunction(dim=f.dim, expr=abs_expr(f.expr), comp=f.comp)
+    """|f|, as the parser expands it: f join (-1)*f."""
+    e = f.expr
+    return PwlFunction(dim=f.dim, expr=Sup(e, Scale(Fraction(-1), e)), comp=f.comp)
 
 
 # ---------------------------------------------------------------------------

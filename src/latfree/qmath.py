@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-from .errors import InternalFaultError
+from .errors import CapacityError, InternalFaultError
 
 
 Vec = tuple[Fraction, ...]
@@ -94,8 +95,17 @@ def primitive_normal(a: Vec) -> tuple[int, ...]:
 
 
 def format_fraction(q: int | Fraction) -> str:
-    """q, an int or a Fraction, as "n" or "n/d"."""
-    return str(q)
+    """q, an int or a Fraction, as "n" or "n/d".  A numerator or denominator
+    with more digits than the interpreter converts to a string is a
+    CapacityError that names the longer one's digit count."""
+    try:
+        return str(q)
+    except ValueError:
+        longest = max(abs(q.numerator), q.denominator)
+        digits = (longest.bit_length() - 1) * 30102 // 100000  # <= log10(longest)
+        while 10**digits <= longest:
+            digits += 1
+        raise CapacityError("printed digits", sys.get_int_max_str_digits(), digits) from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .expr import Add, Expr, Inf, Scale, Sup, Var, pos_part
+from .expr import Add, Expr, Inf, Scale, Sup, Var
 from .free import LatticeMap
 from .norm import FunctionalTuple, SpaceSpec, constraint_norm
 from .pwl import PwlFunction, linear_pieces
@@ -136,7 +136,8 @@ def thin_cone_pair(rng: random.Random, arity: int):
     u, w = (Scale(Fraction(rng.choice((1, -1))), Var(t)) for t in (i, j))
     k = Fraction(rng.randint(5, 9))
     meet = Inf(Add(u, Scale(-k, w)), Add(Scale(k + 1, w), Scale(Fraction(-1), u)))
-    return f, Add(f, Scale(Fraction(rng.choice((1, 2, 3))), pos_part(meet)))
+    bump = Sup(meet, Scale(Fraction(0), meet))  # meet^+
+    return f, Add(f, Scale(Fraction(rng.choice((1, 2, 3))), bump))
 
 
 # ---------------------------------------------------------------------------

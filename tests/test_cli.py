@@ -453,6 +453,39 @@ class TestExitCodes:
         assert code == 4
         assert "candidate pieces: 729 exceeds the cap of 256" in err
 
+    @pytest.mark.skipif(
+        not 1501 <= getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4501,
+        reason="needs an int-string limit between 10^1500 and 10^4500",
+    )
+    def test_a_value_past_the_printed_digit_limit_exits_four(self, capsys):
+        c = str(10**1500)
+        code, out, err = run_main(
+            ["eval", "--arity", "1", "--expr", f"{c}*({c}*({c}*t1))", "--at", "1"],
+            capsys,
+        )
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (4, "")
+        assert err == (
+            f"latfree: capacity: printed digits: 4501 exceeds the cap of {limit}; "
+            "input is beyond desk scale\n"
+        )
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="the interpreter reads int strings of any length",
+    )
+    def test_a_coefficient_past_the_digit_limit_is_a_syntax_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        c = "1" + "0" * (limit + 1)
+        code, out, err = run_main(
+            ["eval", "--arity", "1", "--expr", f"t1 + {c}*t1", "--at", "1"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"latfree: error: integer literal of {limit + 2} digits exceeds the limit "
+            f"of {limit} (at position 5)\n"
+        )
+
     def test_high_dimension_sandwiches_are_answered(self, capsys):
         # the sweep enumerates no sign vectors, so no sandwich is refused
         # for its dimension: t1 takes about 0.05 s and t1 - t2 on seq:2:24

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -547,3 +548,27 @@ class TestIntPathsMatchTheFractionFormulas:
     @given(st.one_of(_ints, _fractions, st.integers(-10**40, 10**40)))
     def test_format_fraction(self, q):
         assert format_fraction(q) == str(F(q))
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="the interpreter converts ints of any length to strings",
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_format_fraction_past_the_digit_limit(self, sign):
+        limit = sys.get_int_max_str_digits()
+        edge = 10**limit  # the first int of limit + 1 digits
+        assert len(format_fraction(sign * (edge - 1))) == limit + (sign < 0)
+        nines = "9" * (limit - 1)
+        assert format_fraction(F(edge - 1, edge - 2)) == f"{nines}9/{nines}8"
+        for q, digits in [
+            (sign * edge, limit + 1),
+            (sign * (10 * edge - 1), limit + 1),
+            (sign * 10 * edge, limit + 2),
+            (F(sign, edge), limit + 1),
+            (F(sign * (edge + 1), 3), limit + 1),
+            (F(sign * 7, 10**(3 * limit) + 1), 3 * limit + 1),
+        ]:
+            with pytest.raises(CapacityError) as exc:
+                format_fraction(q)
+            assert (exc.value.cap, exc.value.measured) == (limit, digits)
+            assert str(exc.value).startswith(f"printed digits: {digits} exceeds the cap of {limit}")
