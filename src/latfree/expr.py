@@ -223,8 +223,6 @@ def _int_literal(text: str, i: int, j: int, at: int) -> int:
     try:
         return int(text[i:j])
     except ValueError:
-        if not text[i:j].isdecimal():
-            raise
         limit = sys.get_int_max_str_digits()
         raise ExprSyntaxError(
             f"integer literal of {j - i} digits exceeds the limit of {limit}", at
@@ -269,7 +267,7 @@ def _tokenize(text: str):
             raise ExprSyntaxError("'^' must be followed by '+' or '-'", i)
         if ch == "t":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise ExprSyntaxError("'t' must be followed by a variable index", i)
@@ -279,9 +277,9 @@ def _tokenize(text: str):
             tokens.append(("VAR", index, i))
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("INT", _int_literal(text, i, j, i), i))
             i = j

@@ -55,7 +55,7 @@ from .pwl import (
     linear_pieces,
     pieces_and_kinks,
     ray_planes,
-    rays,
+    ray_table,
     rays_with,
 )
 from .qmath import (
@@ -437,7 +437,7 @@ def norm_certificate(f: PwlFunction, space: SpaceSpec) -> NormCertificate:
     pieces, bends = pieces_and_kinks(f)
     planes = budget_directions(space) if polyhedral else f.comp
     normals = ray_planes(f.dim, [*bends, *planes])
-    table = rays(f.dim, normals)
+    table = ray_table(f.dim, normals)
     values = _Values()
     values.add(f, table)
     if polyhedral:

@@ -20,18 +20,18 @@ cell-assignment norm oracle (`norm.norm_by_cell_assignment`), which reads
 no ray, so the oracle and `rays` check each other.
 
 The exact kernel runs on Python ints: `PwlFunction.fold_many` evaluates a
-whole batch of points in one fold with integral values as int, and each
-ray is one fraction-free integer solve (`qmath.null_line`).
+whole batch of points in one fold with integral values as int, and the
+rays come from one depth-first walk over the plane subsets, each prefix
+carrying an int basis of its null space (`_solved_lines`).
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, gcd
 
 from .errors import CapacityError, DimensionError, InternalFaultError
 from .expr import (
@@ -52,7 +52,6 @@ from .qmath import (
     identity,
     int_or_fraction,
     is_zero_vec,
-    null_line,
     primitive_normal,
     to_fraction,
     vec,
@@ -299,19 +298,21 @@ def difference_normals(pieces) -> list[Vec]:
     return diffs
 
 
-# (k-1)-subsets `rays` may solve.  Measured on a 2-core x86 box with
-# Python 3.11: solving a subset costs about 35 us in dimension 4 and 55 us
-# in dimension 5, and a whole equivalence check about 20 us per subset in
-# dimension 4, so the cap admits a few seconds of either.  The cap does
-# not bound the exact norm's ray LP, which costs its ray columns times
-# its pivots: on the same box its integer simplex took 0.21 s for the 650
-# columns, 16 rows and 110 pivots of the seq:inf:5 norm of
-# |t1-2*t2| + |t2-3*t3| + |t3+t4| + |t4-t5| + |t1+t5|.
+# (dim-1)-subsets of planes `rays` may walk.  Measured on a 2-core x86 box
+# with Python 3.11.7: the walk takes about 10 us a subset in dimensions 4
+# and 5 (1.3 s for the 125,580 subsets of 92 random planes in dimension 4,
+# 1.4 s for the 148,995 of 45 in dimension 5), and a whole equivalence
+# check about 7 us a subset in dimension 4, so the cap admits a second or
+# two of either.  The cap does not bound the exact norm's ray LP, which
+# costs its ray columns times its pivots: on the same box its integer
+# simplex took 0.21 s for the 650 columns, 16 rows and 110 pivots of the
+# seq:inf:5 norm of |t1-2*t2| + |t2-3*t3| + |t3+t4| + |t4-t5| + |t1+t5|.
 _MAX_RAY_SUBSETS = 150_000
-# Subsets times k^2, since an elimination's cost grows with the dimension
-# k: on the same box, equivalence of t1 \/ t2 \/ t3 with t3 \/ t2 \/ t1
-# took 0.4 s at arity 16, 1.9 s at arity 20 (8,855 subsets) and 64 s at
-# arity 32 (52,360).  Up to dimension 5 the subset cap is the tighter one.
+# Subsets times dim^2, the work of a d x d elimination per subset, kept so
+# that the same inputs are answered: on the same box, equivalence of
+# t1 \/ t2 \/ t3 with t3 \/ t2 \/ t1 takes 0.07 s at arity 16, 0.23 s at
+# arity 20 (8,855 subsets) and, past this cap, 4.1 s at arity 32 (52,360).
+# Up to dimension 5 the subset cap is the tighter one.
 _MAX_RAY_WORK = 25 * _MAX_RAY_SUBSETS
 
 
@@ -333,17 +334,67 @@ def check_ray_caps(count: int, dim: int) -> None:
         raise CapacityError("ray work", _MAX_RAY_WORK, work)
 
 
-def _solved_lines(subsets, count: int, dim: int) -> set[tuple[int, ...]]:
-    """The lines of `count` subsets of dim - 1 planes, both signs of each;
-    CapacityError before any is solved when the count or its eliminations'
-    size pass the caps."""
-    check_ray_caps(count, dim)
+def _restrict(basis, plane) -> list[tuple[int, ...]] | None:
+    """An int basis of the vectors of span(basis) on `plane`, one vector
+    shorter than `basis`, or None when the plane holds the whole span.
+
+    With p = <plane, b_k> != 0 for the first such b_k, every other b_i
+    becomes p*b_i - <plane, b_i>*b_k over its gcd, which lies on the plane
+    and is never 0 since the b_i are independent; a b_i already on the
+    plane is kept.  So a primitive basis stays primitive.
+    """
+    dots = [sum(map(operator.mul, plane, b)) for b in basis]
+    k = next((i for i, m in enumerate(dots) if m), None)
+    if k is None:
+        return None
+    p, pivot = dots[k], basis[k]
+    out = []
+    for i, (b, m) in enumerate(zip(basis, dots)):
+        if i == k:
+            continue
+        if m:
+            v = [p * x - m * y for x, y in zip(b, pivot)]
+            g = gcd(*v)
+            b = tuple(x // g for x in v)
+        out.append(b)
+    return out
+
+
+def _solved_lines(dim: int, planes, new=None) -> set[tuple[int, ...]]:
+    """Both signs of the primitive generator of every line where dim - 1
+    of `planes` meet, or, given `new`, where `new` and dim - 2 of them
+    meet; CapacityError before any restriction when those subsets or their
+    work pass the ray caps.
+
+    The subsets are walked depth first in index order, each prefix
+    carrying an int basis of its null space (`_restrict`).  A plane that
+    holds the whole of it ends the branch, every subset through it being
+    rank-deficient, and the one vector left at a leaf spans the line.
+    """
+    size = dim - 1 if new is None else dim - 2
+    check_ray_caps(comb(len(planes), size), dim)
     lines = set()
-    for subset in subsets:
-        line = null_line(subset, dim)
-        if line is not None:
-            lines.add(line)
-    return lines | {tuple(-v for v in r) for r in lines}
+
+    def walk(start, basis):
+        if len(basis) == 1:
+            lines.add(basis[0])
+            lines.add(tuple(-x for x in basis[0]))
+            return
+        # a prefix with m basis vectors needs m - 1 more planes
+        for j in range(start, len(planes) - len(basis) + 2):
+            restricted = _restrict(basis, planes[j])
+            if restricted is not None:
+                walk(j + 1, restricted)
+
+    basis = identity(dim)
+    walk(0, basis if new is None else _restrict(basis, new))
+    return lines
+
+
+def ray_table(dim: int, planes) -> tuple[tuple[int, ...], ...]:
+    """rays(dim, normals) read from its planes, planes = ray_planes(dim,
+    normals), so a caller that keeps the planes canonicalizes them once."""
+    return tuple(sorted(_solved_lines(dim, planes)))
 
 
 def rays(dim: int, normals) -> tuple[tuple[int, ...], ...]:
@@ -353,14 +404,13 @@ def rays(dim: int, normals) -> tuple[tuple[int, ...], ...]:
     normals.  Every closed cell is then a pointed cone, the conic hull of
     its extreme rays, and the extreme rays of all cells are the rays on the
     lines where dim - 1 independent hyperplanes meet.  So each
-    (dim - 1)-subset whose null space is a line gives two of them; the line
-    comes from one fraction-free integer elimination of the primitive
-    integer normals (`null_line`).  Returns the primitive integer rays as
+    (dim - 1)-subset whose null space is a line gives two of them.  The
+    subsets are walked depth first (`_solved_lines`): a subset's null space
+    is its prefix's, restricted to one more plane on Python ints, so no
+    subset is solved from scratch.  Returns the primitive integer rays as
     int tuples, closed under sign, sorted.
     """
-    planes = ray_planes(dim, normals)
-    subsets = itertools.combinations(planes, dim - 1)
-    return tuple(sorted(_solved_lines(subsets, comb(len(planes), dim - 1), dim)))
+    return ray_table(dim, ray_planes(dim, normals))
 
 
 def rays_with(
@@ -373,17 +423,17 @@ def rays_with(
     so a loop that adds one plane per round canonicalizes each plane once.
     A line of the new arrangement that is not a line of the old one lies
     on the new plane, so it is where the new plane meets dim - 2 old ones:
-    C(H, dim - 2) subsets of the H old planes are solved, not
-    C(H + 1, dim - 1).  A plane that is already there adds nothing.  The
-    caps of `rays` apply to the subsets solved here.
+    the walk starts from the new plane's null space and takes C(H, dim - 2)
+    subsets of the H old planes, not C(H + 1, dim - 1).  A plane that is
+    already there adds nothing.  The caps of `rays` apply to the subsets
+    walked here.
     """
     plane = primitive_normal(normal)
     if len(plane) != dim:
         raise DimensionError("hyperplane normal has wrong length")
     if is_zero_vec(plane) or plane in planes:
         return tuple(table), planes
-    subsets = ((*s, plane) for s in itertools.combinations(planes, dim - 2))
-    lines = _solved_lines(subsets, comb(len(planes), dim - 2), dim)
+    lines = _solved_lines(dim, planes, plane)
     return tuple(sorted(lines.union(table))), [*planes, plane]
 
 

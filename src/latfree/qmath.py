@@ -6,16 +6,16 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import CapacityError, InternalFaultError
+from .errors import CapacityError
 
 
 Vec = tuple[Fraction, ...]
 
 # the largest dimension of a space and arity of an expression, checked
 # before any vector of that length is built.  Measured on a 2-core x86 box
-# with Python 3.11: at 32 the norm of t1 \/ t2 on fvl:32 takes 0.7 s and
-# on fvl:64 takes 22 s, each of its C(d+1, d-1) ray subsets being a d x d
-# elimination; the cap admits seq:2:30, where t1 - t1 has norm 0.
+# with Python 3.11.7: the norm of t1 \/ t2 on fvl:32 takes 0.09 s and, past
+# this cap and the ray work cap, on fvl:64 1.8 s, walking C(d+1, d-1) ray
+# subsets; the cap admits seq:2:30, where t1 - t1 has norm 0.
 MAX_DIM = 32
 
 
@@ -118,56 +118,3 @@ def transpose(rows) -> tuple[Vec, ...]:
     if not rows:
         return ()
     return tuple(tuple(r[j] for r in rows) for j in range(len(rows[0])))
-
-
-def null_line(rows, dim: int) -> tuple[int, ...] | None:
-    """Primitive generator of {x in Q^dim : Mx = 0} when it is a line, else None.
-
-    M has integer rows.  Fraction-free Gauss-Jordan elimination (Bareiss,
-    1968): each step replaces every other row r by (p*r - m*pivot_row) / p',
-    where p is the new pivot, m is r's entry in the pivot column and p' the
-    previous pivot.  Every entry stays a minor of M, so each division is
-    exact (a remainder is an InternalFaultError), and at the end each pivot
-    row holds the last pivot D in its own pivot column and 0 in the others.
-    With one free column f, x_f = D and x_c = -row[f] for the pivot row of
-    each pivot column c then solve Mx = 0.  The generator has gcd 1 and its
-    first nonzero entry positive.
-    """
-    a = [list(r) for r in rows]
-    pivot_cols: list[int] = []
-    free = None
-    prev = 1
-    for col in range(dim):
-        top = len(pivot_cols)
-        piv = next((i for i in range(top, len(a)) if a[i][col]), None)
-        if piv is None:
-            if free is not None:
-                return None
-            free = col
-            continue
-        a[top], a[piv] = a[piv], a[top]
-        prow = a[top]
-        p = prow[col]
-        # pivot columns are never read again (their entries are known), so
-        # only the free column and the columns right of this one are updated
-        live = range(col + 1, dim) if free is None else (free, *range(col + 1, dim))
-        for i, row in enumerate(a):
-            if i == top:
-                continue
-            m = row[col]
-            for j in live:
-                row[j], rem = divmod(p * row[j] - m * prow[j], prev)
-                if rem:
-                    raise InternalFaultError("fraction-free elimination left a remainder")
-        pivot_cols.append(col)
-        prev = p
-    if free is None:
-        return None
-    x = [0] * dim
-    x[free] = prev
-    for row, c in zip(a, pivot_cols):
-        x[c] = -row[free]
-    g = math.gcd(*x)
-    if next(v for v in x if v) < 0:
-        g = -g
-    return tuple(v // g for v in x)

@@ -93,6 +93,19 @@ class TestParse:
             parse("t1 + %", 2)
         assert exc.value.position == 5
 
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("t²", 0, "'t' must be followed by a variable index"),
+            ("2³*t1", 1, "unexpected character '³'"),
+        ],
+    )
+    def test_non_decimal_digits_are_syntax_errors(self, text, position, message):
+        # str.isdigit holds for superscripts, which int() does not read
+        with pytest.raises(ExprSyntaxError, match=message) as exc:
+            parse(text, 1)
+        assert exc.value.position == position
+
     def test_arity_enforced(self):
         with pytest.raises(ArityError):
             parse("t3", 2)

@@ -373,13 +373,13 @@ class TestSandwichWork:
 
         calls = {}
         for module in (norm_module, pwl_module):
-            for name in ("rays", "pieces_and_kinks"):
+            for name in ("ray_table", "pieces_and_kinks"):
                 monkeypatch.setattr(
                     module, name, counting(calls, name, getattr(pwl_module, name))
                 )
         assert cli.main(self.ARGV + [text]) == 0
         capsys.readouterr()
-        assert calls == {"pieces_and_kinks": 1, "rays": 1}
+        assert calls == {"pieces_and_kinks": 1, "ray_table": 1}
 
     def test_ascent_work_of_the_cli_sandwich(self, monkeypatch, capsys):
         # the lower bound's search, once a float ascent, is the sweep and
@@ -424,8 +424,10 @@ class TestSandwichWork:
             return wrapper
 
         monkeypatch.setattr(pwl_module.PwlFunction, "fold_many", fold_many)
-        # rays returns a table, rays_with a table and its planes
-        monkeypatch.setattr(norm_module, "rays", recorded(norm_module.rays, lambda t: t))
+        # ray_table returns a table, rays_with a table and its planes
+        monkeypatch.setattr(
+            norm_module, "ray_table", recorded(norm_module.ray_table, lambda t: t)
+        )
         monkeypatch.setattr(
             norm_module, "rays_with", recorded(norm_module.rays_with, operator.itemgetter(0))
         )
@@ -450,6 +452,26 @@ class TestSandwichWork:
         assert cli.main(self.ARGV + [r"(1*t3) /\ (2*t2)"]) == 0
         capsys.readouterr()
         assert calls == {"ray_lp": 3, "rays_with": 2}
+
+    def test_restriction_steps_of_a_high_dimension_sandwich(self, monkeypatch):
+        # t1 - t2 on seq:2:24 has no kinks, so its planes are the 24
+        # coordinate normals.  The first table walks their C(24, 23) = 24
+        # subsets in 299 restrictions; the first cut starts on its own
+        # plane and walks the C(24, 22) = 276 subsets of the old planes in
+        # 2,300 more, where each subset was one 23 x 24 elimination
+        import latfree.norm as norm_module
+        import latfree.pwl as pwl_module
+
+        steps, marks = [], []
+        restrict, rays_with = pwl_module._restrict, norm_module.rays_with
+        monkeypatch.setattr(
+            pwl_module, "_restrict", lambda basis, plane: steps.append(plane) or restrict(basis, plane)
+        )
+        monkeypatch.setattr(
+            norm_module, "rays_with", lambda *args: marks.append(len(steps)) or rays_with(*args)
+        )
+        norm_certificate(pw("t1 - t2", 24), seq_space(2, 24))
+        assert marks[:2] == [299, 299 + 2_300]
 
 
 class TestCellAssignment:

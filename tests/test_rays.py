@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 
 from latfree import norm, pwl
-from latfree.errors import CapacityError, DimensionError, InternalFaultError
+from latfree.errors import CapacityError, DimensionError
 from latfree.expr import Var, parse
 from latfree.qmath import (
     dot,
     identity,
-    null_line,
     primitive_normal,
     transpose,
     vec,
@@ -186,40 +185,51 @@ def _random_normals(rng, dim, count):
     return out
 
 
+def _sparse_normals(rng, dim, count):
+    """Mostly coordinate planes, scaled, each with a few small entries or
+    one up to 10^6 elsewhere, and now and then a dense normal."""
+    out = []
+    for _ in range(count):
+        n = [0] * dim
+        if rng.random() < 0.2:
+            n = [rng.randint(-3, 3) for _ in range(dim)]
+        else:
+            n[rng.randrange(dim)] = rng.choice((1, -2, 3))
+            for j in rng.sample(range(dim), rng.randint(0, 2)):
+                n[j] += rng.choice((-1, 1, 10**6))
+        out.append(tuple(n))
+    return out
+
+
+# per dimension: the most extra normals, and the cases of the fraction
+# loop and of the union differential tests
+_SIZES = {2: (7, 75, 60), 3: (5, 75, 60), 4: (4, 75, 60), 5: (3, 75, 60),
+          6: (4, 12, 30), 7: (4, 8, 20), 8: (3, 6, 20), 9: (3, 4, 20)}
+
+
+def _normals(rng, dim):
+    make = _random_normals if dim <= 5 else _sparse_normals
+    return make(rng, dim, rng.randint(0, _SIZES[dim][0]))
+
+
 class TestIntegerNullLine:
-    def test_matches_the_fraction_null_space(self):
-        rng = random.Random(5)
-        for _ in range(600):
-            dim = rng.randint(1, 5)
-            rows = _random_normals(rng, dim, rng.randint(0, dim + 1))
-            basis = null_space_basis(rows) if rows else identity(dim)
-            want = primitive_normal(basis[0]) if len(basis) == 1 else None
-            assert null_line(rows, dim) == want
-
-    def test_a_remainder_is_an_internal_fault(self):
-        # integer rows never leave one; a fractional entry can
-        with pytest.raises(InternalFaultError):
-            null_line([(1, F(1, 3)), (1, 0)], 2)
-
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 9])
     def test_rays_match_the_fraction_loop(self, dim):
         rng = random.Random(1000 + dim)
-        most = {2: 7, 3: 5, 4: 4, 5: 3}[dim]
-        for _ in range(75):
-            normals = _random_normals(rng, dim, rng.randint(0, most))
+        for _ in range(_SIZES[dim][1]):
+            normals = _normals(rng, dim)
             assert rays(dim, normals) == _fraction_rays(dim, normals)
 
 
 class TestIncrementalRays:
-    """rays_with adds one plane to a ray table by solving only the subsets
+    """rays_with adds one plane to a ray table by walking only the subsets
     that contain it."""
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 9])
     def test_equals_the_rays_of_the_union(self, dim):
         rng = random.Random(2000 + dim)
-        most = {2: 7, 3: 5, 4: 4, 5: 3}[dim]
-        for _ in range(60):
-            normals = _random_normals(rng, dim, rng.randint(0, most))
+        for _ in range(_SIZES[dim][2]):
+            normals = _normals(rng, dim)
             table = rays(dim, normals)
             # a new plane, a multiple of an old one, a coordinate normal
             # and the zero vector
@@ -234,15 +244,22 @@ class TestIncrementalRays:
             assert sorted(planes) == ray_planes(dim, normals + extra)
 
     def test_solves_only_the_subsets_through_the_new_plane(self, monkeypatch):
-        # 4 planes in dimension 4: C(4, 2) = 6 subsets through the fifth,
-        # where the full table solves C(5, 3) = 10
-        solved = []
-        real = pwl.null_line
-        monkeypatch.setattr(pwl, "null_line", lambda rows, dim: solved.append(rows) or real(rows, dim))
+        # the 4 coordinate planes of dimension 4 reach C(4, 3) = 4 leaves,
+        # the restrictions of a 2-vector basis; a fifth plane starts its own
+        # walk and reaches C(4, 2) = 6 more, where a table of all five
+        # would reach C(5, 3) = 10
+        steps = []
+        real = pwl._restrict
+        monkeypatch.setattr(
+            pwl, "_restrict", lambda basis, plane: steps.append((len(basis), plane)) or real(basis, plane)
+        )
         table = rays(4, [])
-        solved.clear()
+        assert sum(size == 2 for size, _ in steps) == math.comb(4, 3)
+        steps.clear()
         rays_with(4, ray_planes(4, []), table, (1, 2, 3, 4))
-        assert len(solved) == 6 and all(rows[-1] == (1, 2, 3, 4) for rows in solved)
+        assert steps[0] == (4, (1, 2, 3, 4))
+        assert all(plane != (1, 2, 3, 4) for _, plane in steps[1:])
+        assert sum(size == 2 for size, _ in steps) == math.comb(4, 2)
 
     def test_caps_apply_to_the_new_subsets(self, monkeypatch):
         table = rays(4, [(1, 1, 0, 0)])
@@ -485,11 +502,10 @@ class TestDifferential:
 
     def test_cell_assignment_oracle_reads_no_ray(self, monkeypatch):
         def no_rays(*args):
-            raise AssertionError("the oracle must not call pwl.rays")
+            raise AssertionError("the oracle must not walk ray subsets")
 
-        # norm imports rays by name, so both bindings go
-        monkeypatch.setattr(pwl, "rays", no_rays)
-        monkeypatch.setattr(norm, "rays", no_rays)
+        # every ray table, from rays, ray_table or rays_with, is walked here
+        monkeypatch.setattr(pwl, "_solved_lines", no_rays)
         for n in (2, 3):
             for space in (fvl_space(n), seq_space(1, n)):
                 for text in ("t1 - t1", r"t1 \/ t2 - t2 \/ t1", "|t1 - t2| - |t2 - t1|"):
